@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import LTFSpec
+from . import bits
+from .oracle import LTFEvaluator, LTFSpec
 from .rng import SplitRng
 from .truth import (
     DistanceReport,
@@ -87,10 +88,8 @@ def _mc_mean(spec: LTFSpec, gen: np.random.Generator,
              samples: int = 50_000) -> float:
     if spec.n <= 20:
         return exact_mean(spec)
-    from . import bits
-    from .oracle import _LTFEvaluator
     pts = bits.random_packed(gen, samples, spec.n)
-    return float(_LTFEvaluator(spec)(pts).astype(np.float64).mean())
+    return float(LTFEvaluator(spec)(pts).astype(np.float64).mean())
 
 
 def generate(family: InstanceFamily, rng: SplitRng,

@@ -3,24 +3,30 @@
 Sign convention, used everywhere: sign(t) = +1 iff t >= 0, so a halfspace
 f(x) = sign(w.x - theta) outputs +1 exactly when w.x >= theta.
 
-Evaluation backends (selected automatically, all semantically identical):
+Every evaluation returns the true sign of w.x - theta, whatever the weights.
+LTFEvaluator has two backends, chosen automatically:
 
-* n <= TABLE_MAX_N: the full truth table is materialized once and queries
-  become packed-index lookups.
-* integer-valued weights within safe bounds: per-byte int16 lookup tables
-  summed in int32.  All arithmetic is exact; two points never compare
-  differently because of floating-point summation order.
-* otherwise: unpack and take a float64 dot product per query batch.
+* truth table (n <= TABLE_MAX_N): the table is materialized once and
+  queries become packed-index lookups.
+* byte tables: one 256-entry table of set-bit sums per byte of the packed
+  point, gathered and summed per query batch.  Integer weights within
+  INT_FAST_MAX_WEIGHT (with a half-integer threshold) get int16 tables summed
+  exactly in integers.  Any other instance gets float64 tables; a row whose
+  float sum lies within a forward-error bound of the threshold is re-decided
+  with math.fsum, whose correctly rounded result has the exact sign.
 
-Instances whose weights sit on an integer grid (every generator in this
-package emits such instances, with half-integer thresholds) therefore have
-completely unambiguous evaluations: |w.x - theta| is either >= 1/2 or the
-boundary case w.x = theta, which maps to +1.
+eval_ltf and truth_table follow the same rule: plain float arithmetic where
+it is exact (integer weights with sum |w_i| < 2^53), an fsum re-decision of
+near-threshold points otherwise.  Instances whose weights sit on an integer
+grid (every generator in this package emits such instances, with
+half-integer thresholds) have |w.x - theta| >= 1/2 or w.x = theta, the
+boundary case, which maps to +1.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -34,6 +40,9 @@ TABLE_MAX_N = 20
 # and every row total within int32.
 INT_FAST_MAX_WEIGHT = 4095.0
 QUERY_CHUNK = 16384
+# byte-table evaluation holds at most this many bytes of gathered table
+# entries per chunk
+EVAL_CHUNK_BYTES = 16 << 20
 
 
 class DimensionMismatchError(ValueError):
@@ -89,12 +98,53 @@ class LTFSpec:
             return cls.from_dict(json.load(fh))
 
 
+def _exact_in_float(w: np.ndarray) -> bool:
+    """True iff every float sum of +-w_i is exact: integer weights whose
+    absolute sum stays below 2^53."""
+    return bool(np.all(w == np.round(w)) and np.abs(w).sum() < 2.0 ** 53)
+
+
+def _tie_bound(w: np.ndarray, theta: float) -> float:
+    """Bound on the error of the float margins w.x - theta computed here.
+
+    The truth table sums at most n weights per entry and n for sum(w); the
+    byte tables sum 8 weights per entry and one entry per byte.  A float sum
+    of k terms is off by at most k * eps/2 times their absolute sum, so this
+    bound (with a term for underflow) exceeds every such error: a computed
+    margin beyond it has the true sign.
+    """
+    eps = np.finfo(np.float64).eps
+    tiny = np.finfo(np.float64).tiny
+    return 2.0 * (w.size + 16) * (
+        eps * (float(np.abs(w).sum()) + abs(theta)) + tiny)
+
+
+def _near_threshold(margin: np.ndarray, bound: float) -> np.ndarray:
+    """Indices of computed margins whose sign may be wrong; `not >` also
+    catches a nan from an overflowing sum."""
+    return np.flatnonzero(~(np.abs(margin) > bound))
+
+
+def _exact_signs(w: np.ndarray, theta: float,
+                 points_pm: np.ndarray) -> np.ndarray:
+    """sign(w.x - theta) for each row, exactly.
+
+    w_i * x_i is exact for x_i = +-1, and fsum rounds the whole sum once, so
+    its sign is the sign of the true value (zero maps to +1).
+    """
+    terms = w * points_pm
+    return np.array([1 if math.fsum([*row, -theta]) >= 0.0 else -1
+                     for row in terms], dtype=np.int8)
+
+
 def eval_ltf(spec: LTFSpec, x) -> int:
     """Evaluate a halfspace at a single +-1 point (boundary maps to +1)."""
     x = np.asarray(x)
     if x.shape != (spec.n,):
         raise DimensionMismatchError(
             f"point has shape {x.shape}, expected ({spec.n},)")
+    if not _exact_in_float(spec.weights):
+        return int(_exact_signs(spec.weights, spec.theta, x[None, :])[0])
     return 1 if float(spec.weights @ x.astype(np.float64)) >= spec.theta else -1
 
 
@@ -115,59 +165,82 @@ def truth_table(spec: LTFSpec) -> np.ndarray:
     """int8 table of f over all 2^n packed indices (n <= TABLE_MAX_N)."""
     if spec.n > TABLE_MAX_N:
         raise ValueError(f"truth table limited to n <= {TABLE_MAX_N}")
-    dots = 2.0 * subset_sums(spec.weights) - spec.weights.sum()
-    return np.where(dots >= spec.theta, 1, -1).astype(np.int8)
+    w, theta = spec.weights, spec.theta
+    dots = 2.0 * subset_sums(w) - w.sum()
+    table = np.where(dots >= theta, 1, -1).astype(np.int8)
+    if not _exact_in_float(w):
+        near = _near_threshold(dots - theta, _tie_bound(w, theta))
+        if near.size:
+            points = ((near[:, None] >> np.arange(spec.n)) & 1) * 2 - 1
+            table[near] = _exact_signs(w, theta, points)
+    return table
 
 
-class _LTFEvaluator:
-    """Vectorized packed-batch evaluation with automatic backend choice."""
+class LTFEvaluator:
+    """Evaluates a halfspace on packed batches; returns int8 +-1 per row.
+
+    `backend` names the path taken: "truth-table", "int16" or "float64"
+    (see the module docstring).
+    """
 
     def __init__(self, spec: LTFSpec):
         self.spec = spec
         self.n = spec.n
         w = spec.weights
-        self._table = None
-        self._bytes16 = None
-        self._gemv_w = None
         if self.n <= TABLE_MAX_N:
+            self.backend = "truth-table"
             self._table = truth_table(spec)
             self._index_pows = (256 ** np.arange(bits.nbytes(self.n),
                                                  dtype=np.int64))
-        elif (np.all(w == np.round(w))
-                and np.all(np.abs(w) <= INT_FAST_MAX_WEIGHT)
-                and float(spec.theta) * 2 == round(float(spec.theta) * 2)):
-            nb = bits.nbytes(self.n)
-            wp = np.zeros(8 * nb, dtype=np.float64)
-            wp[: self.n] = w
-            tables = np.empty((nb, 256), dtype=np.int16)
-            bm = bits.BYTE_BITS.astype(np.float64)
-            for p in range(nb):
-                tables[p] = (bm @ wp[8 * p: 8 * p + 8]).astype(np.int16)
-            self._bytes16 = tables
-            self._col_idx = np.arange(nb)[None, :]
-            # f = +1 iff 4*s - 2*sum(w) >= 2*theta with s the set-bit sum
-            self._int_threshold = int(round(2 * spec.theta + 2 * w.sum()))
+            return
+        exact_int = (np.all(w == np.round(w))
+                     and np.all(np.abs(w) <= INT_FAST_MAX_WEIGHT)
+                     and float(spec.theta) * 2 == round(float(spec.theta) * 2))
+        nb = bits.nbytes(self.n)
+        wp = np.zeros(8 * nb, dtype=np.float64)
+        wp[: self.n] = w
+        # tables[p, b] = sum of the weights of the set bits of byte value b
+        # at byte position p.  Filled row by row: one (nb, 8) @ (8, 256)
+        # product raised the peak RSS of a whole n=4096 run by 4.5 MB.
+        self._tables = np.empty((nb, 256),
+                                dtype=np.int16 if exact_int else np.float64)
+        bm = bits.BYTE_BITS.astype(np.float64)
+        for p in range(nb):
+            self._tables[p] = bm @ wp[8 * p: 8 * p + 8]
+        if exact_int:
+            self.backend = "int16"
+            self._sum_dtype = np.int64
+            # f = +1 iff 2*s - sum(w) >= theta, with s the set-bit sum; both
+            # sides are exact in float64
+            self._threshold = float(spec.theta + w.sum())
+            self._tie_bound = None
         else:
-            self._gemv_w = w
+            self.backend = "float64"
+            self._sum_dtype = np.float64
+            self._threshold = math.fsum([spec.theta, *w])
+            self._tie_bound = _tie_bound(w, spec.theta)
+        self._col_idx = np.arange(nb)[None, :]
+        self._rows = min(QUERY_CHUNK,
+                         EVAL_CHUNK_BYTES // (nb * self._tables.itemsize))
 
     def __call__(self, packed: np.ndarray) -> np.ndarray:
-        if self._table is not None:
+        if self.backend == "truth-table":
             idx = packed.astype(np.int64) @ self._index_pows
             return self._table[idx]
-        if self._bytes16 is not None:
-            out = np.empty(packed.shape[0], dtype=np.int8)
-            for lo in range(0, packed.shape[0], QUERY_CHUNK):
-                chunk = packed[lo: lo + QUERY_CHUNK]
-                g = self._bytes16[self._col_idx, chunk]
-                s = np.add.reduce(g, axis=1, dtype=np.int64)
-                out[lo: lo + QUERY_CHUNK] = np.where(
-                    4 * s >= self._int_threshold, 1, -1)
-            return out
         out = np.empty(packed.shape[0], dtype=np.int8)
-        for lo in range(0, packed.shape[0], QUERY_CHUNK):
-            pm = bits.unpack(packed[lo: lo + QUERY_CHUNK], self.n)
-            dots = pm.astype(np.float64) @ self._gemv_w
-            out[lo: lo + QUERY_CHUNK] = np.where(dots >= self.spec.theta, 1, -1)
+        rows = self._rows
+        for lo in range(0, packed.shape[0], rows):
+            chunk = packed[lo: lo + rows]
+            s = np.add.reduce(self._tables[self._col_idx, chunk], axis=1,
+                              dtype=self._sum_dtype)
+            margin = 2 * s - self._threshold
+            out[lo: lo + rows] = np.where(margin >= 0, 1, -1)
+            if self._tie_bound is not None:
+                near = _near_threshold(margin, self._tie_bound)
+                if near.size:
+                    out[lo + near] = _exact_signs(
+                        self.spec.weights, self.spec.theta,
+                        bits.unpack(chunk[near], self.n))
         return out
 
 
@@ -293,8 +366,14 @@ class _Counter:
         self._lock = threading.Lock()
         self.value = 0
 
-    def add(self, k: int):
+    def add(self, k: int, cap: Optional[int] = None):
+        """Add k, or raise if that would take the count above cap; the check
+        and the add are one step under the lock."""
         with self._lock:
+            if cap is not None and self.value + k > cap:
+                raise QueryBudgetExceededError(
+                    f"query budget exceeded: {self.value} used, "
+                    f"{k} requested, cap {cap}")
             self.value += k
 
 
@@ -320,7 +399,7 @@ class OracleHandle:
     @classmethod
     def for_spec(cls, spec: LTFSpec, query_cap: Optional[int] = None
                  ) -> "OracleHandle":
-        return cls(_LTFEvaluator(spec), spec.n, query_cap=query_cap)
+        return cls(LTFEvaluator(spec), spec.n, query_cap=query_cap)
 
     @classmethod
     def for_function(cls, fn_pm: Callable[[np.ndarray], np.ndarray], n: int,
@@ -346,11 +425,7 @@ class OracleHandle:
         return self.ambient_n if self.rho is None else self.rho.num_stars
 
     def _charge(self, k: int):
-        if self.query_cap is not None and self._counter.value + k > self.query_cap:
-            raise QueryBudgetExceededError(
-                f"query budget exceeded: {self._counter.value} used, "
-                f"{k} requested, cap {self.query_cap}")
-        self._counter.add(k)
+        self._counter.add(k, self.query_cap)
 
     def query_packed(self, packed: np.ndarray) -> np.ndarray:
         """Evaluate an (m, nbytes(ambient_n)) batch of ambient-width points.

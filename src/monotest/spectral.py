@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bits
-from .oracle import LTFSpec, OracleHandle, truth_table
+from .oracle import LTFEvaluator, LTFSpec, OracleHandle, truth_table
 
 CHUNK = 16384
 # sample-count multipliers; the calibration tests are the authority on these
@@ -268,14 +268,15 @@ class ExactSpectrum:
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:
-    a = values.astype(np.float64).copy()
+    """Unnormalized Walsh-Hadamard transform of a length-2^k vector."""
+    a = np.array(values, dtype=np.float64)
     h = 1
     while h < a.size:
-        for lo in range(0, a.size, 2 * h):
-            x = a[lo: lo + h].copy()
-            y = a[lo + h: lo + 2 * h].copy()
-            a[lo: lo + h] = x + y
-            a[lo + h: lo + 2 * h] = x - y
+        # butterfly on every pair of h-blocks at once
+        v = a.reshape(-1, 2, h)
+        x = v[:, 0] + v[:, 1]
+        v[:, 1] = v[:, 0] - v[:, 1]
+        v[:, 0] = x
         h *= 2
     return a
 
@@ -297,8 +298,7 @@ def exact_spectrum(spec: LTFSpec) -> ExactSpectrum:
         return ExactSpectrum(n, float(full[0]), degree1, full)
     if n > SPECTRUM_DEG1_MAX_N:
         raise ValueError(f"spectrum limited to n <= {SPECTRUM_DEG1_MAX_N}")
-    from .oracle import _LTFEvaluator
-    ev = _LTFEvaluator(spec)
+    ev = LTFEvaluator(spec)
     nb = bits.nbytes(n)
     s1 = np.zeros(n, dtype=np.float64)
     v_total = 0.0

@@ -25,8 +25,8 @@ import numpy as np
 from . import bits
 from .matching import maximum_matching_size
 from .oracle import (
+    LTFEvaluator,
     LTFSpec,
-    _LTFEvaluator,
     subset_sums,
     truth_table,
 )
@@ -156,8 +156,8 @@ def dist_ltf_to_monotone_exact(spec: LTFSpec) -> DistanceReport:
 def dist_ltf_to_monotone_mc(spec: LTFSpec, samples: int, delta: float,
                             rng: np.random.Generator) -> DistanceReport:
     """Monte-Carlo estimate of the distance, with a Hoeffding radius."""
-    f_eval = _LTFEvaluator(spec)
-    g_eval = _LTFEvaluator(drop_negative_weights(spec))
+    f_eval = LTFEvaluator(spec)
+    g_eval = LTFEvaluator(drop_negative_weights(spec))
     disagreements = 0
     chunk = 65536
     done = 0
@@ -216,7 +216,7 @@ def classify_non_monotone(spec: LTFSpec, tau: float, gamma: float, lam: float,
     else:
         if rng is None:
             raise ValueError("rng required for MC balance above n=20")
-        ev = _LTFEvaluator(spec)
+        ev = LTFEvaluator(spec)
         pts = bits.random_packed(rng, mc_samples, spec.n)
         mu, method = float(ev(pts).astype(np.float64).mean()), "mc"
     regular = profile.regularity <= tau

@@ -1,3 +1,7 @@
+import threading
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from monotest import bits
 from monotest.oracle import (
     AntiMonotoneEdgeCertificate,
     DimensionMismatchError,
+    LTFEvaluator,
     LTFSpec,
     OracleHandle,
     QueryBudgetExceededError,
@@ -18,6 +23,7 @@ from monotest.oracle import (
     restrict,
     restricted_spec,
     truth_table,
+    _Counter,
     verify_certificate,
 )
 from monotest.rng import generator_for
@@ -98,20 +104,82 @@ def test_truth_table_matches_pointwise(n, seed):
 
 def test_eval_backends_agree():
     # same integer-grid halfspace through table (small n), int16 byte tables
-    # (large n, padded) and the float64 fallback
+    # and float64 byte tables (large n, padded)
     rng = generator_for(11, "backends")
     w = np.round(rng.standard_normal(50) * 64)
     w[w == 0] = 3.0
     theta = 7.5
     spec = LTFSpec(w, theta)
-    h_int = OracleHandle.for_spec(spec)
-    h_gen = OracleHandle.for_spec(LTFSpec(w + 0.25 - 0.25, theta + 1e-9))
+    spec_float = LTFSpec(w + 0.25 - 0.25, theta + 1e-9)
     X = bits.random_packed(rng, 2000, 50)
-    a = h_int.query_packed(X)
-    b = h_gen.query_packed(X)
+    a = OracleHandle.for_spec(spec).query_packed(X)
+    b = OracleHandle.for_spec(spec_float).query_packed(X)
     # theta differs by 1e-9 but w.x - theta is never within 1e-9 of zero here
     assert np.array_equal(a, b)
-    assert h_int._target._bytes16 is not None
+    # integer instances keep the int16 tables; the threshold shift moves the
+    # other one onto float64 tables
+    assert LTFEvaluator(spec).backend == "int16"
+    assert LTFEvaluator(spec_float).backend == "float64"
+    assert LTFEvaluator(LTFSpec(w[:20], theta)).backend == "truth-table"
+
+
+def _cancellation_spec(n):
+    # true w.x - theta at the all-ones point is 1.5, but a float sum that
+    # adds 1 to 1e16 first loses it
+    w = np.zeros(n)
+    w[:4] = [1e16, -1e16, 1.0, 1.0]
+    return LTFSpec(w, 0.5)
+
+
+def test_cancellation_byte_tables():
+    spec = _cancellation_spec(21)
+    assert LTFEvaluator(spec).backend == "float64"
+    ones = np.ones((1, 21), dtype=np.int8)
+    assert OracleHandle.for_spec(spec).query_pm(ones)[0] == 1
+    assert eval_ltf(spec, ones[0]) == 1
+
+
+def test_cancellation_truth_table():
+    spec = _cancellation_spec(4)
+    assert LTFEvaluator(spec).backend == "truth-table"
+    table = truth_table(spec)
+    assert table[0b1111] == 1
+    assert OracleHandle.for_spec(spec).query_pm(np.ones((1, 4)))[0] == 1
+    assert eval_ltf(spec, np.ones(4, dtype=np.int8)) == 1
+    # every entry agrees with exact rational arithmetic
+    for idx in range(16):
+        x = [1 if (idx >> i) & 1 else -1 for i in range(4)]
+        true = sum(Fraction(wi) * xi for wi, xi in zip(spec.weights, x))
+        assert table[idx] == (1 if true >= Fraction(spec.theta) else -1)
+
+
+@given(st.integers(4, 60), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_float_evaluation_matches_exact_reference(n, seed, wide):
+    # dyadic weights k/1024; with `wide` a few are scaled by 2^45 so that
+    # float sums round.  theta = w.x0 at a sampled point x0, which is then an
+    # exact tie whenever that sum is representable.
+    rng = generator_for(seed, "exact-ref")
+    w = rng.integers(-1024, 1025, size=n) / 1024.0
+    if wide:
+        w[rng.choice(n, size=min(3, n), replace=False)] *= 2.0 ** 45
+    fw = [Fraction(wi) for wi in w]
+    x0 = random_point(n, rng)
+    tie = sum(wi * int(xi) for wi, xi in zip(fw, x0))
+    theta = float(tie)
+    spec = LTFSpec(w, theta)
+    # x0, its one-flip neighbours (near the threshold) and random points
+    flips = np.repeat(x0[None, :], n, axis=0)
+    flips[np.arange(n), np.arange(n)] *= -1
+    rand = bits.unpack(bits.random_packed(rng, 32, n), n)
+    pts = np.concatenate([x0[None, :], flips, rand])
+    got = OracleHandle.for_spec(spec).query_pm(pts)
+    expect = [1 if sum(wi * int(xi) for wi, xi in zip(fw, x)) >= Fraction(theta)
+              else -1 for x in pts]
+    assert list(got) == expect
+    assert [eval_ltf(spec, x) for x in pts] == expect
+    if Fraction(theta) == tie:
+        assert got[0] == 1
 
 
 def test_nonfast_float_weights_still_work():
@@ -228,6 +296,46 @@ def test_query_cap_raises_without_truncation():
     with pytest.raises(QueryBudgetExceededError):
         f.query_pm(np.ones((1, 4), dtype=np.int8))
     assert f.query_count == 10
+
+
+def test_query_cap_holds_across_threads():
+    # a counter that yields between reading and writing its value: two
+    # threads that both pass a cap check made outside the lock would both
+    # charge and overshoot the cap
+    class SlowCounter(_Counter):
+        __slots__ = ("_v",)
+
+        @property
+        def value(self):
+            v = self._v
+            time.sleep(0.01)
+            return v
+
+        @value.setter
+        def value(self, v):
+            self._v = v
+
+    f = OracleHandle(LTFEvaluator(LTFSpec(np.ones(4), 0.0)), 4, query_cap=3,
+                     _counter=SlowCounter())
+    start = threading.Barrier(2, timeout=10)
+    outcomes = []
+
+    def charge():
+        start.wait()
+        try:
+            f.query_pm(np.ones((2, 4), dtype=np.int8))
+            outcomes.append("ok")
+        except QueryBudgetExceededError:
+            outcomes.append("capped")
+
+    threads = [threading.Thread(target=charge) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert sorted(outcomes) == ["capped", "ok"]
+    assert f.query_count == 2
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from monotest.spectral import (
     check_fourier_regular,
     estimate_mean,
     estimate_sum_of_squares,
+    _fwht,
     exact_influences,
     exact_spectrum,
 )
@@ -59,6 +60,15 @@ def test_spectrum_matches_brute_force():
             for s in combinations(range(n), size):
                 assert sp.coefficient(s) == pytest.approx(
                     brute_force_coefficient(table, n, s), abs=1e-12)
+
+
+def test_fwht_matches_hadamard_matrix():
+    rng = generator_for(2, "fwht")
+    hadamard = np.ones((1, 1))
+    for k in range(9):
+        v = rng.integers(-3, 4, size=1 << k).astype(np.float64)
+        assert np.array_equal(_fwht(v), hadamard @ v)
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
 
 
 def test_spectrum_dictator():
