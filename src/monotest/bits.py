@@ -9,6 +9,12 @@ are canonical and hashable.
 Packing exists purely for throughput: uniform sampling touches 8x less memory
 and halfspace evaluation can run off per-byte lookup tables.  Everything here
 converts losslessly to and from plain +-1 int8 vectors.
+
+Kernels that read a batch column by column (the evaluator's table gather and
+byte_histograms) walk it in row blocks of about BLOCK_BYTES packed bytes, so
+a block stays in one core's L2 cache while every byte position is read; a
+whole 16384-row batch at n=4096 is 8 MiB.  Loops that draw fresh batches keep
+each batch within CHUNK_BYTES (see chunk_rows).
 """
 
 from __future__ import annotations
@@ -19,6 +25,11 @@ import numpy as np
 BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1).astype(np.int8)
 # Same, mapped to {-1,+1}.
 BYTE_SIGNS = (2 * BYTE_BITS - 1).astype(np.int8)
+
+# packed bytes per row block of a column-wise kernel
+BLOCK_BYTES = 1 << 20
+# packed bytes per freshly drawn batch
+CHUNK_BYTES = 16 << 20
 
 
 def nbytes(n: int) -> int:
@@ -31,10 +42,33 @@ def tail_mask(n: int) -> int:
     return 0xFF if rem == 0 else (1 << rem) - 1
 
 
+def block_rows(nb: int) -> int:
+    """Rows of an nb-byte batch in one BLOCK_BYTES row block."""
+    return max(1, BLOCK_BYTES // nb)
+
+
+def chunk_rows(rows: int, nb: int, copies: int = 1) -> int:
+    """Rows per drawn batch: at most `rows`, and `copies` arrays of nb-byte
+    rows within CHUNK_BYTES.
+
+    The byte budget is rounded down to a multiple of 4 rows, so consecutive
+    random_packed draws of that many rows give the same bytes as one draw of
+    their total (the sampler consumes the stream in 4-byte words).
+    """
+    return min(rows, max(4, (CHUNK_BYTES // (nb * copies)) & ~3))
+
+
 def random_packed(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """m uniform points of {-1,+1}^n, packed; padding bits zeroed."""
+    """m uniform points of {-1,+1}^n, packed; padding bits zeroed.
+
+    For m >= 1 the bytes are those of rng.bytes(m * nbytes(n)), and the
+    generator ends in the same state, but they are viewed in place instead
+    of copied.
+    """
     nb = nbytes(n)
-    out = np.frombuffer(rng.bytes(m * nb), dtype=np.uint8).reshape(m, nb).copy()
+    size = m * nb
+    words = rng.integers(0, 1 << 32, size=(size + 3) // 4, dtype=np.uint32)
+    out = words.astype("<u4", copy=False).view(np.uint8)[:size].reshape(m, nb)
     out[:, -1] &= tail_mask(n)
     return out
 
@@ -69,21 +103,34 @@ def set_bit_column(packed: np.ndarray, i: int, plus: bool) -> None:
         packed[:, byte] &= np.uint8(~bit & 0xFF)
 
 
+def byte_histograms(packed: np.ndarray, v: np.ndarray,
+                    positions) -> np.ndarray:
+    """(len(positions), 256) float64 array: row j, column b sums v over the
+    rows of the batch whose byte at position positions[j] equals b.
+
+    Reads the batch in block_rows row blocks.  The sums are exact for
+    integer-valued v (such as +-1 oracle answers) below 2^53.
+    """
+    out = np.zeros((len(positions), 256), dtype=np.float64)
+    rows = block_rows(packed.shape[1])
+    for lo in range(0, packed.shape[0], rows):
+        blk = packed[lo: lo + rows]
+        vb = v[lo: lo + rows]
+        for j, p in enumerate(positions):
+            out[j] += np.bincount(blk[:, p], weights=vb, minlength=256)
+    return out
+
+
 def signed_bit_sums(packed: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """For each coordinate i, return sum_j v[j] * x[j, i] with x in {-1,+1}.
 
     v must be float64; the computation is exact for integer-valued v.  Runs
     off per-byte histograms, so cost is O(m * nbytes) rather than O(m * n).
     """
-    nb = packed.shape[1]
-    total = float(v.sum())
-    out = np.empty(8 * nb, dtype=np.float64)
-    bm = BYTE_BITS.astype(np.float64)
-    for p in range(nb):
-        hist = np.bincount(packed[:, p], weights=v, minlength=256)
-        out[8 * p: 8 * p + 8] = hist @ bm
+    hist = byte_histograms(packed, v, range(packed.shape[1]))
+    out = (hist @ BYTE_BITS.astype(np.float64)).ravel()
     # sum v*bit -> sum v*(2 bit - 1)
-    return (2.0 * out - total)[:n]
+    return (2.0 * out - float(v.sum()))[:n]
 
 
 def point_to_string(point_pm: np.ndarray) -> str:

@@ -22,10 +22,18 @@ from typing import Optional
 import numpy as np
 
 from .generators import InstanceFamily, generate
-from .oracle import OracleHandle, verify_certificate
+from .oracle import (
+    OracleHandle,
+    QueryBudgetExceededError,
+    verify_certificate,
+)
 from .rng import SplitRng
 from .schedule import build_schedule
 from .tester import QueryLedger, mono_test_ltf
+
+# verdict and diagnostic of a trial stopped by SuiteConfig.query_cap
+ERROR = "error"
+QUERY_BUDGET_DIAGNOSTIC = "error:query-budget"
 
 CSV_COLUMNS = ["family", "n", "epsilon", "seed", "verdict", "diagnostic",
                "queries_total", "queries_rb", "queries_main", "queries_edge",
@@ -79,6 +87,8 @@ def default_threads() -> int:
 
 
 def run_trial(config: SuiteConfig, trial: int) -> ExperimentRecord:
+    """Run one trial.  A trial that hits the query cap is recorded with
+    verdict ERROR, its queries so far and the phase counts it finished."""
     root = SplitRng(config.master_seed, ("trial", trial))
     instance = generate(config.family, root.child("gen"),
                         mc_radius=config.mc_radius)
@@ -86,19 +96,25 @@ def run_trial(config: SuiteConfig, trial: int) -> ExperimentRecord:
     handle = OracleHandle.for_spec(instance.spec, query_cap=config.query_cap)
     ledger = QueryLedger()
     t0 = time.perf_counter()
-    verdict = mono_test_ltf(handle, config.eps, sched, root.child("test"),
-                            ledger)
+    try:
+        verdict = mono_test_ltf(handle, config.eps, sched, root.child("test"),
+                                ledger)
+    except QueryBudgetExceededError:
+        verdict = None
     wall_ms = int(round((time.perf_counter() - t0) * 1000.0))
     cert_dict = None
     cert_ok = None
-    if verdict.certificate is not None:
+    if verdict is not None and verdict.certificate is not None:
         cert_dict = verdict.certificate.to_dict()
         fresh = OracleHandle.for_spec(instance.spec)
         cert_ok = verify_certificate(fresh, verdict.certificate)
     return ExperimentRecord(
         trial=trial, family=instance.kind, n=instance.spec.n,
-        epsilon=config.eps, seed=trial, verdict=verdict.outcome,
-        diagnostic=verdict.diagnostic, certificate=cert_dict,
+        epsilon=config.eps, seed=trial,
+        verdict=ERROR if verdict is None else verdict.outcome,
+        diagnostic=(QUERY_BUDGET_DIAGNOSTIC if verdict is None
+                    else verdict.diagnostic),
+        certificate=cert_dict,
         certificate_ok=cert_ok,
         queries_total=handle.query_count, queries_rb=ledger.queries_rb,
         queries_main=ledger.queries_main, queries_edge=ledger.queries_edge,
@@ -123,6 +139,7 @@ def summarize(records: list[ExperimentRecord]) -> dict:
     false_alarms = [r.trial for r in rejections if r.known_monotone]
     cert_checked = [r for r in rejections if r.certificate_ok is not None]
     cert_failures = [r.trial for r in cert_checked if not r.certificate_ok]
+    errors = sum(1 for r in records if r.verdict == ERROR)
     queries = sorted(r.queries_total for r in records)
     lo, hi = wilson_interval(len(rejections), n_trials)
     return {
@@ -133,6 +150,7 @@ def summarize(records: list[ExperimentRecord]) -> dict:
         "false_alarms": false_alarms,
         "certificates_checked": len(cert_checked),
         "certificate_failures": cert_failures,
+        "errors": errors,
         "queries_mean": float(np.mean(queries)) if queries else 0.0,
         "queries_p50": int(queries[len(queries) // 2]) if queries else 0,
         "queries_p90": int(queries[(9 * len(queries)) // 10]) if queries else 0,

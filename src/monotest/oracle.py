@@ -9,18 +9,22 @@ LTFEvaluator has two backends, chosen automatically:
 * truth table (n <= TABLE_MAX_N): the table is materialized once and
   queries become packed-index lookups.
 * byte tables: one 256-entry table of set-bit sums per byte of the packed
-  point, gathered and summed per query batch.  Integer weights within
-  INT_FAST_MAX_WEIGHT (with a half-integer threshold) get int16 tables summed
-  exactly in integers.  Any other instance gets float64 tables; a row whose
-  float sum lies within a forward-error bound of the threshold is re-decided
-  with math.fsum, whose correctly rounded result has the exact sign.
+  point.  A batch is read in row blocks of min(QUERY_CHUNK,
+  bits.block_rows(nbytes)) rows, and within a block the tables are gathered
+  one byte position at a time (table.take(block[:, p])) into a running row
+  sum, so the block stays in cache and no index array wider than one column
+  is built.  Integer weights within INT_FAST_MAX_WEIGHT whose absolute sum is
+  below 2^31, with a half-integer threshold, get int16 tables summed exactly
+  in int32.  Any other instance gets float64 tables; a row whose float sum
+  lies within a forward-error bound of the threshold is re-decided with
+  math.fsum, whose correctly rounded result has the exact sign.
 
-eval_ltf and truth_table follow the same rule: plain float arithmetic where
-it is exact (integer weights with sum |w_i| < 2^53), an fsum re-decision of
-near-threshold points otherwise.  Instances whose weights sit on an integer
-grid (every generator in this package emits such instances, with
-half-integer thresholds) have |w.x - theta| >= 1/2 or w.x = theta, the
-boundary case, which maps to +1.
+eval_ltf and truth_table (through cube_margins) follow the same rule: plain
+float arithmetic where it is exact (integer weights with sum |w_i| < 2^53),
+an fsum re-decision of near-threshold points otherwise.  Instances whose
+weights sit on an integer grid (every generator in this package emits such
+instances, with half-integer thresholds) have |w.x - theta| >= 1/2 or
+w.x = theta, the boundary case, which maps to +1.
 """
 
 from __future__ import annotations
@@ -36,13 +40,11 @@ import numpy as np
 from . import bits
 
 TABLE_MAX_N = 20
-# int16 byte-table bound: |w_i| <= 4095 keeps every per-byte sum within int16
-# and every row total within int32.
+# int16 byte-table bounds: |w_i| <= 4095 keeps every per-byte sum within
+# int16, and sum |w_i| < 2^31 keeps every row total within int32.
 INT_FAST_MAX_WEIGHT = 4095.0
+INT_FAST_MAX_TOTAL = 2.0 ** 31
 QUERY_CHUNK = 16384
-# byte-table evaluation holds at most this many bytes of gathered table
-# entries per chunk
-EVAL_CHUNK_BYTES = 16 << 20
 
 
 class DimensionMismatchError(ValueError):
@@ -98,7 +100,7 @@ class LTFSpec:
             return cls.from_dict(json.load(fh))
 
 
-def _exact_in_float(w: np.ndarray) -> bool:
+def exact_in_float(w: np.ndarray) -> bool:
     """True iff every float sum of +-w_i is exact: integer weights whose
     absolute sum stays below 2^53."""
     return bool(np.all(w == np.round(w)) and np.abs(w).sum() < 2.0 ** 53)
@@ -107,11 +109,21 @@ def _exact_in_float(w: np.ndarray) -> bool:
 def _tie_bound(w: np.ndarray, theta: float) -> float:
     """Bound on the error of the float margins w.x - theta computed here.
 
-    The truth table sums at most n weights per entry and n for sum(w); the
-    byte tables sum 8 weights per entry and one entry per byte.  A float sum
-    of k terms is off by at most k * eps/2 times their absolute sum, so this
-    bound (with a term for underflow) exceeds every such error: a computed
-    margin beyond it has the true sign.
+    A float sum of k terms, added in any order, is off by at most
+    (k - 1) u times their absolute sum, with u = eps/2 (to first order in u;
+    the slack below absorbs the rest).  Write W = sum |w_i| and
+    nb = ceil(n/8).
+
+    * cube_margins adds at most n weights per subset sum and n for sum(w),
+      then subtracts twice: error <= u ((3n + 1) W + |theta|).
+    * byte tables: an entry sums at most 8 weights, and the evaluator adds
+      the nb entries of a row one after another, so the set-bit sum s is off
+      by at most (8 + nb) u W.  The margin 2s - T, with T = fsum(theta, w)
+      within u (W + |theta|) of theta + sum(w), is one more rounding of a
+      value below 3W + |theta|: error <= u ((2 nb + 20) W + 2 |theta|).
+
+    Both are below 2 (n + 16) eps (W + |theta|), the bound returned (plus a
+    term for underflow), so a computed margin beyond it has the true sign.
     """
     eps = np.finfo(np.float64).eps
     tiny = np.finfo(np.float64).tiny
@@ -125,16 +137,22 @@ def _near_threshold(margin: np.ndarray, bound: float) -> np.ndarray:
     return np.flatnonzero(~(np.abs(margin) > bound))
 
 
-def _exact_signs(w: np.ndarray, theta: float,
-                 points_pm: np.ndarray) -> np.ndarray:
-    """sign(w.x - theta) for each row, exactly.
+def _exact_margins(w: np.ndarray, theta: float,
+                   points_pm: np.ndarray) -> np.ndarray:
+    """w.x - theta for each row, correctly rounded.
 
     w_i * x_i is exact for x_i = +-1, and fsum rounds the whole sum once, so
-    its sign is the sign of the true value (zero maps to +1).
+    the result has the sign of the true value (and is zero only on a tie).
     """
-    terms = w * points_pm
-    return np.array([1 if math.fsum([*row, -theta]) >= 0.0 else -1
-                     for row in terms], dtype=np.int8)
+    return np.array([math.fsum([*row, -theta]) for row in w * points_pm],
+                    dtype=np.float64)
+
+
+def _exact_signs(w: np.ndarray, theta: float,
+                 points_pm: np.ndarray) -> np.ndarray:
+    """sign(w.x - theta) for each row, exactly (zero maps to +1)."""
+    return np.where(_exact_margins(w, theta, points_pm) >= 0.0,
+                    1, -1).astype(np.int8)
 
 
 def eval_ltf(spec: LTFSpec, x) -> int:
@@ -143,7 +161,7 @@ def eval_ltf(spec: LTFSpec, x) -> int:
     if x.shape != (spec.n,):
         raise DimensionMismatchError(
             f"point has shape {x.shape}, expected ({spec.n},)")
-    if not _exact_in_float(spec.weights):
+    if not exact_in_float(spec.weights):
         return int(_exact_signs(spec.weights, spec.theta, x[None, :])[0])
     return 1 if float(spec.weights @ x.astype(np.float64)) >= spec.theta else -1
 
@@ -155,25 +173,40 @@ def subset_sums(w: np.ndarray) -> np.ndarray:
     packed point layout, so `2*subset_sums(w) - w.sum()` enumerates w.x over
     the whole cube in packed-index order.
     """
-    sums = np.zeros(1, dtype=np.float64)
-    for wi in w:
-        sums = np.concatenate([sums, sums + wi])
+    sums = np.empty(1 << len(w), dtype=np.float64)
+    sums[0] = 0.0
+    for i, wi in enumerate(w):
+        h = 1 << i
+        np.add(sums[:h], wi, out=sums[h: 2 * h])
     return sums
+
+
+def cube_margins(spec: LTFSpec) -> np.ndarray:
+    """w.x - theta at all 2^n packed indices, from subset sums.
+
+    Where the float arithmetic is not exact, every margin within the tie
+    bound of zero is replaced by its correctly rounded value, so each entry
+    has the true sign and is zero exactly on the boundary.
+    """
+    w, theta = spec.weights, spec.theta
+    # in place: 2 * sums - sum(w) - theta, with no 2^n-entry temporaries
+    margins = subset_sums(w)
+    margins *= 2.0
+    margins -= w.sum()
+    margins -= theta
+    if not exact_in_float(w):
+        near = _near_threshold(margins, _tie_bound(w, theta))
+        if near.size:
+            points = ((near[:, None] >> np.arange(spec.n)) & 1) * 2 - 1
+            margins[near] = _exact_margins(w, theta, points)
+    return margins
 
 
 def truth_table(spec: LTFSpec) -> np.ndarray:
     """int8 table of f over all 2^n packed indices (n <= TABLE_MAX_N)."""
     if spec.n > TABLE_MAX_N:
         raise ValueError(f"truth table limited to n <= {TABLE_MAX_N}")
-    w, theta = spec.weights, spec.theta
-    dots = 2.0 * subset_sums(w) - w.sum()
-    table = np.where(dots >= theta, 1, -1).astype(np.int8)
-    if not _exact_in_float(w):
-        near = _near_threshold(dots - theta, _tie_bound(w, theta))
-        if near.size:
-            points = ((near[:, None] >> np.arange(spec.n)) & 1) * 2 - 1
-            table[near] = _exact_signs(w, theta, points)
-    return table
+    return np.where(cube_margins(spec) >= 0.0, np.int8(1), np.int8(-1))
 
 
 class LTFEvaluator:
@@ -195,6 +228,7 @@ class LTFEvaluator:
             return
         exact_int = (np.all(w == np.round(w))
                      and np.all(np.abs(w) <= INT_FAST_MAX_WEIGHT)
+                     and np.abs(w).sum() < INT_FAST_MAX_TOTAL
                      and float(spec.theta) * 2 == round(float(spec.theta) * 2))
         nb = bits.nbytes(self.n)
         wp = np.zeros(8 * nb, dtype=np.float64)
@@ -209,19 +243,17 @@ class LTFEvaluator:
             self._tables[p] = bm @ wp[8 * p: 8 * p + 8]
         if exact_int:
             self.backend = "int16"
-            self._sum_dtype = np.int64
+            self._acc_dtype = np.int32
             # f = +1 iff 2*s - sum(w) >= theta, with s the set-bit sum; both
             # sides are exact in float64
             self._threshold = float(spec.theta + w.sum())
             self._tie_bound = None
         else:
             self.backend = "float64"
-            self._sum_dtype = np.float64
+            self._acc_dtype = np.float64
             self._threshold = math.fsum([spec.theta, *w])
             self._tie_bound = _tie_bound(w, spec.theta)
-        self._col_idx = np.arange(nb)[None, :]
-        self._rows = min(QUERY_CHUNK,
-                         EVAL_CHUNK_BYTES // (nb * self._tables.itemsize))
+        self._rows = min(QUERY_CHUNK, bits.block_rows(nb))
 
     def __call__(self, packed: np.ndarray) -> np.ndarray:
         if self.backend == "truth-table":
@@ -230,17 +262,19 @@ class LTFEvaluator:
         out = np.empty(packed.shape[0], dtype=np.int8)
         rows = self._rows
         for lo in range(0, packed.shape[0], rows):
-            chunk = packed[lo: lo + rows]
-            s = np.add.reduce(self._tables[self._col_idx, chunk], axis=1,
-                              dtype=self._sum_dtype)
-            margin = 2 * s - self._threshold
+            block = packed[lo: lo + rows]
+            acc = np.zeros(block.shape[0], dtype=self._acc_dtype)
+            for p, table in enumerate(self._tables):
+                acc += table.take(block[:, p])
+            # doubled in float64: 2 * acc may not fit in int32
+            margin = 2.0 * acc - self._threshold
             out[lo: lo + rows] = np.where(margin >= 0, 1, -1)
             if self._tie_bound is not None:
                 near = _near_threshold(margin, self._tie_bound)
                 if near.size:
                     out[lo + near] = _exact_signs(
                         self.spec.weights, self.spec.theta,
-                        bits.unpack(chunk[near], self.n))
+                        bits.unpack(block[near], self.n))
         return out
 
 
@@ -304,7 +338,9 @@ class Restriction:
     def overlay_packed(self, packed: np.ndarray) -> np.ndarray:
         """Replace fixed coordinates of a packed batch with this restriction."""
         star, plus = self._packed_masks()
-        return (packed & star) | plus
+        out = packed & star
+        out |= plus
+        return out
 
     def merge(self, star_values: np.ndarray) -> np.ndarray:
         """Fill the stars (in ascending index order) with +-1 values."""

@@ -32,6 +32,7 @@ import numpy as np
 from . import bits
 from .oracle import LTFEvaluator, LTFSpec, OracleHandle, truth_table
 
+# rows per drawn batch, within bits.CHUNK_BYTES (see bits.chunk_rows)
 CHUNK = 16384
 # sample-count multipliers; the calibration tests are the authority on these
 MEAN_CONST = 2.0           # Hoeffding: m = 2 ln(2/delta) / eps^2 exactly
@@ -111,9 +112,10 @@ def estimate_mean(f: OracleHandle, eps: float, delta: float,
     if m > MAX_FEASIBLE_QUERIES:
         raise InfeasibleBudgetError(f"mean estimate would need {m} queries")
     total = 0.0
+    chunk = bits.chunk_rows(CHUNK, bits.nbytes(f.ambient_n))
     done = 0
     while done < m:
-        k = min(CHUNK, m - done)
+        k = min(chunk, m - done)
         pts = bits.random_packed(rng, k, f.ambient_n)
         total += float(f.query_packed(pts).astype(np.float64).sum())
         done += k
@@ -130,40 +132,33 @@ def _signed_sums(f: OracleHandle, m: int, positions: np.ndarray,
 
     positions index the handle's free coordinates; n_dummy extra columns of
     pure noise are appended (exact coefficient zero, used to pad variable
-    sets).  Returns (s1 over len(positions)+n_dummy, v_total).
+    sets).  Returns (s1 over positions, s1 over the dummies or None).
     """
     dom = f.domain
     amb_cols = dom[positions]
     byte_positions = np.unique(amb_cols >> 3)
-    s1_amb = np.zeros(8 * byte_positions.size, dtype=np.float64)
-    s1_dummy = np.zeros(8 * bits.nbytes(n_dummy) if n_dummy else 0,
-                        dtype=np.float64)
+    hist_amb = np.zeros((byte_positions.size, 256), dtype=np.float64)
+    hist_dummy = np.zeros((bits.nbytes(n_dummy), 256), dtype=np.float64)
     v_total = 0.0
-    bm = bits.BYTE_BITS.astype(np.float64)
+    chunk = bits.chunk_rows(CHUNK, bits.nbytes(f.ambient_n))
     done = 0
     while done < m:
-        k = min(CHUNK, m - done)
+        k = min(chunk, m - done)
         pts = bits.random_packed(rng, k, f.ambient_n)
         v = f.query_packed(pts).astype(np.float64)
         v_total += v.sum()
-        for out_idx, p in enumerate(byte_positions):
-            hist = np.bincount(pts[:, p], weights=v, minlength=256)
-            s1_amb[8 * out_idx: 8 * out_idx + 8] += hist @ bm
+        hist_amb += bits.byte_histograms(pts, v, byte_positions)
         if n_dummy:
             dpts = bits.random_packed(rng, k, n_dummy)
-            for p in range(dpts.shape[1]):
-                hist = np.bincount(dpts[:, p], weights=v, minlength=256)
-                s1_dummy[8 * p: 8 * p + 8] += hist @ bm
+            hist_dummy += bits.byte_histograms(dpts, v, range(dpts.shape[1]))
         done += k
     # bit sums -> signed sums
-    s1_amb = 2.0 * s1_amb - v_total
-    s1_dummy = 2.0 * s1_dummy - v_total if n_dummy else s1_dummy
-    lookup = {int(p): i for i, p in enumerate(byte_positions)}
-    s1 = np.empty(positions.size, dtype=np.float64)
-    for j, c in enumerate(amb_cols):
-        c = int(c)
-        s1[j] = s1_amb[8 * lookup[c >> 3] + (c & 7)]
-    return s1, (s1_dummy[:n_dummy] if n_dummy else None)
+    bm = bits.BYTE_BITS.astype(np.float64)
+    s1_amb = 2.0 * (hist_amb @ bm).ravel() - v_total
+    s1_dummy = 2.0 * (hist_dummy @ bm).ravel()[:n_dummy] - v_total
+    s1 = s1_amb[8 * np.searchsorted(byte_positions, amb_cols >> 3)
+                + (amb_cols & 7)]
+    return s1, (s1_dummy if n_dummy else None)
 
 
 def estimate_sum_of_squares(f: OracleHandle, t_set: Sequence[int], eta: float,

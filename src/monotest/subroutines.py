@@ -29,6 +29,8 @@ from .rng import SplitRng
 from .schedule import ParameterSchedule
 from .spectral import check_fourier_regular, estimate_mean, estimate_sum_of_squares
 
+# edges per drawn batch; its lo and hi endpoints stay within
+# bits.CHUNK_BYTES (see bits.chunk_rows)
 EDGE_CHUNK = 8192
 
 POSITIVE = "positive"
@@ -180,19 +182,20 @@ def edge_tester(f: OracleHandle, eps: float, delta: float,
     budget = int(math.ceil(4.0 * m_free * math.log(1.0 / delta) / eps))
     dom = f.domain
     gen = rng.generator
+    chunk = bits.chunk_rows(EDGE_CHUNK, bits.nbytes(f.ambient_n), copies=2)
     done = 0
     while done < budget:
-        k = min(EDGE_CHUNK, budget - done)
+        k = min(chunk, budget - done)
         coords = dom[gen.integers(0, m_free, size=k)]
         pts = bits.random_packed(gen, k, f.ambient_n)
         byte_idx = coords >> 3
         mask = (1 << (coords & 7)).astype(np.uint8)
         rows = np.arange(k)
-        lo = pts.copy()
+        both = np.concatenate([pts, pts], axis=0)
+        lo, hi = both[:k], both[k:]
         lo[rows, byte_idx] &= ~mask
-        hi = pts
         hi[rows, byte_idx] |= mask
-        v = f.query_packed(np.concatenate([lo, hi], axis=0))
+        v = f.query_packed(both)
         v_lo, v_hi = v[:k], v[k:]
         anti = np.flatnonzero((v_lo == 1) & (v_hi == -1))
         if anti.size:

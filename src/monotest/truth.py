@@ -27,12 +27,16 @@ from .matching import maximum_matching_size
 from .oracle import (
     LTFEvaluator,
     LTFSpec,
+    cube_margins,
+    exact_in_float,
     subset_sums,
     truth_table,
 )
 
 MATCHING_MAX_N = 12
 EXACT_MAX_N = 20
+# rows per Monte-Carlo batch, within bits.CHUNK_BYTES (see bits.chunk_rows)
+MC_CHUNK = 65536
 
 
 # ---------------------------------------------------------------------------
@@ -123,27 +127,46 @@ def dist_to_monotone_matching(table: np.ndarray) -> DistanceReport:
     return DistanceReport("matching", matched / size, matched, size)
 
 
+def _slice_counts(spec: LTFSpec):
+    """Per slice x' of the non-negative coordinates: c[x'], the number of
+    settings y of the negative coordinates with f(x', y) = +1; whether
+    g = drop_negative_weights(spec) is +1 on the slice; and the slice size.
+
+    Integer weights sum exactly in floats, so the counts come from sorted
+    subset sums.  Otherwise they come from the exact truth tables of f and g.
+    """
+    w = spec.weights
+    pos_idx = w >= 0
+    big_l = 1 << int(np.count_nonzero(~pos_idx))
+    if not exact_in_float(w):
+        idx = np.arange(1 << spec.n)
+        pos_bits = int((pos_idx.astype(np.int64) << np.arange(spec.n)).sum())
+        f_plus = truth_table(spec) > 0
+        g_plus = truth_table(drop_negative_weights(spec)) > 0
+        c = np.bincount(idx & pos_bits, weights=f_plus, minlength=idx.size)
+        slices = (idx & ~pos_bits) == 0
+        return c[slices].astype(np.int64), g_plus[slices], big_l
+    wp, wn = w[pos_idx], w[~pos_idx]
+    pos_vals = 2.0 * subset_sums(wp) - wp.sum()      # values of sum_P w_i x_i
+    neg_vals = np.sort(2.0 * subset_sums(wn) - wn.sum())
+    # c[x'] = #{y : neg_sum(y) >= theta - pos_sum(x')}
+    c = big_l - np.searchsorted(neg_vals, spec.theta - pos_vals, side="left")
+    return c, pos_vals >= spec.theta, big_l
+
+
 def dist_ltf_to_monotone_exact(spec: LTFSpec) -> DistanceReport:
     """Exact distance of a halfspace to monotone via the erase-negative form.
 
-    Counts disagreements with drop_negative_weights(spec) by enumerating the
-    non-negative part x' and the negative part y separately.  Two formulas are
-    computed and must agree exactly: the direct disagreement count, and the
+    Counts disagreements with drop_negative_weights(spec) slice by slice over
+    the non-negative part x' (see _slice_counts).  Two formulas are computed
+    and must agree exactly: the direct disagreement count, and the
     slice-wise sum of min(c, L - c) where c counts the +1 outputs in the
     slice over the negative coordinates.
     """
     n = spec.n
     if n > EXACT_MAX_N:
         raise ValueError(f"exact oracle limited to n <= {EXACT_MAX_N}")
-    w = spec.weights
-    pos_idx = w >= 0
-    wp, wn = w[pos_idx], w[~pos_idx]
-    pos_vals = 2.0 * subset_sums(wp) - wp.sum()      # values of sum_P w_i x_i
-    neg_vals = np.sort(2.0 * subset_sums(wn) - wn.sum())
-    big_l = neg_vals.size
-    # c[x'] = #{y : neg_sum(y) >= theta - pos_sum(x')}
-    c = big_l - np.searchsorted(neg_vals, spec.theta - pos_vals, side="left")
-    g_plus = pos_vals >= spec.theta                  # g on the slice
+    c, g_plus, big_l = _slice_counts(spec)
     direct = int(np.where(g_plus, big_l - c, c).sum())
     minform = int(np.minimum(c, big_l - c).sum())
     if direct != minform:
@@ -159,7 +182,7 @@ def dist_ltf_to_monotone_mc(spec: LTFSpec, samples: int, delta: float,
     f_eval = LTFEvaluator(spec)
     g_eval = LTFEvaluator(drop_negative_weights(spec))
     disagreements = 0
-    chunk = 65536
+    chunk = bits.chunk_rows(MC_CHUNK, bits.nbytes(spec.n))
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
@@ -175,8 +198,7 @@ def exact_mean(spec: LTFSpec) -> float:
     """E[f] over the uniform cube, by full subset-sum enumeration (n <= 20)."""
     if spec.n > EXACT_MAX_N:
         raise ValueError(f"exact mean limited to n <= {EXACT_MAX_N}")
-    vals = 2.0 * subset_sums(spec.weights) - spec.weights.sum()
-    plus = int(np.count_nonzero(vals >= spec.theta))
+    plus = int(np.count_nonzero(cube_margins(spec) >= 0.0))
     return (2 * plus - (1 << spec.n)) / (1 << spec.n)
 
 
@@ -184,8 +206,7 @@ def min_boundary_gap(spec: LTFSpec) -> float:
     """min_x |w.x - theta| over the cube (n <= 20); 0 means a boundary point."""
     if spec.n > EXACT_MAX_N:
         raise ValueError(f"boundary scan limited to n <= {EXACT_MAX_N}")
-    vals = 2.0 * subset_sums(spec.weights) - spec.weights.sum()
-    return float(np.min(np.abs(vals - spec.theta)))
+    return float(np.min(np.abs(cube_margins(spec))))
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +238,12 @@ def classify_non_monotone(spec: LTFSpec, tau: float, gamma: float, lam: float,
         if rng is None:
             raise ValueError("rng required for MC balance above n=20")
         ev = LTFEvaluator(spec)
-        pts = bits.random_packed(rng, mc_samples, spec.n)
-        mu, method = float(ev(pts).astype(np.float64).mean()), "mc"
+        chunk = bits.chunk_rows(mc_samples, bits.nbytes(spec.n))
+        total = 0
+        for lo in range(0, mc_samples, chunk):
+            pts = bits.random_packed(rng, min(chunk, mc_samples - lo), spec.n)
+            total += int(ev(pts).astype(np.int64).sum())
+        mu, method = total / mc_samples, "mc"
     regular = profile.regularity <= tau
     balanced = abs(mu) <= 1.0 - gamma
     significant = profile.neg_fraction >= lam

@@ -110,6 +110,22 @@ def test_suite_detects_and_verifies():
                                      + rec.queries_edge)
 
 
+def test_suite_records_query_cap_errors():
+    config = SuiteConfig(family=InstanceFamily(SIGNED_MAJORITY, 25, {"k": 6}),
+                         count=3, eps=0.05, master_seed=11, query_cap=1000)
+    records, summary = run_suite(config)
+    assert summary["trials"] == 3 and summary["errors"] == 3
+    assert summary["rejections"] == 0
+    assert not summary["hard_invariant_violation"]
+    for rec in records:
+        assert (rec.verdict, rec.diagnostic) == ("error", "error:query-budget")
+        assert rec.certificate is None and rec.certificate_ok is None
+        assert rec.queries_total <= 1000
+    assert "error:query-budget" in records_to_csv(records)
+    _, clean = run_suite(small_suite(count=2))
+    assert clean["errors"] == 0
+
+
 def test_suite_monotone_no_false_alarms():
     fam = InstanceFamily(MONOTONE_RANDOM, 40)
     config = SuiteConfig(family=fam, count=8, eps=0.1, master_seed=3)

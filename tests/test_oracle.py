@@ -58,6 +58,37 @@ def test_bit_column_ops():
     assert np.all(bits.unpack(X, 19)[:, 11] == -1)
 
 
+@pytest.mark.parametrize("m,n", [(4, 8), (5, 8), (6, 8), (7, 8),
+                                 (4, 20), (3, 20), (2, 20), (1, 20)])
+def test_random_packed_golden_bytes(m, n):
+    # m * nbytes(n) covers every residue mod 4: the sampler must return the
+    # bytes of rng.bytes and leave the generator where rng.bytes leaves it
+    a = generator_for(5, "golden")
+    b = generator_for(5, "golden")
+    nb = bits.nbytes(n)
+    expect = np.frombuffer(a.bytes(m * nb), dtype=np.uint8).reshape(m, nb)
+    expect = expect.copy()
+    expect[:, -1] &= bits.tail_mask(n)
+    got = bits.random_packed(b, m, n)
+    assert got.shape == (m, nb) and got.flags.writeable
+    assert np.array_equal(got, expect)
+    assert a.integers(0, 2**63) == b.integers(0, 2**63)
+
+
+def test_byte_histograms_match_dense_bincount():
+    n = 4096
+    nb = bits.nbytes(n)
+    rows = 2 * bits.block_rows(nb) + 17
+    rng = generator_for(8, "hist")
+    X = bits.random_packed(rng, rows, n)
+    v = rng.integers(0, 2, size=rows).astype(np.float64) * 2 - 1
+    positions = np.array([0, 3, 200, nb - 1])
+    got = bits.byte_histograms(X, v, positions)
+    dense = np.stack([np.bincount(X[:, p], weights=v, minlength=256)
+                      for p in positions])
+    assert np.array_equal(got, dense)
+
+
 def test_signed_bit_sums_matches_dense():
     rng = generator_for(3, "sbs")
     n = 37
@@ -180,6 +211,62 @@ def test_float_evaluation_matches_exact_reference(n, seed, wide):
     assert [eval_ltf(spec, x) for x in pts] == expect
     if Fraction(theta) == tie:
         assert got[0] == 1
+
+
+def _block_batch(rng, n, ties):
+    # 3 row blocks plus a partial one; the tie point sits in every block
+    rows = 3 * bits.block_rows(bits.nbytes(n)) + 5
+    X = bits.unpack(bits.random_packed(rng, rows, n), n)
+    X[np.arange(0, rows, rows // 7)] = ties
+    return X
+
+
+def test_byte_table_blocks_match_eval_ltf_int16():
+    n = 4096
+    rng = generator_for(21, "blocks16")
+    w = rng.integers(-4095, 4096, size=n).astype(np.float64)
+    x0 = random_point(n, rng)
+    spec = LTFSpec(w, float(w @ x0) - 0.5)   # x0 sits just above
+    assert LTFEvaluator(spec).backend == "int16"
+    X = _block_batch(rng, n, x0)
+    got = OracleHandle.for_spec(spec).query_pm(X)
+    assert list(got) == [eval_ltf(spec, x) for x in X]
+
+
+def test_byte_table_blocks_match_eval_ltf_float64():
+    # w_0 = -w_1 = 2^60 cancel exactly wherever x_0 = x_1, but a float sum
+    # loses the small weights next to them; theta = w.x0 is an exact tie
+    n = 4096
+    rng = generator_for(22, "blocks64")
+    w = rng.integers(-1024, 1025, size=n) / 1024.0
+    w[:2] = [2.0 ** 60, -(2.0 ** 60)]
+    x0 = random_point(n, rng)
+    x0[1] = x0[0]
+    theta = float(sum(Fraction(wi) * int(xi) for wi, xi in zip(w, x0)))
+    spec = LTFSpec(w, theta)
+    assert LTFEvaluator(spec).backend == "float64"
+    X = _block_batch(rng, n, x0)
+    got = OracleHandle.for_spec(spec).query_pm(X)
+    assert list(got) == [eval_ltf(spec, x) for x in X]
+    assert np.all(got[np.all(X == x0, axis=1)] == 1)
+
+
+def test_int16_admission_needs_int32_row_totals():
+    # every |w_i| <= 4095 and theta half-integer, but sum |w_i| >= 2^31:
+    # an int32 row total could overflow, so the instance takes float64 tables
+    n = 2 ** 31 // 4095 + 1
+    w = np.full(n, 4095.0)
+    w[1::2] = -4095.0
+    assert np.abs(w).sum() >= 2.0 ** 31
+    rng = generator_for(23, "admission")
+    x0 = bits.unpack(bits.random_packed(rng, 1, n), n)[0]
+    spec = LTFSpec(w, float(w @ x0) + 0.5)   # x0 sits just below
+    ev = LTFEvaluator(spec)
+    assert ev.backend == "float64"
+    X = np.stack([x0, -x0, np.ones(n, dtype=np.int8)])
+    expect = [eval_ltf(spec, x) for x in X]
+    assert expect[0] == -1
+    assert list(ev(bits.pack(X, n))) == expect
 
 
 def test_nonfast_float_weights_still_work():

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -218,6 +220,48 @@ def test_min_boundary_gap_half_integer_theta():
     for _ in range(10):
         spec = random_grid_spec(rng, 8)
         assert min_boundary_gap(spec) >= 0.5
+
+
+def _exact_gap(spec):
+    w = [Fraction(wi) for wi in spec.weights]
+    return float(min(abs(sum(wi * x for wi, x in zip(w, xs))
+                         - Fraction(spec.theta))
+                     for xs in product((-1, 1), repeat=spec.n)))
+
+
+def test_exact_helpers_on_float_cancellation():
+    # w_1 + w_2 cancel exactly, but plain float subset sums add the unit
+    # weights to 1e16 first and lose them
+    spec = spec_of([-1.0, 1e16, -1e16, 1.0], -0.5)
+    assert exact_mean(spec) == 0.25 == truth_table(spec).mean()
+    dist = dist_ltf_to_monotone_exact(spec)
+    assert dist.value == 0.25
+    assert dist.numerator == dist_to_monotone_matching(
+        truth_table(spec)).numerator
+    # a boundary point: x = (+, s, s, +) gives w.x = theta = 2 exactly
+    tie = spec_of([1.0, 1e16, -1e16, 1.0], 2.0)
+    assert min_boundary_gap(tie) == 0.0
+    assert min_boundary_gap(spec) == _exact_gap(spec) == 0.5
+
+
+def test_exact_helpers_match_exact_table_on_rounding_weights():
+    rng = generator_for(19, "float-truth")
+    for _ in range(30):
+        n = int(rng.integers(3, 9))
+        w = rng.integers(-1024, 1025, size=n) / 1024.0
+        w[rng.choice(n, size=2, replace=False)] *= 2.0 ** 45
+        # theta = w.x0 at a random point: an exact tie when representable
+        x0 = rng.integers(0, 2, size=n) * 2 - 1
+        theta = float(sum(Fraction(wi) * int(xi) for wi, xi in zip(w, x0)))
+        spec = LTFSpec(w, theta)
+        table = truth_table(spec)
+        assert exact_mean(spec) == table.mean()
+        assert (dist_ltf_to_monotone_exact(spec).numerator
+                == dist_to_monotone_matching(table).numerator)
+        # near-threshold gaps are correctly rounded, the rest float sums
+        gap, exact = min_boundary_gap(spec), _exact_gap(spec)
+        assert (gap == 0.0) == (exact == 0.0)
+        assert gap == pytest.approx(exact, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
