@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Kernel micro-benchmark: ns per point of the packed-batch kernels.
 
-Times, on one batch of QUERY_CHUNK points at each n in --sizes:
+Times, on one batch of QUERY_CHUNK points at each n in SIZES:
 
 * the halfspace evaluator on each backend that serves that n (truth table
   for n <= 20, int16 and float64 byte tables above),
 * the sampler `bits.random_packed`,
 * the byte-histogram kernel `bits.byte_histograms` over every byte position,
-  with +-1 weights (on a tree without that function, the per-position
-  bincount loop that the influence search ran before it).
+  with +-1 weights.
 
-Each figure is the best of --repeats runs, timed with time.perf_counter.
-The result is stored under --tag in the JSON file --out, keeping the rows of
-other tags, so one file can hold a parent and a change measured alike:
+Each figure is the best of REPEATS runs, timed with time.perf_counter.
+The result is stored under --tag in BENCH_kernels.json, keeping the rows of
+other tags, so one file can hold two trees measured alike:
 
     PYTHONPATH=src python scripts/bench_kernels.py --tag change
 """
@@ -30,9 +29,10 @@ from monotest import bits
 from monotest.oracle import QUERY_CHUNK, LTFEvaluator, LTFSpec
 
 
-def _bincount_loop(packed, v, positions):
-    return np.stack([np.bincount(packed[:, p], weights=v, minlength=256)
-                     for p in positions])
+OUT = Path("BENCH_kernels.json")
+SIZES = (16, 512, 1024, 4096)
+REPEATS = 7
+SEED = 0
 
 
 def best_ns_per_point(fn, rows, repeats):
@@ -58,11 +58,10 @@ def kernel_row(n, rows, repeats, gen):
                 lambda: ev(batch), rows, repeats)
     out["sampler"] = best_ns_per_point(
         lambda: bits.random_packed(gen, rows, n), rows, repeats)
-    hist = getattr(bits, "byte_histograms", _bincount_loop)
     v = gen.integers(0, 2, size=rows).astype(np.float64) * 2.0 - 1.0
     positions = np.arange(batch.shape[1])
     out["byte_histograms"] = best_ns_per_point(
-        lambda: hist(batch, v, positions), rows, repeats)
+        lambda: bits.byte_histograms(batch, v, positions), rows, repeats)
     return {k: round(x, 1) for k, x in out.items()}
 
 
@@ -70,28 +69,22 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tag", required=True,
                     help="name of this measurement, e.g. parent or change")
-    ap.add_argument("--out", default="BENCH_kernels.json")
-    ap.add_argument("--sizes", type=int, nargs="+",
-                    default=[16, 512, 1024, 4096])
-    ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    gen = np.random.default_rng(np.random.Philox(args.seed))
-    kernels = {str(n): kernel_row(n, QUERY_CHUNK, args.repeats, gen)
-               for n in args.sizes}
-    path = Path(args.out)
-    doc = json.loads(path.read_text()) if path.exists() else {}
+    gen = np.random.default_rng(np.random.Philox(SEED))
+    kernels = {str(n): kernel_row(n, QUERY_CHUNK, REPEATS, gen)
+               for n in SIZES}
+    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc.setdefault("unit", "ns/point, best of repeats, one batch of "
                            f"{QUERY_CHUNK} points")
     doc.setdefault("rows", {})[args.tag] = {
         "environment": {"nproc": os.cpu_count(),
                         "python": platform.python_version(),
                         "numpy": np.__version__},
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "kernels": kernels,
     }
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    OUT.write_text(json.dumps(doc, indent=2) + "\n")
     for n, row in kernels.items():
         print(f"n={n}: " + ", ".join(f"{k} {v}" for k, v in row.items()))
 

@@ -10,11 +10,11 @@ Packing exists purely for throughput: uniform sampling touches 8x less memory
 and halfspace evaluation can run off per-byte lookup tables.  Everything here
 converts losslessly to and from plain +-1 int8 vectors.
 
-Kernels that read a batch column by column (the evaluator's table gather and
-byte_histograms) walk it in row blocks of about BLOCK_BYTES packed bytes, so
-a block stays in one core's L2 cache while every byte position is read; a
-whole 16384-row batch at n=4096 is 8 MiB.  Loops that draw fresh batches keep
-each batch within CHUNK_BYTES (see chunk_rows).
+The evaluator's table gather reads a batch column by column, in row blocks
+of about BLOCK_BYTES packed bytes, so a block stays in one core's L2 cache
+while every byte position is read; a whole 16384-row batch at n=4096 is
+8 MiB.  Loops that draw fresh batches keep each batch within CHUNK_BYTES (see
+chunk_rows).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1).astype(np.i
 # Same, mapped to {-1,+1}.
 BYTE_SIGNS = (2 * BYTE_BITS - 1).astype(np.int8)
 
-# packed bytes per row block of a column-wise kernel
+# packed bytes per row block of the evaluator's column-wise gather
 BLOCK_BYTES = 1 << 20
 # packed bytes per freshly drawn batch
 CHUNK_BYTES = 16 << 20
@@ -108,16 +108,12 @@ def byte_histograms(packed: np.ndarray, v: np.ndarray,
     """(len(positions), 256) float64 array: row j, column b sums v over the
     rows of the batch whose byte at position positions[j] equals b.
 
-    Reads the batch in block_rows row blocks.  The sums are exact for
-    integer-valued v (such as +-1 oracle answers) below 2^53.
+    The sums are exact for integer-valued v (such as +-1 oracle answers)
+    below 2^53.
     """
     out = np.zeros((len(positions), 256), dtype=np.float64)
-    rows = block_rows(packed.shape[1])
-    for lo in range(0, packed.shape[0], rows):
-        blk = packed[lo: lo + rows]
-        vb = v[lo: lo + rows]
-        for j, p in enumerate(positions):
-            out[j] += np.bincount(blk[:, p], weights=vb, minlength=256)
+    for j, p in enumerate(positions):
+        out[j] = np.bincount(packed[:, p], weights=v, minlength=256)
     return out
 
 

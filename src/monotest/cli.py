@@ -2,8 +2,7 @@
 
 Exit codes: 0 on success, 2 on any hard-invariant violation (a rejection of
 a known-monotone instance, or a certificate that fails re-verification),
-1 on operational errors such as an exhausted query budget (for `bench`: any
-trial recorded as an error, unless a hard invariant also failed).
+1 on operational errors such as an exhausted query budget.
 """
 
 from __future__ import annotations
@@ -132,15 +131,12 @@ def cmd_bench(args) -> int:
     config = SuiteConfig(family=family, count=args.count, eps=args.epsilon,
                          master_seed=args.seed, profile=args.profile,
                          threads=args.threads or default_threads(),
-                         mc_radius=args.mc_radius,
-                         query_cap=args.max_queries)
+                         mc_radius=args.mc_radius)
     records, summary = run_suite(config)
     write_outputs(records, summary, csv_path=args.out_csv,
                   json_path=args.out_json)
     print(json.dumps(summary, indent=2))
-    if summary["hard_invariant_violation"]:
-        return 2
-    return 1 if summary["errors"] else 0
+    return 2 if summary["hard_invariant_violation"] else 0
 
 
 def cmd_validate(args) -> int:
@@ -238,9 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--threads", type=int, default=None)
     p_bench.add_argument("--mc-radius", type=float, default=0.005)
-    p_bench.add_argument("--max-queries", type=int, default=None,
-                         help="query cap per trial; a trial that hits it is "
-                              "recorded as an error")
     p_bench.add_argument("--out-csv", default=None)
     p_bench.add_argument("--out-json", default=None)
     p_bench.set_defaults(func=cmd_bench)

@@ -134,23 +134,26 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96):
 
 
 def summarize(records: list[ExperimentRecord]) -> dict:
+    """Suite summary.  `trials` counts every record; the detection rate, its
+    interval and the query statistics cover only the trials that finished,
+    so a trial stopped by the query cap is counted under `errors` alone."""
     n_trials = len(records)
-    rejections = [r for r in records if r.verdict == "non-monotone"]
+    done = [r for r in records if r.verdict != ERROR]
+    rejections = [r for r in done if r.verdict == "non-monotone"]
     false_alarms = [r.trial for r in rejections if r.known_monotone]
     cert_checked = [r for r in rejections if r.certificate_ok is not None]
     cert_failures = [r.trial for r in cert_checked if not r.certificate_ok]
-    errors = sum(1 for r in records if r.verdict == ERROR)
-    queries = sorted(r.queries_total for r in records)
-    lo, hi = wilson_interval(len(rejections), n_trials)
+    queries = sorted(r.queries_total for r in done)
+    lo, hi = wilson_interval(len(rejections), len(done))
     return {
         "trials": n_trials,
         "rejections": len(rejections),
-        "detection_rate": len(rejections) / n_trials if n_trials else 0.0,
+        "detection_rate": len(rejections) / len(done) if done else 0.0,
         "detection_rate_wilson95": [lo, hi],
         "false_alarms": false_alarms,
         "certificates_checked": len(cert_checked),
         "certificate_failures": cert_failures,
-        "errors": errors,
+        "errors": n_trials - len(done),
         "queries_mean": float(np.mean(queries)) if queries else 0.0,
         "queries_p50": int(queries[len(queries) // 2]) if queries else 0,
         "queries_p90": int(queries[(9 * len(queries)) // 10]) if queries else 0,

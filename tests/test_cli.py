@@ -55,15 +55,6 @@ def test_bench_command_writes_outputs(tmp_path, capsys):
     assert printed["trials"] == 4
 
 
-def test_bench_command_query_cap_exits_1(capsys):
-    rc = main(["bench", "--family", "signed-majority", "--n", "21", "--k",
-               "5", "--count", "2", "--epsilon", "0.05", "--seed", "2",
-               "--threads", "1", "--max-queries", "100"])
-    assert rc == 1
-    printed = json.loads(capsys.readouterr().out)
-    assert printed["trials"] == 2 and printed["errors"] == 2
-
-
 def test_validate_command(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["validate", "--count", "25", "--seed", "3", "--out", str(out)])

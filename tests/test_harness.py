@@ -16,6 +16,7 @@ from monotest.harness import (
     records_csv_deterministic_view,
     records_to_csv,
     run_suite,
+    summarize,
     wilson_interval,
 )
 from monotest.oracle import LTFSpec
@@ -116,14 +117,24 @@ def test_suite_records_query_cap_errors():
     records, summary = run_suite(config)
     assert summary["trials"] == 3 and summary["errors"] == 3
     assert summary["rejections"] == 0
+    # capped trials are not counted as missed detections or as query counts
+    assert summary["detection_rate"] == 0.0
+    assert summary["detection_rate_wilson95"] == [0.0, 1.0]
+    assert summary["queries_mean"] == 0.0 and summary["queries_p50"] == 0
     assert not summary["hard_invariant_violation"]
     for rec in records:
         assert (rec.verdict, rec.diagnostic) == ("error", "error:query-budget")
         assert rec.certificate is None and rec.certificate_ok is None
         assert rec.queries_total <= 1000
     assert "error:query-budget" in records_to_csv(records)
-    _, clean = run_suite(small_suite(count=2))
+    done, clean = run_suite(small_suite(count=2))
     assert clean["errors"] == 0
+    mixed = summarize(records + done)
+    assert mixed["trials"] == 5 and mixed["errors"] == 3
+    assert mixed["detection_rate"] == clean["detection_rate"]
+    assert mixed["detection_rate_wilson95"] == clean["detection_rate_wilson95"]
+    for key in ("queries_mean", "queries_p50", "queries_p90"):
+        assert mixed[key] == clean[key]
 
 
 def test_suite_monotone_no_false_alarms():

@@ -78,7 +78,7 @@ def test_random_packed_golden_bytes(m, n):
 def test_byte_histograms_match_dense_bincount():
     n = 4096
     nb = bits.nbytes(n)
-    rows = 2 * bits.block_rows(nb) + 17
+    rows = 3000
     rng = generator_for(8, "hist")
     X = bits.random_packed(rng, rows, n)
     v = rng.integers(0, 2, size=rows).astype(np.float64) * 2 - 1
