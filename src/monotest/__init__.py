@@ -38,6 +38,7 @@ from .spectral import (
     ExactSpectrum,
     SpectralEstimate,
     check_fourier_regular,
+    degree1_square_terms,
     estimate_mean,
     estimate_sum_of_squares,
     exact_spectrum,
@@ -100,6 +101,7 @@ __all__ = [
     "check_weight_positive",
     "classify_non_monotone",
     "compose",
+    "degree1_square_terms",
     "dist_ltf_to_monotone_exact",
     "dist_ltf_to_monotone_mc",
     "dist_to_monotone_matching",

@@ -64,11 +64,24 @@ def random_packed(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     For m >= 1 the bytes are those of rng.bytes(m * nbytes(n)), and the
     generator ends in the same state, but they are viewed in place instead
     of copied.
+
+    rng.bytes reads 32-bit words; each 64-bit output of the bit generator
+    gives its low half, then its high half.  So an even number of words,
+    drawn while no half-word is buffered, is the little-endian bytes of
+    random_raw(words // 2), which skips the per-word loop.  The state then
+    differs only in the stale `uinteger` field, which no draw reads while
+    `has_uint32` is 0.
     """
     nb = nbytes(n)
     size = m * nb
-    words = rng.integers(0, 1 << 32, size=(size + 3) // 4, dtype=np.uint32)
-    out = words.astype("<u4", copy=False).view(np.uint8)[:size].reshape(m, nb)
+    n_words = (size + 3) // 4
+    bitgen = rng.bit_generator
+    if n_words % 2 == 0 and bitgen.state["has_uint32"] == 0:
+        raw = bitgen.random_raw(n_words // 2).astype("<u8", copy=False)
+    else:
+        raw = rng.integers(0, 1 << 32, size=n_words,
+                           dtype=np.uint32).astype("<u4", copy=False)
+    out = raw.view(np.uint8)[:size].reshape(m, nb)
     out[:, -1] &= tail_mask(n)
     return out
 

@@ -88,8 +88,14 @@ def _mc_mean(spec: LTFSpec, gen: np.random.Generator,
              samples: int = 50_000) -> float:
     if spec.n <= 20:
         return exact_mean(spec)
-    pts = bits.random_packed(gen, samples, spec.n)
-    return float(LTFEvaluator(spec)(pts).astype(np.float64).mean())
+    evaluator = LTFEvaluator(spec)
+    # chunks of a multiple of 4 rows draw the bytes of one whole draw
+    chunk = bits.chunk_rows(samples, bits.nbytes(spec.n))
+    total = 0.0
+    for lo in range(0, samples, chunk):
+        pts = bits.random_packed(gen, min(chunk, samples - lo), spec.n)
+        total += float(evaluator(pts).astype(np.float64).sum())
+    return total / samples
 
 
 def generate(family: InstanceFamily, rng: SplitRng,

@@ -95,6 +95,13 @@ def _sample_count(accuracy: float, delta: float, t_size: int,
     return max(m, 8)
 
 
+def squares_sample_count(eta: float, delta: float, t_size: int) -> int:
+    """Queries estimate_sum_of_squares spends on a set of t_size
+    coordinates; non-decreasing in t_size."""
+    return _sample_count(eta, delta, t_size, SQUARES_CONST,
+                         SQUARES_CAP_CONST, 4.0, eta)
+
+
 # ---------------------------------------------------------------------------
 # mean estimation
 
@@ -161,6 +168,23 @@ def _signed_sums(f: OracleHandle, m: int, positions: np.ndarray,
     return s1, (s1_dummy if n_dummy else None)
 
 
+def degree1_square_terms(f: OracleHandle, m: int, rng: np.random.Generator,
+                         n_dummy: int = 0) -> np.ndarray:
+    """Unbiased estimates (s1^2 - m) / (m (m-1)) of fhat(i)^2 for every free
+    coordinate of the handle (positions, ascending domain order), followed
+    by n_dummy appended dummy coordinates whose exact coefficient is zero,
+    all from one batch of m uniform queries.
+
+    Summing the entries of a set T estimates the degree-1 mass of T; the
+    sample count that estimate_sum_of_squares picks for |T| gives the
+    accuracy it promises, and more samples only sharpen it.
+    """
+    s1_real, s1_dummy = _signed_sums(
+        f, m, np.arange(f.domain_size, dtype=np.int64), n_dummy, rng)
+    s1 = np.concatenate([s1_real, s1_dummy]) if n_dummy else s1_real
+    return (s1 * s1 - m) / (m * (m - 1.0))
+
+
 def estimate_sum_of_squares(f: OracleHandle, t_set: Sequence[int], eta: float,
                             delta: float, rng: np.random.Generator,
                             n_dummy: int = 0) -> SpectralEstimate:
@@ -168,26 +192,18 @@ def estimate_sum_of_squares(f: OracleHandle, t_set: Sequence[int], eta: float,
 
     T indexes the handle's free coordinates (positions, ascending domain
     order).  Positions >= domain size refer to appended dummy coordinates
-    (declared via n_dummy) whose exact coefficient is zero.  Query count is
-    independent of which T is asked for and capped at
-    ceil(16 ln(2/delta) / eta^4).
+    (declared via n_dummy) whose exact coefficient is zero.  Query count
+    depends only on |T| and is capped at ceil(16 ln(2/delta) / eta^4); the
+    value is the sum over T of degree1_square_terms from that batch.
     """
     _check_unit("eta", eta)
     _check_unit("delta", delta)
     t_arr = np.asarray(sorted({int(i) for i in t_set}), dtype=np.int64)
-    d = f.domain_size
-    if t_arr.size and (t_arr[0] < 0 or t_arr[-1] >= d + n_dummy):
+    if t_arr.size and (t_arr[0] < 0 or t_arr[-1] >= f.domain_size + n_dummy):
         raise ValueError("T outside the (padded) domain")
-    m = _sample_count(eta, delta, t_arr.size, SQUARES_CONST,
-                      SQUARES_CAP_CONST, 4.0, eta)
-    real = t_arr[t_arr < d]
-    s1_real, s1_dummy = _signed_sums(f, m, real, n_dummy, rng)
-    parts = [s1_real]
-    if n_dummy:
-        parts.append(s1_dummy[t_arr[t_arr >= d] - d])
-    s1_t = np.concatenate(parts)
-    value = float(((s1_t * s1_t - m) / (m * (m - 1.0))).sum())
-    return SpectralEstimate(value, eta, delta, m)
+    m = squares_sample_count(eta, delta, t_arr.size)
+    terms = degree1_square_terms(f, m, rng, n_dummy)
+    return SpectralEstimate(float(terms[t_arr].sum()), eta, delta, m)
 
 
 def check_fourier_regular(f: OracleHandle, t_set: Optional[Sequence[int]],

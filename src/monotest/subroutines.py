@@ -27,7 +27,14 @@ from .oracle import (
 )
 from .rng import SplitRng
 from .schedule import ParameterSchedule
-from .spectral import check_fourier_regular, estimate_mean, estimate_sum_of_squares
+from .spectral import (
+    check_fourier_regular,
+    degree1_square_terms,
+    estimate_mean,
+    squares_sample_count,
+)
+# not called here any more, but perfbench/tracing.py wraps it under this name
+from .spectral import estimate_sum_of_squares  # noqa: F401
 
 # edges per drawn batch; its lo and hi endpoints stay within
 # bits.CHUNK_BYTES (see bits.chunk_rows)
@@ -68,14 +75,35 @@ def find_hi_influence_vars(f: OracleHandle, rho: Restriction, tau: float,
     """Find every free variable with |fhat_rho(i)| >= tau, excluding all with
     |fhat_rho(i)| < tau/2 (each guarantee holding with probability 1-delta).
 
-    Pads the free variables to a power of two with synthetic irrelevant
-    coordinates, then repeatedly halves the heaviest surviving block: a block
-    stays alive while its estimated degree-1 mass exceeds 3 tau^2 / 4, each
-    estimate taken to accuracy tau^2/10 at per-call confidence
-    tau^2 delta / (8 log2 n).  Fails (never silently) if the total number of
-    estimator calls would exceed ceil(8 log2(n) / tau^2).
+    Pads the free variables to a power of two, width, with synthetic
+    irrelevant coordinates, then repeatedly halves the heaviest surviving
+    block: a block stays alive while its estimated degree-1 mass exceeds
+    3 tau^2 / 4.  Every block is scored from one shared batch of uniform
+    queries (degree1_square_terms): its estimate is the sum of the
+    per-coordinate terms over the block.  The batch has the sample count of
+    a width/2 block at accuracy eta = tau^2/10 and per-block confidence
+    call_delta = tau^2 delta / (8 log2 n).  Fails (never silently) if the
+    number of blocks scored would exceed call_cap = ceil(8 log2(n) / tau^2).
 
-    min_call_delta, when given, floors the per-call confidence parameter
+    Why one batch suffices.  The sample count is non-decreasing in the
+    block size and every scored block has at most width/2 coordinates, so
+    for any fixed block the estimate is within eta of the block's true mass
+    with probability >= 1 - call_delta.  The blocks that get scored depend
+    on the batch, so the union bound runs over a candidate set C fixed in
+    advance: the two halves of the padded domain, and both children of
+    every block whose true mass exceeds 3 tau^2/4 - eta = 0.65 tau^2.  Until
+    the first wrong estimate, every split block was estimated above
+    3 tau^2/4 within eta, so its true mass exceeds 0.65 tau^2 and its
+    children lie in C; hence the first wrong estimate, if any, falls on a
+    block of C.  The blocks of one level are disjoint and by Parseval the
+    degree-1 mass is at most 1, so each of the log2(width) - 1 levels that
+    get split holds fewer than 1/(0.65 tau^2) such blocks, and
+    |C| <= 2 + 2 (log2(width) - 1) / (0.65 tau^2) <= call_cap for tau <= 1,
+    since width < 2n.  So every scored estimate is within eta except with
+    probability at most |C| call_delta <= call_cap call_delta, the same
+    budget as one fresh batch per block.
+
+    min_call_delta, when given, floors the per-block confidence parameter
     (profile knob; the formula value is used whenever it is larger).
     """
     view = restrict(f, rho)
@@ -92,29 +120,30 @@ def find_hi_influence_vars(f: OracleHandle, rho: Restriction, tau: float,
     eta = tau ** 2 / 10.0
     threshold = 3.0 * tau ** 2 / 4.0
 
-    worklist: list[list[int]] = [list(range(width))]
+    if width > 1:  # a single variable is never split, so never scored
+        m = squares_sample_count(eta, call_delta, width // 2)
+        terms = degree1_square_terms(view, m, rng.child("esos").generator,
+                                     n_dummy=width - k)
+    worklist: list[tuple[int, int]] = [(0, width)]  # [lo, hi) blocks
     calls = 0
     while True:
         pick = None
         best = 1
-        for idx, block in enumerate(worklist):
-            if len(block) > best:
-                pick, best = idx, len(block)
+        for idx, (lo, hi) in enumerate(worklist):
+            if hi - lo > best:
+                pick, best = idx, hi - lo
         if pick is None:
             break
-        block = worklist.pop(pick)
-        half = len(block) // 2
-        for part in (block[:half], block[half:]):
-            if calls + 1 > call_cap:  # the next call would exceed the cap
+        lo, hi = worklist.pop(pick)
+        mid = (lo + hi) // 2
+        for a, b in ((lo, mid), (mid, hi)):
+            if calls + 1 > call_cap:  # the next block would exceed the cap
                 return HiInfluenceResult(None, calls, call_cap,
                                          f.query_count - before)
             calls += 1
-            est = estimate_sum_of_squares(
-                view, part, eta, call_delta,
-                rng.child("esos", calls).generator, n_dummy=width - k)
-            if est.value > threshold:
-                worklist.append(part)
-    survivors = sorted(b[0] for b in worklist if b[0] < k)
+            if terms[a:b].sum() > threshold:
+                worklist.append((a, b))
+    survivors = sorted(lo for lo, _hi in worklist if lo < k)
     labels = view.domain[np.asarray(survivors, dtype=np.int64)] \
         if survivors else np.empty(0, dtype=np.int64)
     return HiInfluenceResult(labels, calls, call_cap, f.query_count - before)

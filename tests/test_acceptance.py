@@ -387,6 +387,41 @@ def test_end_to_end_detection_planted():
 
 
 # ---------------------------------------------------------------------------
+# 10b. detection near the eps threshold, against certified distances
+
+
+def test_near_threshold_detection_signed_majority():
+    # signed majority at n=256: k negated inputs put the MC distance at
+    # 0.046 (k=6, just below eps), 0.055 (k=8, certified distance at eps),
+    # then 0.061, 0.068 and 0.079; every instance certified eps-far counts
+    t0 = time.perf_counter()
+    eps = 0.05
+    rows = []
+    certified = []
+    for k in (6, 8, 10, 12, 16):
+        config = SuiteConfig(
+            family=InstanceFamily(SIGNED_MAJORITY, 256, {"k": k}),
+            count=20, eps=eps, master_seed=11_000 + k, threads=THREADS)
+        records, summary = run_and_track(config)
+        far = [r for r in records if r.distance - config.mc_radius >= eps]
+        hits = sum(r.verdict == "non-monotone" for r in far)
+        certified += far
+        rows.append(f"k={k} dist~{np.mean([r.distance for r in records]):.3f}"
+                    f" {summary['rejections']}/{len(records)} rejected,"
+                    f" {hits}/{len(far)} certified-far detected")
+    near = [r for r in certified if r.distance - 0.005 < eps + 0.01]
+    hits = sum(r.verdict == "non-monotone" for r in certified)
+    rate = hits / len(certified) if certified else 0.0
+    elapsed = time.perf_counter() - t0
+    ok = len(near) >= 10 and rate >= 0.8
+    report("near-threshold-detection", ok,
+           f"{hits}/{len(certified)} certified-far instances detected at "
+           f"eps={eps} (threshold 0.8), {len(near)} within 0.01 of eps; "
+           + "; ".join(rows) + f"; {elapsed:.0f}s")
+    assert ok, rows
+
+
+# ---------------------------------------------------------------------------
 # 11. determinism: identical reruns produce identical records
 
 

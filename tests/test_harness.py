@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from monotest import bits, generators
 from monotest.generators import (
     ADVERSARIAL,
     HEAVY_COORDINATE,
@@ -19,8 +20,8 @@ from monotest.harness import (
     summarize,
     wilson_interval,
 )
-from monotest.oracle import LTFSpec
-from monotest.rng import SplitRng
+from monotest.oracle import LTFEvaluator, LTFSpec
+from monotest.rng import SplitRng, generator_for
 from monotest.truth import WeightProfile, dist_ltf_to_monotone_exact
 
 
@@ -68,6 +69,18 @@ def test_adversarial_is_biased_and_mixed_sign():
     inst = generate(InstanceFamily(ADVERSARIAL, 18), rng_at(5, "g"))
     assert np.any(inst.spec.weights < 0)
     assert inst.spec.theta > 0
+
+
+def test_mc_mean_chunked_matches_one_draw():
+    # at n=3000 the 50k-sample draw is split into byte-bounded chunks
+    n, samples = 3000, 50_000
+    assert bits.chunk_rows(samples, bits.nbytes(n)) < samples
+    gen = generator_for(4, "mc-mean")
+    spec = LTFSpec(np.round(np.abs(gen.standard_normal(n)) * 16) + 1, 40.5)
+    one = bits.random_packed(generator_for(5, "mean"), samples, n)
+    expect = float(LTFEvaluator(spec)(one).astype(np.float64).mean())
+    got = generators._mc_mean(spec, generator_for(5, "mean"), samples)
+    assert got == expect and abs(got) < 1.0
 
 
 def test_generation_deterministic():

@@ -59,20 +59,33 @@ def test_bit_column_ops():
 
 
 @pytest.mark.parametrize("m,n", [(4, 8), (5, 8), (6, 8), (7, 8),
-                                 (4, 20), (3, 20), (2, 20), (1, 20)])
+                                 (4, 20), (3, 20), (2, 20), (1, 20),
+                                 (0, 20), (3, 40), (1000, 1024)])
 def test_random_packed_golden_bytes(m, n):
-    # m * nbytes(n) covers every residue mod 4: the sampler must return the
-    # bytes of rng.bytes and leave the generator where rng.bytes leaves it
-    a = generator_for(5, "golden")
-    b = generator_for(5, "golden")
+    # m * nbytes(n) covers every residue mod 4 and odd and even word counts:
+    # the sampler must return the bytes of rng.bytes and leave the generator
+    # where rng.bytes leaves it, also when a bounded 32-bit draw has left a
+    # half-word buffered
     nb = bits.nbytes(n)
-    expect = np.frombuffer(a.bytes(m * nb), dtype=np.uint8).reshape(m, nb)
-    expect = expect.copy()
-    expect[:, -1] &= bits.tail_mask(n)
-    got = bits.random_packed(b, m, n)
-    assert got.shape == (m, nb) and got.flags.writeable
-    assert np.array_equal(got, expect)
-    assert a.integers(0, 2**63) == b.integers(0, 2**63)
+    for buffered in (False, True):
+        a = generator_for(5, "golden")
+        b = generator_for(5, "golden")
+        if buffered:
+            assert a.integers(0, 10, dtype=np.uint32) == \
+                b.integers(0, 10, dtype=np.uint32)
+            assert b.bit_generator.state["has_uint32"] == 1
+        expect = np.frombuffer(a.bytes(m * nb) if m else b"",
+                               dtype=np.uint8).reshape(m, nb)
+        expect = expect.copy()
+        expect[:, -1] &= bits.tail_mask(n)
+        got = bits.random_packed(b, m, n)
+        assert got.shape == (m, nb) and got.flags.writeable
+        assert np.array_equal(got, expect)
+        # the next draws agree: a buffered half-word first, then whole words
+        assert np.array_equal(a.integers(0, 2**32, size=3, dtype=np.uint32),
+                              b.integers(0, 2**32, size=3, dtype=np.uint32))
+        assert a.integers(0, 2**63) == b.integers(0, 2**63)
+        assert a.bytes(13) == b.bytes(13)
 
 
 def test_byte_histograms_match_dense_bincount():

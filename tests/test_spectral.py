@@ -4,15 +4,25 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from monotest.oracle import LTFSpec, OracleHandle, Restriction, restrict, truth_table
+from monotest import bits
+from monotest.oracle import (
+    LTFEvaluator,
+    LTFSpec,
+    OracleHandle,
+    Restriction,
+    restrict,
+    truth_table,
+)
 from monotest.rng import generator_for
 from monotest.spectral import (
     InfeasibleBudgetError,
     NOT_REGULAR,
     REGULAR,
     check_fourier_regular,
+    degree1_square_terms,
     estimate_mean,
     estimate_sum_of_squares,
+    squares_sample_count,
     _fwht,
     exact_influences,
     exact_spectrum,
@@ -220,6 +230,28 @@ def test_squares_on_restricted_view():
     est = estimate_sum_of_squares(view, [0, 1, 2], 0.1, 0.05,
                                   generator_for(10, "view"))
     assert abs(est.value - truth) <= 0.1
+
+
+def test_squares_is_sum_of_per_coordinate_terms():
+    # the terms come from one draw of the stream: ambient points, then the
+    # dummy columns; checked against dense signed sums of that draw
+    n, n_dummy, eta, delta = 11, 5, 0.2, 0.1
+    spec = random_grid_spec(generator_for(16, "terms-spec"), n)
+    f = OracleHandle.for_spec(spec)
+    t_set = [0, 3, 4, 10, 12, 15]
+    m = squares_sample_count(eta, delta, len(t_set))
+    terms = degree1_square_terms(f, m, generator_for(16, "terms"), n_dummy)
+    gen = generator_for(16, "terms")
+    x = bits.random_packed(gen, m, n)
+    d = bits.random_packed(gen, m, n_dummy)
+    v = LTFEvaluator(spec)(x).astype(np.float64)
+    s1 = np.concatenate([bits.unpack(x, n).T @ v,
+                         bits.unpack(d, n_dummy).T @ v])
+    assert np.array_equal(terms, (s1 * s1 - m) / (m * (m - 1.0)))
+    est = estimate_sum_of_squares(f, t_set, eta, delta,
+                                  generator_for(16, "terms"), n_dummy=n_dummy)
+    assert est.queries_used == m
+    assert est.value == float(terms[t_set].sum())
 
 
 def test_infeasible_budget_raises():

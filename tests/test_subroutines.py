@@ -12,7 +12,7 @@ from monotest.oracle import (
 )
 from monotest.rng import SplitRng
 from monotest.schedule import build_schedule
-from monotest.spectral import exact_spectrum
+from monotest.spectral import exact_spectrum, squares_sample_count
 from monotest.subroutines import (
     FAIL,
     NEGATIVE,
@@ -82,18 +82,32 @@ def test_influence_search_respects_restriction():
 
 def test_influence_search_cap_trips_on_broken_estimator(monkeypatch):
     # force every estimate high so no block is ever pruned
-    from monotest.spectral import SpectralEstimate
+    def always_heavy(view, m, rng, n_dummy=0):
+        return np.ones(view.domain_size + n_dummy)
 
-    def always_heavy(view, part, eta, delta, rng, n_dummy=0):
-        return SpectralEstimate(1.0, eta, delta, 0)
-
-    monkeypatch.setattr(subroutines, "estimate_sum_of_squares", always_heavy)
+    monkeypatch.setattr(subroutines, "degree1_square_terms", always_heavy)
     f = OracleHandle.for_spec(LTFSpec(np.ones(64), 0.5))
     # with nothing ever pruned the search needs 2*63 calls, above the cap
     out = find_hi_influence_vars(f, Restriction.all_stars(64), 0.7, 0.1,
                                  rng_at(5, "trip"))
     assert out.failed
     assert out.estimator_calls == out.call_cap  # completed calls only
+
+
+@pytest.mark.parametrize("n", [17, 64, 4096])
+def test_influence_search_scores_blocks_from_one_batch(n):
+    # every block is scored from one batch sized for the widest block,
+    # width/2 coordinates, whatever the number of blocks scored
+    tau, delta, floor = 0.5, 0.1, 1e-2
+    f = OracleHandle.for_spec(LTFSpec(np.eye(1, n)[0], 0.0))
+    out = find_hi_influence_vars(f, Restriction.all_stars(n), tau, delta,
+                                 rng_at(16, "batch", n), min_call_delta=floor)
+    width = 1 << (n - 1).bit_length()
+    call_delta = max(tau ** 2 * delta / (8 * math.log2(n)), floor)
+    m = squares_sample_count(tau ** 2 / 10, call_delta, width // 2)
+    assert list(out.variables) == [0]
+    assert out.estimator_calls == 2 * math.log2(width)
+    assert out.queries_used == f.query_count == m
 
 
 def test_influence_search_single_variable_returned_unconditionally():
