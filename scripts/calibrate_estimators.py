@@ -15,7 +15,8 @@ import json
 
 import numpy as np
 
-from monotest.oracle import LTFSpec, OracleHandle
+from monotest.generators import grid_spec
+from monotest.oracle import OracleHandle
 from monotest.rng import SplitRng
 from monotest.spectral import (
     NOT_REGULAR,
@@ -24,12 +25,6 @@ from monotest.spectral import (
     estimate_sum_of_squares,
     exact_spectrum,
 )
-
-
-def grid_spec(gen, n=12, scale=8):
-    w = np.round(gen.standard_normal(n) * scale)
-    w[w == 0] = 1.0
-    return LTFSpec(w, float(gen.integers(-scale, scale)) + 0.5)
 
 
 def main():
@@ -46,7 +41,7 @@ def main():
         failures = 0
         queries = 0
         for inst in range(args.instances):
-            spec = grid_spec(gen)
+            spec = grid_spec(gen, 12)
             t_set = sorted(int(i) for i in gen.choice(12, 6, replace=False))
             truth = exact_spectrum(spec).degree1_mass(t_set)
             f = OracleHandle.for_spec(spec)
@@ -65,7 +60,7 @@ def main():
         wrong = 0
         decided = 0
         for inst in range(args.instances):
-            spec = grid_spec(gen)
+            spec = grid_spec(gen, 12)
             top = exact_spectrum(spec).max_abs_degree1()
             f = OracleHandle.for_spec(spec)
             for trial in range(args.trials):

@@ -7,8 +7,10 @@ Layers, bottom up:
 * spectral: sampling estimators for means and degree-1 Fourier mass, plus
   exact spectra for validation;
 * subroutines: influence discovery, weight-sign probing, the edge tester,
-  and the stage-building searches;
-* schedule / tester: derived parameters and the two-phase test;
+  and the stage balance search;
+* schedule / tester: derived parameters, the regularize-and-balance step
+  (run by the initialization phase and by each stage), and the two-phase
+  test;
 * truth: exact and Monte-Carlo ground-truth oracles for distance to
   monotone, with executable structural identities;
 * generators / harness / cli: certified instance families, seeded benchmark
@@ -49,12 +51,12 @@ from .subroutines import (
     edge_tester,
     find_balanced_restriction,
     find_hi_influence_vars,
-    maintain_regular_and_balanced,
 )
 from .tester import (
     QueryLedger,
     StageState,
     main_procedure,
+    maintain_regular_and_balanced,
     mono_test_ltf,
     regularize_and_balance,
 )

@@ -23,8 +23,6 @@ import numpy as np
 
 # (256, 8) matrix: row b lists the bits of byte value b, LSB first.
 BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1).astype(np.int8)
-# Same, mapped to {-1,+1}.
-BYTE_SIGNS = (2 * BYTE_BITS - 1).astype(np.int8)
 
 # packed bytes per row block of the evaluator's column-wise gather
 BLOCK_BYTES = 1 << 20
@@ -100,20 +98,6 @@ def unpack(packed: np.ndarray, n: int) -> np.ndarray:
     packed = np.atleast_2d(packed)
     bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
     return (2 * bits.astype(np.int8) - 1)
-
-
-def get_bit_column(packed: np.ndarray, i: int) -> np.ndarray:
-    """Values (0/1) of coordinate i across the batch."""
-    return (packed[:, i >> 3] >> (i & 7)) & 1
-
-
-def set_bit_column(packed: np.ndarray, i: int, plus: bool) -> None:
-    """Force coordinate i to +1 (plus=True) or -1 across the batch, in place."""
-    byte, bit = i >> 3, np.uint8(1 << (i & 7))
-    if plus:
-        packed[:, byte] |= bit
-    else:
-        packed[:, byte] &= np.uint8(~bit & 0xFF)
 
 
 def byte_histograms(packed: np.ndarray, v: np.ndarray,

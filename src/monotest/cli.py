@@ -20,6 +20,7 @@ from .generators import (
     InstanceFamily,
     PLANTED_NEGATIVE_MASS,
     generate,
+    grid_spec,
 )
 from .harness import (
     SuiteConfig,
@@ -94,7 +95,7 @@ def cmd_gen(args) -> int:
 
 def cmd_test(args) -> int:
     spec = LTFSpec.load(args.instance)
-    sched = build_schedule(spec.n, args.epsilon, args.profile)
+    sched = build_schedule(spec.n, args.epsilon)
     handle = OracleHandle.for_spec(spec, query_cap=args.max_queries)
     ledger = QueryLedger()
     rng = SplitRng(args.seed, ("cli-test",))
@@ -129,7 +130,7 @@ def cmd_test(args) -> int:
 def cmd_bench(args) -> int:
     family = _family_from_args(args)
     config = SuiteConfig(family=family, count=args.count, eps=args.epsilon,
-                         master_seed=args.seed, profile=args.profile,
+                         master_seed=args.seed,
                          threads=args.threads or default_threads(),
                          mc_radius=args.mc_radius)
     records, summary = run_suite(config)
@@ -144,16 +145,11 @@ def cmd_validate(args) -> int:
     report = {"seed": args.seed, "checks": []}
     failures = 0
 
-    def grid_spec(n):
-        w = np.round(gen.standard_normal(n) * 8)
-        w[w == 0] = 1.0
-        return LTFSpec(w, float(gen.integers(-8, 8)) + 0.5)
-
     # distance oracles must agree exactly
     agree = 0
     for _ in range(args.count):
         n = int(gen.integers(2, 11))
-        spec = grid_spec(n)
+        spec = grid_spec(gen, n)
         a = dist_ltf_to_monotone_exact(spec)
         b = dist_to_monotone_matching(truth_table(spec))
         agree += a.numerator == b.numerator
@@ -166,7 +162,7 @@ def cmd_validate(args) -> int:
     ok = vac = 0
     for _ in range(args.count):
         n = int(gen.integers(2, 10))
-        spec = grid_spec(n)
+        spec = grid_spec(gen, n)
         nonneg = np.flatnonzero(spec.weights >= 0)
         if nonneg.size == 0:
             vac += 1
@@ -185,7 +181,7 @@ def cmd_validate(args) -> int:
     # satisfiable at small n; vacuous outcomes are expected and counted)
     res = {"pass": 0, "fail": 0, "vacuous": 0}
     for _ in range(args.count):
-        spec = grid_spec(16)
+        spec = grid_spec(gen, 16)
         chk = check_negative_mass_lower_bound(spec, args.epsilon)
         res[chk.status] += 1
     report["checks"].append({"name": "negative-mass-lower-bound",
@@ -218,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_test = sub.add_parser("test", help="run the tester on one instance")
     p_test.add_argument("--instance", required=True)
     p_test.add_argument("--epsilon", type=float, required=True)
-    p_test.add_argument("--profile", default="practical",
-                        choices=["practical", "theoretical"])
     p_test.add_argument("--seed", type=int, default=0)
     p_test.add_argument("--max-queries", type=int, default=None)
     p_test.add_argument("--out", default=None)
@@ -229,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p_bench)
     p_bench.add_argument("--count", type=int, default=10)
     p_bench.add_argument("--epsilon", type=float, required=True)
-    p_bench.add_argument("--profile", default="practical",
-                         choices=["practical", "theoretical"])
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--threads", type=int, default=None)
     p_bench.add_argument("--mc-radius", type=float, default=0.005)

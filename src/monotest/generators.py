@@ -14,15 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bits
-from .oracle import LTFEvaluator, LTFSpec
+from .oracle import LTFSpec
 from .rng import SplitRng
 from .truth import (
     DistanceReport,
     WeightProfile,
     dist_ltf_to_monotone_exact,
     dist_ltf_to_monotone_mc,
-    exact_mean,
+    ltf_mean,
 )
 
 MAX_WEIGHT = 4095.0
@@ -84,18 +83,13 @@ def _certify(spec: LTFSpec, rng: SplitRng, mc_radius: float,
                                    rng.child("certify").generator)
 
 
-def _mc_mean(spec: LTFSpec, gen: np.random.Generator,
-             samples: int = 50_000) -> float:
-    if spec.n <= 20:
-        return exact_mean(spec)
-    evaluator = LTFEvaluator(spec)
-    # chunks of a multiple of 4 rows draw the bytes of one whole draw
-    chunk = bits.chunk_rows(samples, bits.nbytes(spec.n))
-    total = 0.0
-    for lo in range(0, samples, chunk):
-        pts = bits.random_packed(gen, min(chunk, samples - lo), spec.n)
-        total += float(evaluator(pts).astype(np.float64).sum())
-    return total / samples
+def grid_spec(gen: np.random.Generator, n: int, scale: int = 8) -> LTFSpec:
+    """A random signed integer-grid halfspace for the exact-oracle checks:
+    weights round(scale * N(0,1)) with zeros raised to 1, and a half-integer
+    threshold drawn from [-scale, scale)."""
+    w = np.round(gen.standard_normal(n) * scale)
+    w[w == 0] = 1.0
+    return LTFSpec(w, float(gen.integers(-scale, scale)) + 0.5)
 
 
 def generate(family: InstanceFamily, rng: SplitRng,
@@ -157,7 +151,9 @@ def _make_planted_negative_mass(family, rng, mc_radius):
         if not (0.9 * target <= frac <= 1.1 * target):
             continue
         spec = LTFSpec(w, 0.5)
-        if abs(_mc_mean(spec, rng.child("balance", attempt).generator)) > max_mean:
+        mean = ltf_mean(spec, rng.child("balance", attempt).generator,
+                        50_000)
+        if abs(mean) > max_mean:
             continue
         return GeneratedInstance(spec, family.kind,
                                  _certify(spec, rng, mc_radius),

@@ -46,7 +46,6 @@ class SuiteConfig:
     count: int
     eps: float
     master_seed: int
-    profile: str = "practical"
     threads: int = 1
     mc_radius: float = 0.005
     query_cap: Optional[int] = None
@@ -92,7 +91,7 @@ def run_trial(config: SuiteConfig, trial: int) -> ExperimentRecord:
     root = SplitRng(config.master_seed, ("trial", trial))
     instance = generate(config.family, root.child("gen"),
                         mc_radius=config.mc_radius)
-    sched = build_schedule(instance.spec.n, config.eps, config.profile)
+    sched = build_schedule(instance.spec.n, config.eps)
     handle = OracleHandle.for_spec(instance.spec, query_cap=config.query_cap)
     ledger = QueryLedger()
     t0 = time.perf_counter()

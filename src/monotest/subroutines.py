@@ -1,5 +1,5 @@
 """Mid-level probes: high-influence variable discovery, weight-sign checks,
-the uniform edge tester, and the two stage-building searches.
+the uniform edge tester, and the stage balance search.
 
 Everything here returns a certificate whenever it claims non-monotonicity;
 there is no rejection path without a witnessed anti-monotone edge.  All
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -27,13 +27,9 @@ from .oracle import (
 )
 from .rng import SplitRng
 from .schedule import ParameterSchedule
-from .spectral import (
-    check_fourier_regular,
-    degree1_square_terms,
-    estimate_mean,
-    squares_sample_count,
-)
-# not called here any more, but perfbench/tracing.py wraps it under this name
+from .spectral import degree1_square_terms, estimate_mean, squares_sample_count
+# not called here any more, but perfbench/tracing.py wraps them under these names
+from .spectral import check_fourier_regular  # noqa: F401
 from .spectral import estimate_sum_of_squares  # noqa: F401
 
 # edges per drawn batch; its lo and hi endpoints stay within
@@ -150,6 +146,38 @@ def find_hi_influence_vars(f: OracleHandle, rho: Restriction, tau: float,
 
 
 # ---------------------------------------------------------------------------
+# edge queries, shared by the weight-sign probe and the edge tester
+
+
+def _query_edges(view: OracleHandle, pts: np.ndarray, coords):
+    """Query both ends of k edges in one batch [lo; hi].
+
+    Edge j runs from row j of pts with coordinate coords[j] set to -1 (lo)
+    to the same row with it set to +1 (hi); coords may also be one
+    coordinate for every edge.  Returns (lo, f(lo), f(hi)).
+    """
+    k = pts.shape[0]
+    coords = np.asarray(coords)
+    both = np.concatenate([pts, pts], axis=0)
+    lo, hi = both[:k], both[k:]
+    rows = np.arange(k)
+    byte_idx = coords >> 3
+    mask = (1 << (coords & 7)).astype(np.uint8)
+    lo[rows, byte_idx] &= ~mask
+    hi[rows, byte_idx] |= mask
+    v = view.query_packed(both)
+    return lo, v[:k], v[k:]
+
+
+def _edge_certificate(view: OracleHandle, lo_row: np.ndarray,
+                      coord) -> AntiMonotoneEdgeCertificate:
+    """Certificate for the edge from lo_row in direction coord, with the
+    view's fixed coordinates filled in."""
+    base = bits.unpack(view.lift(lo_row[None, :]), view.ambient_n)[0]
+    return AntiMonotoneEdgeCertificate(base, int(coord))
+
+
+# ---------------------------------------------------------------------------
 # weight-sign probing
 
 
@@ -176,21 +204,14 @@ def check_weight_positive(f: OracleHandle, rho: Restriction, i: int,
         raise ValueError(f"coordinate {i} is fixed by the restriction")
     k_edges = int(math.ceil(2.0 * math.log(1.0 / delta) / tau))
     view = restrict(f, rho)
-    gen = rng.generator
-    pts = bits.random_packed(gen, k_edges, f.ambient_n)
-    lo = pts.copy()
-    bits.set_bit_column(lo, i, plus=False)
-    hi = pts
-    bits.set_bit_column(hi, i, plus=True)
-    v = view.query_packed(np.concatenate([lo, hi], axis=0))
-    v_lo, v_hi = v[:k_edges], v[k_edges:]
+    pts = bits.random_packed(rng.generator, k_edges, f.ambient_n)
+    lo, v_lo, v_hi = _query_edges(view, pts, i)
     bichromatic = np.flatnonzero(v_lo != v_hi)
     if bichromatic.size == 0:
         return WeightSignResult(FAIL, None, 2 * k_edges)
     first = int(bichromatic[0])
     if v_lo[first] == 1:  # f drops when x_i rises: anti-monotone edge
-        base = bits.unpack(view.lift(lo[first][None, :]), f.ambient_n)[0]
-        cert = AntiMonotoneEdgeCertificate(base, int(i))
+        cert = _edge_certificate(view, lo[first], i)
         return WeightSignResult(NEGATIVE, cert, 2 * k_edges)
     return WeightSignResult(POSITIVE, None, 2 * k_edges)
 
@@ -217,27 +238,18 @@ def edge_tester(f: OracleHandle, eps: float, delta: float,
         k = min(chunk, budget - done)
         coords = dom[gen.integers(0, m_free, size=k)]
         pts = bits.random_packed(gen, k, f.ambient_n)
-        byte_idx = coords >> 3
-        mask = (1 << (coords & 7)).astype(np.uint8)
-        rows = np.arange(k)
-        both = np.concatenate([pts, pts], axis=0)
-        lo, hi = both[:k], both[k:]
-        lo[rows, byte_idx] &= ~mask
-        hi[rows, byte_idx] |= mask
-        v = f.query_packed(both)
-        v_lo, v_hi = v[:k], v[k:]
+        lo, v_lo, v_hi = _query_edges(f, pts, coords)
         anti = np.flatnonzero((v_lo == 1) & (v_hi == -1))
         if anti.size:
             first = int(anti[0])
-            base = bits.unpack(f.lift(lo[first][None, :]), f.ambient_n)[0]
-            cert = AntiMonotoneEdgeCertificate(base, int(coords[first]))
+            cert = _edge_certificate(f, lo[first], coords[first])
             return Verdict.non_monotone(cert, "edge:anti-monotone-edge")
         done += k
     return Verdict.monotone("edge:pass")
 
 
 # ---------------------------------------------------------------------------
-# stage building: balance search and the regularity/balance maintenance step
+# stage building: the balance search
 
 
 def find_balanced_restriction(f: OracleHandle, rho_t: Restriction,
@@ -260,46 +272,3 @@ def find_balanced_restriction(f: OracleHandle, rho_t: Restriction,
         if abs(est.value) <= 0.03:
             return rho_p
     return None
-
-
-def maintain_regular_and_balanced(f: OracleHandle, rho_p: Restriction,
-                                  eps: float, sched: ParameterSchedule,
-                                  rng: SplitRng
-                                  ) -> Union[Verdict, Restriction]:
-    """One stage-maintenance pass: pull out the high-influence variables of
-    f under rho_p, certify their weights are positive (rejecting on any
-    witnessed negative), then fix them so the remainder stays regular and
-    balanced.
-
-    Returns a restriction eta with support exactly the discovered
-    high-influence set on success, a non-monotone verdict with certificate,
-    or a monotone verdict whose diagnostic names the bailing branch.
-    """
-    tau_p, delta = sched.m_tau_prime, sched.m_delta
-    found = find_hi_influence_vars(f, rho_p, tau_p, delta,
-                                   rng.child("influence"),
-                                   min_call_delta=sched.estimator_delta_floor)
-    if found.failed:
-        return Verdict.monotone("maintain:influence-cap")
-    high = found.variables
-    if high.size > 4.0 / tau_p ** 2:
-        return Verdict.monotone("maintain:h-overflow")
-    for i in high:
-        probe = check_weight_positive(f, rho_p, int(i), tau_p / 2.0, delta,
-                                      rng.child("sign", int(i)))
-        if probe.decision == NEGATIVE:
-            return Verdict.non_monotone(probe.certificate,
-                                        "maintain:negative-weight")
-        if probe.decision == FAIL:
-            return Verdict.monotone("maintain:check-fail")
-    for r in range(sched.m_rounds):
-        eta = random_assignment(high, f.ambient_n,
-                                rng.child("eta", r).generator)
-        sub = restrict(f, compose(rho_p, eta))
-        reg = check_fourier_regular(sub, None, sched.m_cfr_threshold,
-                                    delta / 2.0, rng.child("cfr", r).generator)
-        mean = estimate_mean(sub, eps / 6.0, delta / 2.0,
-                             rng.child("mean", r).generator)
-        if reg.is_regular and abs(mean.value) <= 1.0 - 7.0 * eps / 6.0:
-            return eta
-    return Verdict.monotone("maintain:round-exhaustion")

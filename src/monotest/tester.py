@@ -37,7 +37,6 @@ from .subroutines import (
     edge_tester,
     find_balanced_restriction,
     find_hi_influence_vars,
-    maintain_regular_and_balanced,
 )
 
 
@@ -66,44 +65,71 @@ class QueryLedger:
         return self.queries_rb + self.queries_main + self.queries_edge
 
 
-def regularize_and_balance(f: OracleHandle, eps: float,
-                           sched: ParameterSchedule, rng: SplitRng
+def _regular_balanced_step(f: OracleHandle, base: Restriction, eps: float,
+                           tau_p: float, delta: float, threshold: float,
+                           rounds: int, min_call_delta: float, prefix: str,
+                           label: str, rng: SplitRng
                            ) -> Union[Verdict, Restriction]:
-    """Initialization phase.
+    """Pull out the high-influence variables of f under base, certify that
+    their weights are positive (rejecting on any witnessed negative), then
+    fix them so that the remainder looks Fourier-regular and balanced.
 
-    Either rejects with a certificate, gives up with a diagnostic "monotone"
-    verdict, or returns a restriction fixing the high-influence variables
-    under which the function looked regular and balanced.
+    Returns the fixing restriction, whose support is exactly the discovered
+    high-influence set, a non-monotone verdict with certificate, or a
+    monotone verdict whose diagnostic `prefix:...` names the bailing branch.
+    The assignment of round r is drawn from the stream (label, r).
     """
-    tau_p, delta = sched.rb_tau_prime, sched.rb_delta
-    all_stars = Restriction.all_stars(f.ambient_n)
-    found = find_hi_influence_vars(f, all_stars, tau_p, delta,
+    found = find_hi_influence_vars(f, base, tau_p, delta,
                                    rng.child("influence"),
-                                   min_call_delta=sched.estimator_delta_floor)
+                                   min_call_delta=min_call_delta)
     if found.failed:
-        return Verdict.monotone("rb:influence-cap")
+        return Verdict.monotone(f"{prefix}:influence-cap")
     high = found.variables
     if high.size > 4.0 / tau_p ** 2:
-        return Verdict.monotone("rb:h-overflow")
+        return Verdict.monotone(f"{prefix}:h-overflow")
     for i in high:
-        probe = check_weight_positive(f, all_stars, int(i), tau_p / 2.0,
-                                      delta, rng.child("sign", int(i)))
+        probe = check_weight_positive(f, base, int(i), tau_p / 2.0, delta,
+                                      rng.child("sign", int(i)))
         if probe.decision == NEGATIVE:
             return Verdict.non_monotone(probe.certificate,
-                                        "rb:negative-weight")
+                                        f"{prefix}:negative-weight")
         if probe.decision == FAIL:
-            return Verdict.monotone("rb:check-fail")
-    for r in range(sched.rb_rounds):
-        rho = random_assignment(high, f.ambient_n,
-                                rng.child("rho", r).generator)
-        sub = restrict(f, rho)
-        reg = check_fourier_regular(sub, None, sched.rb_regular_threshold,
-                                    delta / 2.0, rng.child("cfr", r).generator)
+            return Verdict.monotone(f"{prefix}:check-fail")
+    for r in range(rounds):
+        fix = random_assignment(high, f.ambient_n,
+                                rng.child(label, r).generator)
+        sub = restrict(f, compose(base, fix))
+        reg = check_fourier_regular(sub, None, threshold, delta / 2.0,
+                                    rng.child("cfr", r).generator)
         mean = estimate_mean(sub, eps / 6.0, delta / 2.0,
                              rng.child("mean", r).generator)
         if reg.is_regular and abs(mean.value) <= 1.0 - 7.0 * eps / 6.0:
-            return rho
-    return Verdict.monotone("rb:round-exhaustion")
+            return fix
+    return Verdict.monotone(f"{prefix}:round-exhaustion")
+
+
+def regularize_and_balance(f: OracleHandle, eps: float,
+                           sched: ParameterSchedule, rng: SplitRng
+                           ) -> Union[Verdict, Restriction]:
+    """Initialization phase: the regularize-and-balance step on f itself,
+    with the rb_* schedule fields."""
+    return _regular_balanced_step(
+        f, Restriction.all_stars(f.ambient_n), eps, sched.rb_tau_prime,
+        sched.rb_delta, sched.rb_regular_threshold, sched.rb_rounds,
+        sched.estimator_delta_floor, "rb", "rho", rng)
+
+
+def maintain_regular_and_balanced(f: OracleHandle, rho_p: Restriction,
+                                  eps: float, sched: ParameterSchedule,
+                                  rng: SplitRng
+                                  ) -> Union[Verdict, Restriction]:
+    """Stage maintenance: the same step on f under rho_p, with the m_*
+    schedule fields.  A returned restriction fixes only the new variables;
+    the caller composes it with rho_p."""
+    return _regular_balanced_step(
+        f, rho_p, eps, sched.m_tau_prime, sched.m_delta,
+        sched.m_cfr_threshold, sched.m_rounds, sched.estimator_delta_floor,
+        "maintain", "eta", rng)
 
 
 def main_procedure(f: OracleHandle, rho: Restriction, eps: float,

@@ -202,6 +202,28 @@ def exact_mean(spec: LTFSpec) -> float:
     return (2 * plus - (1 << spec.n)) / (1 << spec.n)
 
 
+def ltf_mean(spec: LTFSpec, rng: Optional[np.random.Generator],
+             samples: int) -> float:
+    """E[f] over the uniform cube: exact for n <= 20 (see exact_mean), else
+    the mean of f over `samples` uniform points drawn from rng.
+
+    The sample sum is exact, and batches of a multiple of 4 rows draw the
+    bytes of one whole draw (see bits.chunk_rows), so the value does not
+    depend on the batch size.
+    """
+    if spec.n <= EXACT_MAX_N:
+        return exact_mean(spec)
+    if rng is None:
+        raise ValueError("rng required for the Monte-Carlo mean above n=20")
+    ev = LTFEvaluator(spec)
+    chunk = bits.chunk_rows(samples, bits.nbytes(spec.n))
+    total = 0
+    for lo in range(0, samples, chunk):
+        pts = bits.random_packed(rng, min(chunk, samples - lo), spec.n)
+        total += int(ev(pts).astype(np.int64).sum())
+    return total / samples
+
+
 def min_boundary_gap(spec: LTFSpec) -> float:
     """min_x |w.x - theta| over the cube (n <= 20); 0 means a boundary point."""
     if spec.n > EXACT_MAX_N:
@@ -232,18 +254,8 @@ def classify_non_monotone(spec: LTFSpec, tau: float, gamma: float, lam: float,
     squared-weight fraction >= lam.  The mean is exact for n <= 20 and
     Monte-Carlo above that (rng required)."""
     profile = WeightProfile.from_weights(spec.weights)
-    if spec.n <= EXACT_MAX_N:
-        mu, method = exact_mean(spec), "exact"
-    else:
-        if rng is None:
-            raise ValueError("rng required for MC balance above n=20")
-        ev = LTFEvaluator(spec)
-        chunk = bits.chunk_rows(mc_samples, bits.nbytes(spec.n))
-        total = 0
-        for lo in range(0, mc_samples, chunk):
-            pts = bits.random_packed(rng, min(chunk, mc_samples - lo), spec.n)
-            total += int(ev(pts).astype(np.int64).sum())
-        mu, method = total / mc_samples, "mc"
+    mu = ltf_mean(spec, rng, mc_samples)
+    method = "exact" if spec.n <= EXACT_MAX_N else "mc"
     regular = profile.regularity <= tau
     balanced = abs(mu) <= 1.0 - gamma
     significant = profile.neg_fraction >= lam

@@ -22,6 +22,7 @@ from monotest.generators import (
     MONOTONE_RANDOM,
     PLANTED_NEGATIVE_MASS,
     SIGNED_MAJORITY,
+    grid_spec,
 )
 from monotest.harness import SuiteConfig, default_threads, run_suite
 from monotest.oracle import (
@@ -67,14 +68,6 @@ def run_and_track(config):
 
 def rng_at(seed, *path):
     return SplitRng(seed, path)
-
-
-def grid_spec(gen, n, scale=8, signed=True):
-    w = np.round(gen.standard_normal(n) * scale)
-    w[w == 0] = 1.0
-    if not signed:
-        w = np.abs(w)
-    return LTFSpec(w, float(gen.integers(-scale, scale)) + 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from monotest import bits, generators
+from monotest import bits
 from monotest.generators import (
     ADVERSARIAL,
     HEAVY_COORDINATE,
@@ -22,7 +22,11 @@ from monotest.harness import (
 )
 from monotest.oracle import LTFEvaluator, LTFSpec
 from monotest.rng import SplitRng, generator_for
-from monotest.truth import WeightProfile, dist_ltf_to_monotone_exact
+from monotest.truth import (
+    WeightProfile,
+    dist_ltf_to_monotone_exact,
+    ltf_mean,
+)
 
 
 def rng_at(seed, *path):
@@ -79,7 +83,7 @@ def test_mc_mean_chunked_matches_one_draw():
     spec = LTFSpec(np.round(np.abs(gen.standard_normal(n)) * 16) + 1, 40.5)
     one = bits.random_packed(generator_for(5, "mean"), samples, n)
     expect = float(LTFEvaluator(spec)(one).astype(np.float64).mean())
-    got = generators._mc_mean(spec, generator_for(5, "mean"), samples)
+    got = ltf_mean(spec, generator_for(5, "mean"), samples)
     assert got == expect and abs(got) < 1.0
 
 

@@ -48,16 +48,6 @@ def test_pack_unpack_roundtrip(n, seed):
     assert np.array_equal(bits.pack(pm, n), packed)
 
 
-def test_bit_column_ops():
-    rng = generator_for(7, "bits")
-    X = bits.random_packed(rng, 64, 19)
-    bits.set_bit_column(X, 11, plus=True)
-    assert np.all(bits.get_bit_column(X, 11) == 1)
-    assert np.all(bits.unpack(X, 19)[:, 11] == 1)
-    bits.set_bit_column(X, 11, plus=False)
-    assert np.all(bits.unpack(X, 19)[:, 11] == -1)
-
-
 @pytest.mark.parametrize("m,n", [(4, 8), (5, 8), (6, 8), (7, 8),
                                  (4, 20), (3, 20), (2, 20), (1, 20),
                                  (0, 20), (3, 40), (1000, 1024)])

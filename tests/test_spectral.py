@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from monotest import bits
+from monotest.generators import grid_spec
 from monotest.oracle import (
     LTFEvaluator,
     LTFSpec,
@@ -38,12 +39,6 @@ def majority_degree1(k):
     return math.comb(k - 1, (k - 1) // 2) / 2 ** (k - 1)
 
 
-def random_grid_spec(rng, n, scale=8):
-    w = np.round(rng.standard_normal(n) * scale)
-    w[w == 0] = 1.0
-    return LTFSpec(w, float(rng.integers(-scale, scale)) + 0.5)
-
-
 # ---------------------------------------------------------------------------
 # exact spectrum
 
@@ -63,7 +58,7 @@ def test_spectrum_matches_brute_force():
     rng = generator_for(1, "bf-spec")
     for _ in range(5):
         n = int(rng.integers(1, 6))
-        spec = random_grid_spec(rng, n)
+        spec = grid_spec(rng, n)
         table = truth_table(spec)
         sp = exact_spectrum(spec)
         for size in range(n + 1):
@@ -99,7 +94,7 @@ def test_parseval_random_ltfs():
     rng = generator_for(2, "parseval")
     for _ in range(20):
         n = int(rng.integers(1, 11))
-        sp = exact_spectrum(random_grid_spec(rng, n))
+        sp = exact_spectrum(grid_spec(rng, n))
         assert abs(sp.total_mass() - 1.0) <= 1e-9
 
 
@@ -107,7 +102,7 @@ def test_degree1_equals_influence():
     rng = generator_for(3, "inf")
     for _ in range(20):
         n = int(rng.integers(1, 13))
-        spec = random_grid_spec(rng, n)
+        spec = grid_spec(rng, n)
         sp = exact_spectrum(spec)
         inf = exact_influences(spec)
         assert np.allclose(np.abs(sp.degree1), inf, atol=1e-12)
@@ -195,7 +190,7 @@ def test_squares_calibration_against_spectrum():
     rng = generator_for(7, "calib")
     for trial in range(10):
         n = int(rng.integers(4, 13))
-        spec = random_grid_spec(rng, n)
+        spec = grid_spec(rng, n)
         t_set = sorted(rng.choice(n, size=max(1, n // 2), replace=False))
         truth = exact_spectrum(spec).degree1_mass(t_set)
         f = OracleHandle.for_spec(spec)
@@ -236,7 +231,7 @@ def test_squares_is_sum_of_per_coordinate_terms():
     # the terms come from one draw of the stream: ambient points, then the
     # dummy columns; checked against dense signed sums of that draw
     n, n_dummy, eta, delta = 11, 5, 0.2, 0.1
-    spec = random_grid_spec(generator_for(16, "terms-spec"), n)
+    spec = grid_spec(generator_for(16, "terms-spec"), n)
     f = OracleHandle.for_spec(spec)
     t_set = [0, 3, 4, 10, 12, 15]
     m = squares_sample_count(eta, delta, len(t_set))
@@ -301,7 +296,7 @@ def test_regularity_calibration_both_sides():
     tau = 0.5
     for trial in range(10):
         n = int(rng.integers(5, 13))
-        spec = random_grid_spec(rng, n)
+        spec = grid_spec(rng, n)
         sp = exact_spectrum(spec)
         f = OracleHandle.for_spec(spec)
         out = check_fourier_regular(f, None, tau, 0.05,

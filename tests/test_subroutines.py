@@ -8,6 +8,7 @@ from monotest.oracle import (
     LTFSpec,
     OracleHandle,
     Restriction,
+    Verdict,
     verify_certificate,
 )
 from monotest.rng import SplitRng
@@ -21,8 +22,8 @@ from monotest.subroutines import (
     edge_tester,
     find_balanced_restriction,
     find_hi_influence_vars,
-    maintain_regular_and_balanced,
 )
+from monotest.tester import maintain_regular_and_balanced
 
 
 def planted_heavy(n, heavy=8.0, sign=1.0):
@@ -291,7 +292,7 @@ def test_balance_search_gives_up_on_constant():
 
 
 # ---------------------------------------------------------------------------
-# maintain_regular_and_balanced
+# maintain_regular_and_balanced (the stage step, defined in tester)
 
 
 def test_maintain_rejects_planted_negative():
@@ -302,7 +303,7 @@ def test_maintain_rejects_planted_negative():
         f = OracleHandle.for_spec(spec)
         out = maintain_regular_and_balanced(f, Restriction.all_stars(33),
                                             0.1, sched, rng_at(t, "mrb"))
-        if isinstance(out, subroutines.Verdict) and not out.is_monotone:
+        if isinstance(out, Verdict) and not out.is_monotone:
             assert verify_certificate(f, out.certificate)
             hits += 1
     assert hits >= 24  # contract asks >= 80%
@@ -315,7 +316,7 @@ def test_maintain_monotone_never_rejects_and_eta_support():
         f = OracleHandle.for_spec(spec)
         out = maintain_regular_and_balanced(f, Restriction.all_stars(32),
                                             0.1, sched, rng_at(t, "mrb-mono"))
-        if isinstance(out, subroutines.Verdict):
+        if isinstance(out, Verdict):
             assert out.is_monotone
         else:
             assert isinstance(out, Restriction)

@@ -7,13 +7,16 @@ from monotest.oracle import (
     OracleHandle,
     Restriction,
     Verdict,
+    restrict,
     verify_certificate,
 )
 from monotest.rng import SplitRng
 from monotest.schedule import build_schedule
+from monotest.subroutines import check_weight_positive, edge_tester
 from monotest.tester import (
     QueryLedger,
     main_procedure,
+    maintain_regular_and_balanced,
     mono_test_ltf,
     regularize_and_balance,
 )
@@ -184,3 +187,93 @@ def test_full_tester_deterministic_given_seed():
                      None if v.certificate is None else v.certificate.to_dict(),
                      f.query_count))
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# pinned outcomes of the phase step, the sign probe and the edge tester
+
+
+def heavy_second(n, weight):
+    w = np.ones(n)
+    w[1] = weight
+    return LTFSpec(w, 0.0)
+
+
+def outcome(out, f):
+    """(outcome, diagnostic, queries, certificate) of a verdict, or
+    ("restriction", its string, queries) of a returned restriction."""
+    if isinstance(out, Restriction):
+        return ("restriction", str(out), f.query_count)
+    cert = None if out.certificate is None else out.certificate.to_dict()
+    return (out.outcome, out.diagnostic, f.query_count, cert)
+
+
+def stage_trace(ledger):
+    return [(s.t, s.stars_before, s.a_vars.tolist(), s.fixed_high.tolist(),
+             s.stars_after) for s in ledger.stages]
+
+
+def test_phase_step_outcomes_pinned():
+    # Exact results for fixed seeds: a changed stream key, draw order,
+    # parameter or diagnostic moves at least one of them.
+    n = 33
+    base = Restriction.fixing(n, {31: -1, 32: 1})
+    sched = build_schedule(n, 0.1)
+    neg, pos = heavy_second(n, -8.0), heavy_second(n, 8.0)
+
+    f = OracleHandle.for_spec(neg)
+    out = regularize_and_balance(f, 0.1, sched, rng_at(0, "rb"))
+    assert outcome(out, f) == (
+        "non-monotone", "rb:negative-weight", 50976,
+        {"point": "+--+++-----++-+++-+-+-+-++----+--", "coordinate": 1})
+    f = OracleHandle.for_spec(pos)
+    out = regularize_and_balance(f, 0.1, sched, rng_at(0, "rb"))
+    assert outcome(out, f) == (
+        "restriction", "*-*******************************", 170412)
+    const = OracleHandle.for_function(
+        lambda pm: np.ones(pm.shape[0], dtype=np.int8), 32)
+    out = regularize_and_balance(const, 0.3, build_schedule(32, 0.3),
+                                 rng_at(0, "c"))
+    assert outcome(out, const) == (
+        "monotone", "rb:round-exhaustion", 97316, None)
+
+    f = OracleHandle.for_spec(neg)
+    out = maintain_regular_and_balanced(f, base, 0.1, sched, rng_at(0, "m"))
+    assert outcome(out, f) == (
+        "non-monotone", "maintain:negative-weight", 50976,
+        {"point": "--++--+--+++-+++-+++-+-+++-++---+", "coordinate": 1})
+    f = OracleHandle.for_spec(pos)
+    out = maintain_regular_and_balanced(f, base, 0.1, sched, rng_at(0, "m"))
+    assert outcome(out, f) == (
+        "restriction", "*-*******************************", 170412)
+
+    f = OracleHandle.for_spec(neg)
+    probe = check_weight_positive(f, base, 1, 0.1, 0.1, rng_at(0, "sg"))
+    assert (probe.decision, probe.queries_used, f.query_count) == (
+        "negative", 94, 94)
+    assert probe.certificate.to_dict() == {
+        "point": "+-+-------+---+------+-+-++++-+-+", "coordinate": 1}
+
+    f = OracleHandle.for_spec(neg)
+    out = edge_tester(restrict(f, base), 0.2, 0.1, rng_at(0, "e"))
+    assert outcome(out, f) == (
+        "non-monotone", "edge:anti-monotone-edge", 2856,
+        {"point": "---+-+---+-++++-+--+++++-++-++--+", "coordinate": 1})
+
+    staged = staged_schedule(17, 0.25, floor=8)
+    f = OracleHandle.for_spec(LTFSpec(np.ones(17), 0.0))
+    ledger = QueryLedger()
+    out = main_procedure(f, Restriction.all_stars(17), 0.25, staged,
+                         rng_at(1, "st"), ledger)
+    assert outcome(out, f) == ("monotone", "edge:pass", 213084, None)
+    assert ledger.queries_edge == 646
+    assert stage_trace(ledger) == [
+        (0, 17, [1, 2, 3, 4, 5, 8, 9, 10, 14, 16], [], 7)]
+    f = OracleHandle.for_spec(LTFSpec(np.ones(17), 0.0))
+    ledger = QueryLedger()
+    out = mono_test_ltf(f, 0.25, staged, rng_at(4, "stf"), ledger)
+    assert outcome(out, f) == ("monotone", "edge:pass", 425522, None)
+    assert (ledger.queries_rb, ledger.queries_main,
+            ledger.queries_edge) == (60419, 364457, 646)
+    assert stage_trace(ledger) == [
+        (0, 17, [0, 3, 4, 5, 7, 9, 10, 11, 14, 16], [], 7)]
