@@ -8,9 +8,10 @@ Layers, bottom up:
   exact spectra for validation;
 * subroutines: influence discovery, weight-sign probing, the edge tester,
   and the stage balance search;
-* schedule / tester: derived parameters, the regularize-and-balance step
-  (run by the initialization phase and by each stage), and the two-phase
-  test;
+* schedule / tester: the desk-scale constants that replace the paper's
+  accuracy and confidence formulas, the (n, eps)-dependent round counts,
+  the regularize-and-balance step (run by the initialization phase and by
+  each stage), and the two-phase test;
 * truth: exact and Monte-Carlo ground-truth oracles for distance to
   monotone, with executable structural identities;
 * generators / harness / cli: certified instance families, seeded benchmark

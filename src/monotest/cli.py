@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 on any hard-invariant violation (a rejection of
 a known-monotone instance, or a certificate that fails re-verification),
-1 on operational errors such as an exhausted query budget.
+1 on operational errors such as an exhausted query budget or a command-line
+usage error.
 """
 
 from __future__ import annotations
@@ -196,8 +197,17 @@ def cmd_validate(args) -> int:
     return 2 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means a hard-invariant
+    violation, so usage errors exit 1.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monotest",
         description="One-sided monotonicity testing for halfspaces, with "
                     "instance generators, exact oracles, and benchmarks.")

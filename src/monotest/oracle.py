@@ -489,9 +489,6 @@ class OracleHandle:
             full = self.rho.merge(pm)
         return self.query_packed(bits.pack(full, self.ambient_n))
 
-    def query_point(self, point_pm: np.ndarray) -> int:
-        return int(self.query_pm(np.asarray(point_pm)[None, :])[0])
-
     def lift(self, packed: np.ndarray) -> np.ndarray:
         """Ambient packed points actually seen by the target for this batch."""
         packed = np.atleast_2d(packed)

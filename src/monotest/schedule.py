@@ -1,19 +1,33 @@
 """Derived parameters for the two-phase tester.
 
-Every quantity is recomputed from (n, eps, constants); nothing is hand-
-entered.  Two profiles ship:
+The paper drives the tester with parameters such as tau' = tau^2 eps^3 / C
+and eps' = eps^3 / (C ln(1/eps)).  Those call for sample sizes far beyond
+any executable budget, so the tester runs with the constants below instead.
+Each constant replaces a paper formula (written with C = 2) that it beats
+at every n >= 2 and eps in (0, 1/2]; tests/test_schedule.py checks each one
+on a grid.  Below, tau_p = lam eps / log2(n)^2 is the paper's tau, and
+lam <= 1/(144 ln 24) < 0.0022 and tau_p < 0.0011 since eps <= 1/2.
 
-* "theoretical": the literal formulas with large constants (100).  The
-  resulting sample sizes are astronomically beyond any executable budget;
-  the profile exists for inspection and for unit-level dry runs with mocked
-  estimators, and the schedule flags itself as such.
-* "practical": small constants (2) plus floors that keep every derived
-  accuracy, threshold, and round count at an executable scale.  Floors only
-  ever raise a value.  Raw formula values are kept alongside the effective
-  ones so logs show both.
+* INFLUENCE_TAU = 0.5 replaces the influence threshold of both phase steps:
+  tau_p^2 eps^3 / C (initialization) and (tau_p eps / C)^2 sqrt(lam)
+  (maintenance), both below 1e-6.
+* DELTA = 1e-3 replaces the confidences tau'^2 / C and tau'^2 / (C log2 n)
+  of the two steps (below 1e-12 with the tau' above) and the balance
+  search's eps^3 / (200 C log2(n)^2) <= 1/3200.
+* ESTIMATOR_DELTA = 1e-2 floors the influence search's per-block confidence
+  INFLUENCE_TAU^2 DELTA / (8 log2 n) <= 3.2e-5.
+* EDGE_EPS = 0.2 replaces the final edge test's eps^3 / (C ln(1/eps)),
+  which grows with eps and is below 0.091 at eps = 1/2.
+* EDGE_DELTA = 0.1 is the final edge test's confidence.
 
-Throughout, log means log base 2 (it only enters loop caps and confidence
-splits), except the ln(...) factors written explicitly in the formulas.
+With tau' = INFLUENCE_TAU, the paper's regularity checks use thresholds
+sqrt(12 tau' / eps) >= sqrt(12) (initialization) and
+sqrt(C tau' / sqrt(lam)) > 4.6 (maintenance).  Both exceed 1, no degree-1
+coefficient does, so no function fails them and the steps skip them:
+regularity up to INFLUENCE_TAU comes from the influence search alone.
+
+What still depends on (n, eps) lives in ParameterSchedule.  Throughout, log
+means log base 2, except the ln(...) factors written explicitly.
 """
 
 from __future__ import annotations
@@ -21,106 +35,39 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Optional
 
-PROFILE_PRACTICAL = "practical"
-PROFILE_THEORETICAL = "theoretical"
+INFLUENCE_TAU = 0.5
+DELTA = 1e-3
+ESTIMATOR_DELTA = 1e-2
+EDGE_EPS = 0.2
+EDGE_DELTA = 0.1
 
-
-@dataclass(frozen=True)
-class ScheduleConstants:
-    """The "large enough" constants and the profile's executability floors."""
-
-    c_rb: float      # regularize-and-balance rounds / parameter scale
-    c_m: float       # maintain-phase scale
-    c_br: float      # balanced-restriction rounds scale
-    c_eps: float     # final edge-test accuracy scale
-    tau_floor: Optional[float] = None        # weight-regularity target
-    delta_floor: Optional[float] = None      # confidence parameters
-    influence_floor: Optional[float] = None  # high-influence thresholds
-    estimator_delta_floor: Optional[float] = None  # per-call confidences
-    eps_prime_floor: Optional[float] = None  # edge-tester accuracy
-    round_cap: Optional[int] = None          # sampling-loop iteration cap
-
-
-THEORETICAL_CONSTANTS = ScheduleConstants(
-    c_rb=100.0, c_m=100.0, c_br=100.0, c_eps=100.0)
-
-PRACTICAL_CONSTANTS = ScheduleConstants(
-    c_rb=2.0, c_m=2.0, c_br=2.0, c_eps=2.0,
-    tau_floor=1e-3, delta_floor=1e-3,
-    influence_floor=0.5, estimator_delta_floor=1e-2,
-    eps_prime_floor=0.2, round_cap=256)
-
-
-def _floored(raw: float, floor: Optional[float]) -> float:
-    return raw if floor is None else max(raw, floor)
-
-
-def _capped_rounds(raw: float, cap: Optional[int]) -> int:
-    rounds = int(math.ceil(raw))
-    return rounds if cap is None else min(rounds, cap)
+C = 2.0            # the paper's "large enough" constant, at desk scale
+TAU_FLOOR = 1e-3   # keeps star_floor = 1/tau^2 at 1e6 or below
+ROUND_CAP = 256    # caps the balance-search and maintenance round counts
 
 
 @dataclass(frozen=True)
 class ParameterSchedule:
-    profile: str
     n: int
     eps: float
     eps_requested: float
-    log2n: float
-    constants: ScheduleConstants
-
-    # global targets
-    lam: float                 # eps^2 / (36 ln(12/eps))
-    tau_raw: float             # lam * eps / log2(n)^2
-    tau: float
-
-    # initialization phase
-    rb_tau_prime_raw: float    # tau^2 eps^3 / C_RB
-    rb_tau_prime: float
-    rb_delta_raw: float        # tau'^2 / C_RB
-    rb_delta: float
-    rb_regular_threshold: float  # sqrt(12 tau' / eps), from effective tau'
-    rb_rounds: int             # ceil(C_RB / eps)
-
-    # stage phase
-    stage_cap: int             # 4 log2(n)
-    star_floor: float          # 1 / tau^2 (effective tau)
-    fbr_rounds: int            # ceil(C_BR log2(n) / eps^3), capped
-    fbr_delta_raw: float       # eps^3 / (200 C_BR log2(n)^2)
-    fbr_delta: float
-    m_tau_prime_raw: float     # (tau eps / C_M)^2 sqrt(lam)
-    m_tau_prime: float
-    m_delta_raw: float         # tau'^2 / (C_M log2 n)
-    m_delta: float
-    m_tau_star: float          # tau' / sqrt(lam), from effective tau'
-    m_cfr_threshold: float     # sqrt(C_M tau_star)
-    m_rounds: int              # ceil(C_M log2(n) / sqrt(lam)), capped
-
-    # terminal edge test
-    eps_prime_raw: float       # eps^3 / (C ln(1/eps))
-    eps_prime: float
-    edge_delta: float = 0.1
-
-    @property
-    def estimator_delta_floor(self) -> Optional[float]:
-        return self.constants.estimator_delta_floor
-
-    @property
-    def expected_infeasible(self) -> bool:
-        """True when the raw accuracies imply unrunnable sample sizes."""
-        return self.rb_tau_prime < 1e-2 or self.eps_prime < 1e-4
+    lam: float         # eps^2 / (36 ln(12/eps))
+    tau: float         # max(lam eps / log2(n)^2, TAU_FLOOR)
+    star_floor: float  # 1 / tau^2: stages run while this many stars remain
+    rb_rounds: int     # ceil(C / eps)
+    stage_cap: int     # ceil(4 log2(n))
+    fbr_rounds: int    # min(ceil(C log2(n) / eps^3), ROUND_CAP)
+    m_rounds: int      # min(ceil(C log2(n) / sqrt(lam)), ROUND_CAP)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["constants"] = asdict(self.constants)
-        return d
+        return {**asdict(self), "influence_tau": INFLUENCE_TAU,
+                "delta": DELTA, "estimator_delta": ESTIMATOR_DELTA,
+                "edge_eps": EDGE_EPS, "edge_delta": EDGE_DELTA}
 
 
-def build_schedule(n: int, eps: float,
-                   profile: str = PROFILE_PRACTICAL) -> ParameterSchedule:
-    """Populate every derived parameter for a tester run on n variables.
+def build_schedule(n: int, eps: float) -> ParameterSchedule:
+    """Populate every (n, eps)-dependent parameter for a run on n variables.
 
     eps is clamped into (0, 1/2]: the distance to monotone never exceeds 1/2,
     so larger requests are equivalent to 1/2 (a warning is emitted).
@@ -134,52 +81,15 @@ def build_schedule(n: int, eps: float,
         warnings.warn(f"eps={eps} clamped to 0.5 "
                       "(distance to monotone is at most 1/2)", stacklevel=2)
         eps = 0.5
-    if profile == PROFILE_PRACTICAL:
-        const = PRACTICAL_CONSTANTS
-    elif profile == PROFILE_THEORETICAL:
-        const = THEORETICAL_CONSTANTS
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
-
     log2n = math.log2(n)
     lam = eps * eps / (36.0 * math.log(12.0 / eps))
-    tau_raw = lam * eps / log2n ** 2
-    tau = _floored(tau_raw, const.tau_floor)
-
-    rb_tau_prime_raw = tau_raw ** 2 * eps ** 3 / const.c_rb
-    rb_tau_prime = _floored(rb_tau_prime_raw, const.influence_floor)
-    rb_delta_raw = rb_tau_prime_raw ** 2 / const.c_rb
-    rb_delta = _floored(rb_delta_raw, const.delta_floor)
-    rb_regular_threshold = math.sqrt(12.0 * rb_tau_prime / eps)
-    rb_rounds = _capped_rounds(const.c_rb / eps, None)
-
-    fbr_delta_raw = eps ** 3 / (200.0 * const.c_br * log2n ** 2)
-    m_tau_prime_raw = (tau_raw * eps / const.c_m) ** 2 * math.sqrt(lam)
-    m_tau_prime = _floored(m_tau_prime_raw, const.influence_floor)
-    m_delta_raw = m_tau_prime_raw ** 2 / (const.c_m * log2n)
-    m_tau_star = m_tau_prime / math.sqrt(lam)
-
-    eps_prime_raw = eps ** 3 / (const.c_eps * math.log(1.0 / eps))
+    # above the floor only at n = 2 with eps near 1/2
+    tau = max(lam * eps / log2n ** 2, TAU_FLOOR)
     return ParameterSchedule(
-        profile=profile, n=n, eps=eps, eps_requested=eps_requested,
-        log2n=log2n, constants=const,
-        lam=lam, tau_raw=tau_raw, tau=tau,
-        rb_tau_prime_raw=rb_tau_prime_raw, rb_tau_prime=rb_tau_prime,
-        rb_delta_raw=rb_delta_raw, rb_delta=rb_delta,
-        rb_regular_threshold=rb_regular_threshold, rb_rounds=rb_rounds,
-        stage_cap=int(math.ceil(4 * log2n)),
+        n=n, eps=eps, eps_requested=eps_requested, lam=lam, tau=tau,
         star_floor=1.0 / tau ** 2,
-        fbr_rounds=_capped_rounds(const.c_br * log2n / eps ** 3,
-                                  const.round_cap),
-        fbr_delta_raw=fbr_delta_raw,
-        fbr_delta=_floored(fbr_delta_raw, const.delta_floor),
-        m_tau_prime_raw=m_tau_prime_raw, m_tau_prime=m_tau_prime,
-        m_delta_raw=m_delta_raw,
-        m_delta=_floored(m_delta_raw, const.delta_floor),
-        m_tau_star=m_tau_star,
-        m_cfr_threshold=math.sqrt(const.c_m * m_tau_star),
-        m_rounds=_capped_rounds(const.c_m * log2n / math.sqrt(lam),
-                                const.round_cap),
-        eps_prime_raw=eps_prime_raw,
-        eps_prime=_floored(eps_prime_raw, const.eps_prime_floor),
+        rb_rounds=int(math.ceil(C / eps)),
+        stage_cap=int(math.ceil(4 * log2n)),
+        fbr_rounds=min(int(math.ceil(C * log2n / eps ** 3)), ROUND_CAP),
+        m_rounds=min(int(math.ceil(C * log2n / math.sqrt(lam))), ROUND_CAP),
     )

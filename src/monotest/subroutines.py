@@ -26,7 +26,7 @@ from .oracle import (
     restrict,
 )
 from .rng import SplitRng
-from .schedule import ParameterSchedule
+from .schedule import DELTA, ParameterSchedule
 from .spectral import degree1_square_terms, estimate_mean, squares_sample_count
 # not called here any more, but perfbench/tracing.py wraps them under these names
 from .spectral import check_fourier_regular  # noqa: F401
@@ -100,7 +100,8 @@ def find_hi_influence_vars(f: OracleHandle, rho: Restriction, tau: float,
     budget as one fresh batch per block.
 
     min_call_delta, when given, floors the per-block confidence parameter
-    (profile knob; the formula value is used whenever it is larger).
+    (the tester passes schedule.ESTIMATOR_DELTA; the formula value is used
+    whenever it is larger).
     """
     view = restrict(f, rho)
     k = view.domain_size
@@ -259,7 +260,7 @@ def find_balanced_restriction(f: OracleHandle, rho_t: Restriction,
     under which the restricted function looks nearly balanced.
 
     Each round draws a uniform assignment of a_vars and accepts as soon as a
-    mean estimate (accuracy 0.01) lands within +-0.03.  Returns None when
+    mean estimate (accuracy 0.01, confidence 1 - DELTA) lands within +-0.03.  Returns None when
     every round is exhausted: the caller treats that as a give-up signal.
     """
     a_vars = np.asarray(sorted(int(i) for i in a_vars), dtype=np.int64)
@@ -267,7 +268,7 @@ def find_balanced_restriction(f: OracleHandle, rho_t: Restriction,
         rho_star = random_assignment(a_vars, f.ambient_n,
                                      rng.child("assign", r).generator)
         rho_p = compose(rho_t, rho_star)
-        est = estimate_mean(restrict(f, rho_p), 0.01, sched.fbr_delta,
+        est = estimate_mean(restrict(f, rho_p), 0.01, DELTA,
                             rng.child("mean", r).generator)
         if abs(est.value) <= 0.03:
             return rho_p

@@ -1,11 +1,13 @@
 """The two-phase monotonicity tester for halfspaces.
 
 Phase 1 (initialization) strips out high-influence variables after checking
-their weight signs, then fixes them so the remainder is Fourier-regular and
-balanced.  Phase 2 repeatedly halves the set of free variables, keeping the
-restricted function regular and balanced, until few enough variables remain
-that the plain edge tester is affordable; any witnessed anti-monotone edge
-along the way rejects immediately.
+their weight signs, then fixes them under an assignment that leaves the
+remainder balanced; with every coefficient of size INFLUENCE_TAU or more
+fixed, the remainder is regular up to INFLUENCE_TAU.  Phase 2 repeatedly
+halves the set of free variables, keeping the restricted function balanced
+the same way, until few enough variables remain that the plain edge tester
+is affordable; any witnessed anti-monotone edge along the way rejects
+immediately.
 
 One-sidedness is structural: the only rejecting paths carry a certificate
 extracted from an actually-queried anti-monotone edge, so a monotone input
@@ -28,8 +30,17 @@ from .oracle import (
     restrict,
 )
 from .rng import SplitRng
-from .schedule import ParameterSchedule
-from .spectral import check_fourier_regular, estimate_mean
+from .schedule import (
+    DELTA,
+    EDGE_DELTA,
+    EDGE_EPS,
+    ESTIMATOR_DELTA,
+    INFLUENCE_TAU,
+    ParameterSchedule,
+)
+from .spectral import estimate_mean
+# not called here any more, but perfbench/tracing.py wraps it under this name
+from .spectral import check_fourier_regular  # noqa: F401
 from .subroutines import (
     FAIL,
     NEGATIVE,
@@ -66,30 +77,29 @@ class QueryLedger:
 
 
 def _regular_balanced_step(f: OracleHandle, base: Restriction, eps: float,
-                           tau_p: float, delta: float, threshold: float,
-                           rounds: int, min_call_delta: float, prefix: str,
-                           label: str, rng: SplitRng
-                           ) -> Union[Verdict, Restriction]:
-    """Pull out the high-influence variables of f under base, certify that
-    their weights are positive (rejecting on any witnessed negative), then
-    fix them so that the remainder looks Fourier-regular and balanced.
+                           rounds: int, prefix: str, label: str,
+                           rng: SplitRng) -> Union[Verdict, Restriction]:
+    """Pull out the variables of f under base whose degree-1 coefficient
+    reaches INFLUENCE_TAU, certify that their weights are positive
+    (rejecting on any witnessed negative), then fix them under an
+    assignment that leaves the remainder balanced.
 
     Returns the fixing restriction, whose support is exactly the discovered
     high-influence set, a non-monotone verdict with certificate, or a
     monotone verdict whose diagnostic `prefix:...` names the bailing branch.
     The assignment of round r is drawn from the stream (label, r).
     """
-    found = find_hi_influence_vars(f, base, tau_p, delta,
+    found = find_hi_influence_vars(f, base, INFLUENCE_TAU, DELTA,
                                    rng.child("influence"),
-                                   min_call_delta=min_call_delta)
+                                   min_call_delta=ESTIMATOR_DELTA)
     if found.failed:
         return Verdict.monotone(f"{prefix}:influence-cap")
     high = found.variables
-    if high.size > 4.0 / tau_p ** 2:
+    if high.size > 4.0 / INFLUENCE_TAU ** 2:
         return Verdict.monotone(f"{prefix}:h-overflow")
     for i in high:
-        probe = check_weight_positive(f, base, int(i), tau_p / 2.0, delta,
-                                      rng.child("sign", int(i)))
+        probe = check_weight_positive(f, base, int(i), INFLUENCE_TAU / 2.0,
+                                      DELTA, rng.child("sign", int(i)))
         if probe.decision == NEGATIVE:
             return Verdict.non_monotone(probe.certificate,
                                         f"{prefix}:negative-weight")
@@ -99,11 +109,9 @@ def _regular_balanced_step(f: OracleHandle, base: Restriction, eps: float,
         fix = random_assignment(high, f.ambient_n,
                                 rng.child(label, r).generator)
         sub = restrict(f, compose(base, fix))
-        reg = check_fourier_regular(sub, None, threshold, delta / 2.0,
-                                    rng.child("cfr", r).generator)
-        mean = estimate_mean(sub, eps / 6.0, delta / 2.0,
+        mean = estimate_mean(sub, eps / 6.0, DELTA / 2.0,
                              rng.child("mean", r).generator)
-        if reg.is_regular and abs(mean.value) <= 1.0 - 7.0 * eps / 6.0:
+        if abs(mean.value) <= 1.0 - 7.0 * eps / 6.0:
             return fix
     return Verdict.monotone(f"{prefix}:round-exhaustion")
 
@@ -112,24 +120,21 @@ def regularize_and_balance(f: OracleHandle, eps: float,
                            sched: ParameterSchedule, rng: SplitRng
                            ) -> Union[Verdict, Restriction]:
     """Initialization phase: the regularize-and-balance step on f itself,
-    with the rb_* schedule fields."""
+    with sched.rb_rounds rounds."""
     return _regular_balanced_step(
-        f, Restriction.all_stars(f.ambient_n), eps, sched.rb_tau_prime,
-        sched.rb_delta, sched.rb_regular_threshold, sched.rb_rounds,
-        sched.estimator_delta_floor, "rb", "rho", rng)
+        f, Restriction.all_stars(f.ambient_n), eps, sched.rb_rounds,
+        "rb", "rho", rng)
 
 
 def maintain_regular_and_balanced(f: OracleHandle, rho_p: Restriction,
                                   eps: float, sched: ParameterSchedule,
                                   rng: SplitRng
                                   ) -> Union[Verdict, Restriction]:
-    """Stage maintenance: the same step on f under rho_p, with the m_*
-    schedule fields.  A returned restriction fixes only the new variables;
-    the caller composes it with rho_p."""
-    return _regular_balanced_step(
-        f, rho_p, eps, sched.m_tau_prime, sched.m_delta,
-        sched.m_cfr_threshold, sched.m_rounds, sched.estimator_delta_floor,
-        "maintain", "eta", rng)
+    """Stage maintenance: the same step on f under rho_p, with
+    sched.m_rounds rounds.  A returned restriction fixes only the new
+    variables; the caller composes it with rho_p."""
+    return _regular_balanced_step(f, rho_p, eps, sched.m_rounds,
+                                  "maintain", "eta", rng)
 
 
 def main_procedure(f: OracleHandle, rho: Restriction, eps: float,
@@ -168,8 +173,8 @@ def main_procedure(f: OracleHandle, rho: Restriction, eps: float,
         if t > sched.stage_cap:
             return Verdict.monotone("main:loop-cap")
     before = f.query_count
-    verdict = edge_tester(restrict(f, rho_t), sched.eps_prime,
-                          sched.edge_delta, rng.child("edge"))
+    verdict = edge_tester(restrict(f, rho_t), EDGE_EPS, EDGE_DELTA,
+                          rng.child("edge"))
     if ledger is not None:
         ledger.queries_edge += f.query_count - before
     return verdict

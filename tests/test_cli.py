@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from monotest.cli import main
 
 
@@ -66,3 +68,16 @@ def test_validate_command(tmp_path):
                      "negative-mass-lower-bound"}
     for check in report["checks"]:
         assert check.get("fail", 0) == 0
+
+
+def test_usage_error_exits_1(tmp_path):
+    # 2 is reserved for hard-invariant violations
+    out_dir = tmp_path / "inst"
+    main(["gen", "--family", "monotone-random", "--n", "16", "--count", "1",
+          "--seed", "1", "--out-dir", str(out_dir)])
+    instance = next(p for p in out_dir.glob("*.json")
+                    if not p.name.endswith(".meta.json"))
+    with pytest.raises(SystemExit) as exc:
+        main(["test", "--instance", str(instance), "--epsilon", "0.1",
+              "--profile", "theoretical"])
+    assert exc.value.code == 1
