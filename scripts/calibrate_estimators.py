@@ -4,7 +4,11 @@
 For a grid of (eta, delta) settings, measures the empirical failure rate of
 the degree-1 mass estimate and the regularity decision on random integer-
 grid halfspaces at n=12, where the exact Walsh-Hadamard spectrum is the
-ground truth.  Rates should sit well below the nominal delta.
+ground truth.  The mean-decision rows do the same for the bounded mean
+check (estimate_mean with a bound) against exact means: the rate at which
+it lands on the wrong side of the bound, and its mean queries per call next
+to the fixed Hoeffding count.  Rates should sit well below the nominal
+delta.
 
 Example:
     python scripts/calibrate_estimators.py --trials 100
@@ -12,6 +16,7 @@ Example:
 
 import argparse
 import json
+import math
 
 import numpy as np
 
@@ -22,9 +27,11 @@ from monotest.spectral import (
     NOT_REGULAR,
     REGULAR,
     check_fourier_regular,
+    estimate_mean,
     estimate_sum_of_squares,
     exact_spectrum,
 )
+from monotest.truth import exact_mean
 
 
 def main():
@@ -76,6 +83,32 @@ def main():
         rows.append({"estimator": "regularity", "tau": tau, "delta": delta,
                      "decidable_trials": decided,
                      "failure_rate": (wrong / decided) if decided else None})
+
+    # bounded mean check: wrong side of the bound, over the instances whose
+    # exact |mean| is at most bound - eps or above bound + eps
+    for eps, delta, bound in [(0.05, 0.05, 0.3), (0.01, 1e-3, 0.03)]:
+        wrong = 0
+        decided = 0
+        queries = 0
+        for inst in range(args.instances):
+            spec = grid_spec(gen, 12)
+            mean = abs(exact_mean(spec))
+            f = OracleHandle.for_spec(spec)
+            for trial in range(args.trials):
+                rng = SplitRng(args.seed, ("md", eps, inst, trial))
+                est = estimate_mean(f, eps, delta, rng.generator, bound=bound)
+                queries += est.queries_used
+                if mean <= bound - eps or mean > bound + eps:
+                    decided += 1
+                    wrong += (abs(est.value) <= bound) != (mean <= bound)
+        total = args.instances * args.trials
+        rows.append({"estimator": "mean-decision", "eps": eps,
+                     "delta": delta, "bound": bound,
+                     "decidable_trials": decided,
+                     "failure_rate": (wrong / decided) if decided else None,
+                     "queries_per_call": queries // total,
+                     "fixed_count": math.ceil(2 * math.log(2 / delta)
+                                              / eps ** 2)})
 
     text = json.dumps(rows, indent=2)
     if args.out:

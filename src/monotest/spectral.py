@@ -36,6 +36,7 @@ from .oracle import LTFEvaluator, LTFSpec, OracleHandle, truth_table
 CHUNK = 16384
 # sample-count multipliers; the calibration tests are the authority on these
 MEAN_CONST = 2.0           # Hoeffding: m = 2 ln(2/delta) / eps^2 exactly
+MEAN_FIRST_LOOK = 64       # the bounded mean check looks at 64 * 2^j samples
 SQUARES_CONST = 6.0
 FOURTH_CONST = 32.0
 SQUARES_CAP_CONST = 16.0   # cap: queries <= 16 ln(2/delta) / eta^4
@@ -107,25 +108,71 @@ def squares_sample_count(eta: float, delta: float, t_size: int) -> int:
 
 
 def estimate_mean(f: OracleHandle, eps: float, delta: float,
-                  rng: np.random.Generator) -> SpectralEstimate:
-    """Estimate E[f] to within +-eps with probability >= 1-delta.
+                  rng: np.random.Generator,
+                  bound: Optional[float] = None) -> SpectralEstimate:
+    """Estimate E[f] to within +-eps with probability >= 1-delta, or, given
+    a bound, decide on which side of it |E[f]| lies.
 
-    Uses ceil(2 ln(2/delta) / eps^2) uniform queries, the exact Hoeffding
-    count for +-1 outputs.
+    Without a bound: ceil(2 ln(2/delta) / eps^2) uniform queries, the exact
+    Hoeffding count for +-1 outputs.
+
+    With a bound, the caller's test `abs(value) <= bound` is right with
+    probability >= 1-delta whenever |E[f]| <= bound - eps (it passes) or
+    |E[f]| > bound + eps (it fails), as with the fixed-count estimate, but
+    the sample stops as soon as the side is proven.  The cap is
+    m = ceil(2 ln(4/delta) / eps^2).  The running mean is looked at after
+    m_j = MEAN_FIRST_LOOK * 2^j samples, for each of the K values m_j < m,
+    with radius r_j = sqrt(2 ln(4K/delta) / m_j).  It stops "inside" when
+    |mean_j| + r_j <= bound + eps and "outside" when
+    |mean_j| - r_j > bound - eps; otherwise it goes on to the cap and
+    returns the mean of all m samples.  queries_used counts the samples
+    actually drawn, and target_accuracy is r_j after an early stop.
+
+    Why this keeps the contract.  By Hoeffding, a look at m_j samples is
+    off by more than r_j with probability at most
+    2 exp(-m_j r_j^2 / 2) = delta / (2K), and the final look is off by more
+    than eps with probability at most 2 exp(-m eps^2 / 2) <= delta / 2.  By
+    the union bound, with probability >= 1-delta no look is off.  On that
+    event an inside stop gives |E[f]| <= |mean_j| + r_j <= bound + eps, so
+    E[f] is not on the failing side, and an outside stop gives
+    |E[f]| >= |mean_j| - r_j > bound - eps, so it is not on the passing
+    side; at the cap the value is within eps.  And since m_j <= m - 1 <
+    2 ln(4/delta) / eps^2, every early radius exceeds eps: an inside stop
+    leaves |mean_j| <= bound + eps - r_j < bound and an outside stop
+    |mean_j| > bound - eps + r_j > bound, so `abs(value) <= bound` picks
+    the side the interval proved, and the two stops never both hold.
+
+    Batches are drawn in multiples of 4 rows, so the first k samples are
+    the same whether or not the check stopped early (see bits.chunk_rows).
     """
     _check_unit("eps", eps)
     _check_unit("delta", delta)
-    m = int(math.ceil(MEAN_CONST * math.log(2.0 / delta) / eps ** 2))
+    sequential = bound is not None
+    log_term = math.log((4.0 if sequential else 2.0) / delta)
+    m = int(math.ceil(MEAN_CONST * log_term / eps ** 2))
     if m > MAX_FEASIBLE_QUERIES:
         raise InfeasibleBudgetError(f"mean estimate would need {m} queries")
+    looks = []
+    if sequential:
+        while MEAN_FIRST_LOOK << len(looks) < m:
+            looks.append(MEAN_FIRST_LOOK << len(looks))
+    # r_j^2 * m_j, the K early looks sharing delta / 2
+    look_log = MEAN_CONST * math.log(4.0 * max(1, len(looks)) / delta)
     total = 0.0
     chunk = bits.chunk_rows(CHUNK, bits.nbytes(f.ambient_n))
     done = 0
-    while done < m:
-        k = min(chunk, m - done)
-        pts = bits.random_packed(rng, k, f.ambient_n)
-        total += float(f.query_packed(pts).astype(np.float64).sum())
-        done += k
+    for target in looks + [m]:
+        while done < target:
+            k = min(chunk, target - done)
+            pts = bits.random_packed(rng, k, f.ambient_n)
+            total += float(f.query_packed(pts).astype(np.float64).sum())
+            done += k
+        if done < m:
+            value = total / done
+            radius = math.sqrt(look_log / done)
+            if (abs(value) + radius <= bound + eps
+                    or abs(value) - radius > bound - eps):
+                return SpectralEstimate(value, radius, delta, done)
     return SpectralEstimate(total / m, eps, delta, m)
 
 

@@ -260,7 +260,8 @@ def find_balanced_restriction(f: OracleHandle, rho_t: Restriction,
     under which the restricted function looks nearly balanced.
 
     Each round draws a uniform assignment of a_vars and accepts as soon as a
-    mean estimate (accuracy 0.01, confidence 1 - DELTA) lands within +-0.03.  Returns None when
+    mean check (accuracy 0.01, confidence 1 - DELTA) puts |E f| within 0.03;
+    the check stops once its side of 0.03 is proven.  Returns None when
     every round is exhausted: the caller treats that as a give-up signal.
     """
     a_vars = np.asarray(sorted(int(i) for i in a_vars), dtype=np.int64)
@@ -269,7 +270,7 @@ def find_balanced_restriction(f: OracleHandle, rho_t: Restriction,
                                      rng.child("assign", r).generator)
         rho_p = compose(rho_t, rho_star)
         est = estimate_mean(restrict(f, rho_p), 0.01, DELTA,
-                            rng.child("mean", r).generator)
+                            rng.child("mean", r).generator, bound=0.03)
         if abs(est.value) <= 0.03:
             return rho_p
     return None

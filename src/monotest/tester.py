@@ -87,7 +87,10 @@ def _regular_balanced_step(f: OracleHandle, base: Restriction, eps: float,
     Returns the fixing restriction, whose support is exactly the discovered
     high-influence set, a non-monotone verdict with certificate, or a
     monotone verdict whose diagnostic `prefix:...` names the bailing branch.
-    The assignment of round r is drawn from the stream (label, r).
+    The assignment of round r is drawn from the stream (label, r), and its
+    mean check (accuracy eps/6, confidence 1 - DELTA/2) stops as soon as it
+    has decided whether |E f| is within 1 - 7 eps/6.  When no variable is
+    high there is nothing to fix, so one round is run instead of `rounds`.
     """
     found = find_hi_influence_vars(f, base, INFLUENCE_TAU, DELTA,
                                    rng.child("influence"),
@@ -105,13 +108,15 @@ def _regular_balanced_step(f: OracleHandle, base: Restriction, eps: float,
                                         f"{prefix}:negative-weight")
         if probe.decision == FAIL:
             return Verdict.monotone(f"{prefix}:check-fail")
-    for r in range(rounds):
+    bound = 1.0 - 7.0 * eps / 6.0
+    # with nothing to fix, every round would re-test the same function
+    for r in range(rounds if high.size else 1):
         fix = random_assignment(high, f.ambient_n,
                                 rng.child(label, r).generator)
         sub = restrict(f, compose(base, fix))
         mean = estimate_mean(sub, eps / 6.0, DELTA / 2.0,
-                             rng.child("mean", r).generator)
-        if abs(mean.value) <= 1.0 - 7.0 * eps / 6.0:
+                             rng.child("mean", r).generator, bound=bound)
+        if abs(mean.value) <= bound:
             return fix
     return Verdict.monotone(f"{prefix}:round-exhaustion")
 

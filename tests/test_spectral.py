@@ -15,6 +15,7 @@ from monotest.oracle import (
     truth_table,
 )
 from monotest.rng import generator_for
+from monotest.truth import exact_mean
 from monotest.spectral import (
     InfeasibleBudgetError,
     NOT_REGULAR,
@@ -163,6 +164,106 @@ def test_mean_query_count_formula():
     est = estimate_mean(f, 0.2, 0.1, generator_for(10, "qc"))
     assert est.queries_used == f.query_count - before
     assert est.queries_used == math.ceil(2 * math.log(2 / 0.1) / 0.2 ** 2)
+
+
+# the bounded (sequential) mean check: (bound, eps, delta) settings
+MEAN_DECISIONS = [(0.5, 0.1, 0.1), (0.3, 0.05, 0.05)]
+
+
+def mean_cap(eps, delta):
+    return math.ceil(2 * math.log(4 / delta) / eps ** 2)
+
+
+def near_bound_specs(bound, eps):
+    """Halfspaces on 12 variables whose exact means lie just inside
+    bound - eps and just outside bound + eps, each with both signs:
+    returns [(spec, exact mean, |mean| <= bound - eps)]."""
+    w = np.arange(1.0, 13.0)
+    means = {t + 0.5: exact_mean(LTFSpec(w, t + 0.5)) for t in range(-79, 79)}
+    inside = max((m, t) for t, m in means.items() if 0 <= m <= bound - eps)
+    outside = min((m, t) for t, m in means.items() if m > bound + eps)
+    out = []
+    for (m, t), is_inside in ((inside, True), (outside, False)):
+        for sign in (1, -1):
+            spec = LTFSpec(w, sign * t)
+            assert exact_mean(spec) == sign * m
+            out.append((spec, sign * m, is_inside))
+    return out
+
+
+@pytest.mark.parametrize("bound,eps,delta", MEAN_DECISIONS)
+def test_mean_decision_wrong_side_rate(bound, eps, delta):
+    streams = 200
+    for idx, (spec, mean, inside) in enumerate(near_bound_specs(bound, eps)):
+        assert bound - eps - 0.05 < abs(mean) < bound + eps + 0.05
+        f = OracleHandle.for_spec(spec)
+        wrong = 0
+        for t in range(streams):
+            before = f.query_count
+            est = estimate_mean(f, eps, delta, generator_for(t, "md", idx),
+                                bound=bound)
+            assert est.queries_used == f.query_count - before
+            assert est.queries_used <= mean_cap(eps, delta)
+            wrong += (abs(est.value) <= bound) != inside
+        assert wrong / streams <= delta, (mean, wrong)
+
+
+def test_mean_decision_balanced_majority_stops_at_first_look():
+    # the initialization-phase check at eps = 0.1: accuracy eps/6, bound
+    # 1 - 7eps/6; a mean-zero input is proven inside after 64 samples
+    f = OracleHandle.for_spec(majority_spec(15))
+    for t in range(5):
+        est = estimate_mean(f, 0.1 / 6, 5e-4, generator_for(t, "maj-look"),
+                            bound=1 - 0.7 / 6)
+        assert est.queries_used == 64
+        assert abs(est.value) <= 1 - 0.7 / 6
+    assert f.query_count == 5 * 64
+
+
+@pytest.mark.parametrize("bound,eps,delta", MEAN_DECISIONS)
+def test_mean_decision_early_stops_pick_the_proven_side(bound, eps, delta):
+    cap = mean_cap(eps, delta)
+    looks = [64 << j for j in range(20) if 64 << j < cap]
+    log_term = 2 * math.log(4 * len(looks) / delta)
+    rng = generator_for(5, "md-side")
+    early = 0
+    for idx in range(40):
+        spec = LTFSpec(np.arange(1.0, 13.0), float(rng.integers(-40, 40)) + 0.5)
+        f = OracleHandle.for_spec(spec)
+        for t in range(10):
+            est = estimate_mean(f, eps, delta, generator_for(t, "side", idx),
+                                bound=bound)
+            if est.queries_used == cap:
+                continue
+            early += 1
+            assert est.queries_used in looks
+            radius = math.sqrt(log_term / est.queries_used)
+            assert est.target_accuracy == pytest.approx(radius, rel=1e-12)
+            assert radius > eps
+            proved_inside = abs(est.value) + radius <= bound + eps
+            proved_outside = abs(est.value) - radius > bound - eps
+            assert proved_inside != proved_outside
+            assert (abs(est.value) <= bound) == proved_inside
+    assert early >= 300
+
+
+def test_mean_decision_at_the_cap_is_the_fixed_count_estimate():
+    # mean 0.5 sits on the bound, so some streams never resolve early; those
+    # return the mean of the first cap samples, which is the fixed-count
+    # estimate at delta / 2 from the same stream
+    bound, eps, delta = 0.5, 0.1, 0.1
+    f = OracleHandle.for_spec(LTFSpec(np.ones(2), -0.5))
+    capped = 0
+    for t in range(40):
+        est = estimate_mean(f, eps, delta, generator_for(t, "cap"),
+                            bound=bound)
+        if est.queries_used < mean_cap(eps, delta):
+            continue
+        capped += 1
+        fixed = estimate_mean(f, eps, delta / 2, generator_for(t, "cap"))
+        assert fixed.queries_used == est.queries_used
+        assert (est.value, est.target_accuracy) == (fixed.value, eps)
+    assert capped >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 
@@ -11,8 +12,17 @@ from monotest.oracle import (
     verify_certificate,
 )
 from monotest.rng import SplitRng
-from monotest.schedule import build_schedule
-from monotest.subroutines import check_weight_positive, edge_tester
+from monotest.schedule import (
+    DELTA,
+    ESTIMATOR_DELTA,
+    INFLUENCE_TAU,
+    build_schedule,
+)
+from monotest.subroutines import (
+    check_weight_positive,
+    edge_tester,
+    find_hi_influence_vars,
+)
 from monotest.tester import (
     QueryLedger,
     main_procedure,
@@ -85,6 +95,27 @@ def test_rb_gives_up_on_constant():
     out = regularize_and_balance(f, 0.2, sched, rng_at(8, "rb-const"))
     assert isinstance(out, Verdict) and out.is_monotone
     assert out.diagnostic == "rb:round-exhaustion"
+
+
+def test_rb_gives_up_after_one_round_without_high_variables():
+    # mean 0.923 > 1 - 7eps/6: no variable is high, so the one round the
+    # step runs re-tests f itself and gives up
+    n, eps = 16, 0.1
+    spec = LTFSpec(np.ones(n), -6.5)
+    f = OracleHandle.for_spec(spec)
+    verdict = mono_test_ltf(f, eps, build_schedule(n, eps), SplitRng(3))
+    assert verdict.is_monotone
+    assert verdict.diagnostic == "rb:round-exhaustion"
+    assert f.query_count == 59056  # 1,245,224 when every round ran
+
+    g = OracleHandle.for_spec(spec)
+    found = find_hi_influence_vars(
+        g, Restriction.all_stars(n), INFLUENCE_TAU, DELTA,
+        SplitRng(3).child("rb").child("influence"),
+        min_call_delta=ESTIMATOR_DELTA)
+    assert found.variables.size == 0
+    mean_cap = math.ceil(2 * math.log(4 / (DELTA / 2)) / (eps / 6) ** 2)
+    assert f.query_count <= found.queries_used + mean_cap
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +260,13 @@ def test_phase_step_outcomes_pinned():
     f = OracleHandle.for_spec(pos)
     out = regularize_and_balance(f, 0.1, sched, rng_at(0, "rb"))
     assert outcome(out, f) == (
-        "restriction", "*-*******************************", 170412)
+        "restriction", "*-*******************************", 117732)
     const = OracleHandle.for_function(
         lambda pm: np.ones(pm.shape[0], dtype=np.int8), 32)
     out = regularize_and_balance(const, 0.3, build_schedule(32, 0.3),
                                  rng_at(0, "c"))
     assert outcome(out, const) == (
-        "monotone", "rb:round-exhaustion", 97316, None)
+        "monotone", "rb:round-exhaustion", 51120, None)
 
     f = OracleHandle.for_spec(neg)
     out = maintain_regular_and_balanced(f, base, 0.1, sched, rng_at(0, "m"))
@@ -245,7 +276,7 @@ def test_phase_step_outcomes_pinned():
     f = OracleHandle.for_spec(pos)
     out = maintain_regular_and_balanced(f, base, 0.1, sched, rng_at(0, "m"))
     assert outcome(out, f) == (
-        "restriction", "*-*******************************", 170412)
+        "restriction", "*-*******************************", 85792)
 
     f = OracleHandle.for_spec(neg)
     probe = check_weight_positive(f, base, 1, 0.1, 0.1, rng_at(0, "sg"))
@@ -265,15 +296,15 @@ def test_phase_step_outcomes_pinned():
     ledger = QueryLedger()
     out = main_procedure(f, Restriction.all_stars(17), 0.25, staged,
                          rng_at(1, "st"), ledger)
-    assert outcome(out, f) == ("monotone", "edge:pass", 213084, None)
+    assert outcome(out, f) == ("monotone", "edge:pass", 84342, None)
     assert ledger.queries_edge == 646
     assert stage_trace(ledger) == [
         (0, 17, [1, 2, 3, 4, 5, 8, 9, 10, 14, 16], [], 7)]
     f = OracleHandle.for_spec(LTFSpec(np.ones(17), 0.0))
     ledger = QueryLedger()
     out = mono_test_ltf(f, 0.25, staged, rng_at(4, "stf"), ledger)
-    assert outcome(out, f) == ("monotone", "edge:pass", 425522, None)
+    assert outcome(out, f) == ("monotone", "edge:pass", 118950, None)
     assert (ledger.queries_rb, ledger.queries_main,
-            ledger.queries_edge) == (60419, 364457, 646)
+            ledger.queries_edge) == (50928, 67376, 646)
     assert stage_trace(ledger) == [
         (0, 17, [0, 3, 4, 5, 7, 9, 10, 11, 14, 16], [], 7)]
