@@ -3,8 +3,9 @@
 
 Times, on one batch of QUERY_CHUNK points at each n in SIZES:
 
-* the halfspace evaluator on each backend that serves that n (truth table
-  for n <= 20, int16 and float64 byte tables above),
+* the halfspace evaluator on an integer instance (`eval.int`, the exact
+  branch) and a float instance (`eval.float`, the fsum-checked branch);
+  both use the truth table for n <= 20 and the byte tables above,
 * the sampler `bits.random_packed`,
 * the byte-histogram kernel `bits.byte_histograms` over every byte position,
   with +-1 weights.
@@ -51,11 +52,10 @@ def kernel_row(n, rows, repeats, gen):
              "float": LTFSpec(w + gen.uniform(0.0, 1e-3, size=n), theta)}
     batch = bits.random_packed(gen, rows, n)
     out = {}
-    for spec in specs.values():
+    for name, spec in specs.items():
         ev = LTFEvaluator(spec)
-        if f"eval.{ev.backend}" not in out:
-            out[f"eval.{ev.backend}"] = best_ns_per_point(
-                lambda: ev(batch), rows, repeats)
+        out[f"eval.{name}"] = best_ns_per_point(
+            lambda: ev(batch), rows, repeats)
     out["sampler"] = best_ns_per_point(
         lambda: bits.random_packed(gen, rows, n), rows, repeats)
     v = gen.integers(0, 2, size=rows).astype(np.float64) * 2.0 - 1.0

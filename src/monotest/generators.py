@@ -1,10 +1,10 @@
 """Instance generation with certified distances.
 
-All families emit integer-grid weights (|w_i| <= 4095) and half-integer
-thresholds, so |w.x - theta| >= 1/2 on every point: evaluations are exact in
-every backend and no instance sits near its own boundary.  Far instances
-ship with a certified distance: exact counting for n <= 20, Monte-Carlo with
-a stated radius above that.
+All families emit integer weights and thresholds that are half-integers or 0,
+so evaluations are exact (oracle.exact_in_float) and w.x - theta is 0 (the
+boundary, +1) or at least 1/2 away.  MAX_WEIGHT keeps instance draws as they
+were; the evaluator does not need it.  Far instances ship with a certified
+distance: exact counting for n <= TABLE_MAX_N, Monte-Carlo above that.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import LTFSpec
+from .oracle import TABLE_MAX_N, LTFSpec
 from .rng import SplitRng
 from .truth import (
     DistanceReport,
@@ -76,7 +76,7 @@ def _half_integer(x: float) -> float:
 
 def _certify(spec: LTFSpec, rng: SplitRng, mc_radius: float,
              mc_delta: float = 0.01) -> DistanceReport:
-    if spec.n <= 20:
+    if spec.n <= TABLE_MAX_N:
         return dist_ltf_to_monotone_exact(spec)
     samples = int(math.ceil(math.log(2.0 / mc_delta) / (2.0 * mc_radius ** 2)))
     return dist_ltf_to_monotone_mc(spec, samples, mc_delta,

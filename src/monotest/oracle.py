@@ -4,27 +4,22 @@ Sign convention, used everywhere: sign(t) = +1 iff t >= 0, so a halfspace
 f(x) = sign(w.x - theta) outputs +1 exactly when w.x >= theta.
 
 Every evaluation returns the true sign of w.x - theta, whatever the weights.
-LTFEvaluator has two backends, chosen automatically:
+eval_ltf, truth_table (through cube_margins) and LTFEvaluator share one rule:
+plain float arithmetic where exact_in_float holds (integer weights with
+sum |w_i| < 2^53), otherwise an fsum re-decision of near-threshold points,
+whose correctly rounded result has the exact sign.  Instances whose weights
+sit on an integer grid (every generator in this package emits such
+instances) have |w.x - theta| >= 1/2 or w.x = theta, the boundary case,
+which maps to +1.  LTFEvaluator has two backends, chosen by n:
 
 * truth table (n <= TABLE_MAX_N): the table is materialized once and
   queries become packed-index lookups.
-* byte tables: one 256-entry table of set-bit sums per byte of the packed
-  point.  A batch is read in row blocks of min(QUERY_CHUNK,
+* byte tables: one 256-entry float64 table of set-bit sums per byte of the
+  packed point.  A batch is read in row blocks of min(QUERY_CHUNK,
   bits.block_rows(nbytes)) rows, and within a block the tables are gathered
   one byte position at a time (table.take(block[:, p])) into a running row
   sum, so the block stays in cache and no index array wider than one column
-  is built.  Integer weights within INT_FAST_MAX_WEIGHT whose absolute sum is
-  below 2^31, with a half-integer threshold, get int16 tables summed exactly
-  in int32.  Any other instance gets float64 tables; a row whose float sum
-  lies within a forward-error bound of the threshold is re-decided with
-  math.fsum, whose correctly rounded result has the exact sign.
-
-eval_ltf and truth_table (through cube_margins) follow the same rule: plain
-float arithmetic where it is exact (integer weights with sum |w_i| < 2^53),
-an fsum re-decision of near-threshold points otherwise.  Instances whose
-weights sit on an integer grid (every generator in this package emits such
-instances, with half-integer thresholds) have |w.x - theta| >= 1/2 or
-w.x = theta, the boundary case, which maps to +1.
+  is built.
 """
 
 from __future__ import annotations
@@ -39,11 +34,7 @@ import numpy as np
 
 from . import bits
 
-TABLE_MAX_N = 20
-# int16 byte-table bounds: |w_i| <= 4095 keeps every per-byte sum within
-# int16, and sum |w_i| < 2^31 keeps every row total within int32.
-INT_FAST_MAX_WEIGHT = 4095.0
-INT_FAST_MAX_TOTAL = 2.0 ** 31
+TABLE_MAX_N = 20  # largest n whose cube is enumerated, here and in truth
 QUERY_CHUNK = 16384
 
 
@@ -212,8 +203,18 @@ def truth_table(spec: LTFSpec) -> np.ndarray:
 class LTFEvaluator:
     """Evaluates a halfspace on packed batches; returns int8 +-1 per row.
 
-    `backend` names the path taken: "truth-table", "int16" or "float64"
-    (see the module docstring).
+    `backend` names the path taken: "truth-table" or "byte-table".  With s
+    the set-bit sum of a row, w.x = 2s - sum(w), and a byte-table row is
+    decided by one subtraction and one comparison:
+
+    * exact_in_float(w): 2s - sum(w) >= theta.  Every table entry and
+      partial row sum is an integer of magnitude at most sum |w_i| < 2^53,
+      so it is exact; so are 2s and the correctly rounded 2s - sum(w) = w.x,
+      an integer of the same bound.  Comparing an exact w.x with any finite
+      theta is exact.  theta stays out of the offset: fl(theta + sum(w))
+      loses theta = 0.25 next to sum(w) = 2^52.
+    * otherwise: 2s - fsum(theta, w) >= 0, and a row whose margin lies
+      within _tie_bound of zero is re-decided with math.fsum.
     """
 
     def __init__(self, spec: LTFSpec):
@@ -226,32 +227,24 @@ class LTFEvaluator:
             self._index_pows = (256 ** np.arange(bits.nbytes(self.n),
                                                  dtype=np.int64))
             return
-        exact_int = (np.all(w == np.round(w))
-                     and np.all(np.abs(w) <= INT_FAST_MAX_WEIGHT)
-                     and np.abs(w).sum() < INT_FAST_MAX_TOTAL
-                     and float(spec.theta) * 2 == round(float(spec.theta) * 2))
+        self.backend = "byte-table"
         nb = bits.nbytes(self.n)
         wp = np.zeros(8 * nb, dtype=np.float64)
         wp[: self.n] = w
         # tables[p, b] = sum of the weights of the set bits of byte value b
         # at byte position p.  Filled row by row: one (nb, 8) @ (8, 256)
         # product raised the peak RSS of a whole n=4096 run by 4.5 MB.
-        self._tables = np.empty((nb, 256),
-                                dtype=np.int16 if exact_int else np.float64)
+        self._tables = np.empty((nb, 256), dtype=np.float64)
         bm = bits.BYTE_BITS.astype(np.float64)
         for p in range(nb):
             self._tables[p] = bm @ wp[8 * p: 8 * p + 8]
-        if exact_int:
-            self.backend = "int16"
-            self._acc_dtype = np.int32
-            # f = +1 iff 2*s - sum(w) >= theta, with s the set-bit sum; both
-            # sides are exact in float64
-            self._threshold = float(spec.theta + w.sum())
+        if exact_in_float(w):
+            self._offset = float(w.sum())
+            self._threshold = spec.theta
             self._tie_bound = None
         else:
-            self.backend = "float64"
-            self._acc_dtype = np.float64
-            self._threshold = math.fsum([spec.theta, *w])
+            self._offset = math.fsum([spec.theta, *w])
+            self._threshold = 0.0
             self._tie_bound = _tie_bound(w, spec.theta)
         self._rows = min(QUERY_CHUNK, bits.block_rows(nb))
 
@@ -263,12 +256,11 @@ class LTFEvaluator:
         rows = self._rows
         for lo in range(0, packed.shape[0], rows):
             block = packed[lo: lo + rows]
-            acc = np.zeros(block.shape[0], dtype=self._acc_dtype)
+            acc = np.zeros(block.shape[0])
             for p, table in enumerate(self._tables):
                 acc += table.take(block[:, p])
-            # doubled in float64: 2 * acc may not fit in int32
-            margin = 2.0 * acc - self._threshold
-            out[lo: lo + rows] = np.where(margin >= 0, 1, -1)
+            margin = 2.0 * acc - self._offset
+            out[lo: lo + rows] = np.where(margin >= self._threshold, 1, -1)
             if self._tie_bound is not None:
                 near = _near_threshold(margin, self._tie_bound)
                 if near.size:

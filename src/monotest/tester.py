@@ -192,7 +192,12 @@ def mono_test_ltf(f: OracleHandle, eps: float, sched: ParameterSchedule,
 
     The input is promised to be a halfspace; behaviour on other functions is
     unspecified.  A monotone input yields "monotone" with probability 1.
+    eps must be the value sched was built for; every phase runs with the
+    clamped sched.eps.
     """
+    if eps != sched.eps_requested:
+        raise ValueError(f"eps={eps} does not match the schedule")
+    eps = sched.eps
     start = f.query_count
     phase1 = regularize_and_balance(f, eps, sched, rng.child("rb"))
     if ledger is not None:

@@ -25,6 +25,7 @@ import numpy as np
 from . import bits
 from .matching import maximum_matching_size
 from .oracle import (
+    TABLE_MAX_N,
     LTFEvaluator,
     LTFSpec,
     cube_margins,
@@ -34,7 +35,6 @@ from .oracle import (
 )
 
 MATCHING_MAX_N = 12
-EXACT_MAX_N = 20
 # rows per Monte-Carlo batch, within bits.CHUNK_BYTES (see bits.chunk_rows)
 MC_CHUNK = 65536
 
@@ -164,8 +164,8 @@ def dist_ltf_to_monotone_exact(spec: LTFSpec) -> DistanceReport:
     slice over the negative coordinates.
     """
     n = spec.n
-    if n > EXACT_MAX_N:
-        raise ValueError(f"exact oracle limited to n <= {EXACT_MAX_N}")
+    if n > TABLE_MAX_N:
+        raise ValueError(f"exact oracle limited to n <= {TABLE_MAX_N}")
     c, g_plus, big_l = _slice_counts(spec)
     direct = int(np.where(g_plus, big_l - c, c).sum())
     minform = int(np.minimum(c, big_l - c).sum())
@@ -196,8 +196,8 @@ def dist_ltf_to_monotone_mc(spec: LTFSpec, samples: int, delta: float,
 
 def exact_mean(spec: LTFSpec) -> float:
     """E[f] over the uniform cube, by full subset-sum enumeration (n <= 20)."""
-    if spec.n > EXACT_MAX_N:
-        raise ValueError(f"exact mean limited to n <= {EXACT_MAX_N}")
+    if spec.n > TABLE_MAX_N:
+        raise ValueError(f"exact mean limited to n <= {TABLE_MAX_N}")
     plus = int(np.count_nonzero(cube_margins(spec) >= 0.0))
     return (2 * plus - (1 << spec.n)) / (1 << spec.n)
 
@@ -211,7 +211,7 @@ def ltf_mean(spec: LTFSpec, rng: Optional[np.random.Generator],
     bytes of one whole draw (see bits.chunk_rows), so the value does not
     depend on the batch size.
     """
-    if spec.n <= EXACT_MAX_N:
+    if spec.n <= TABLE_MAX_N:
         return exact_mean(spec)
     if rng is None:
         raise ValueError("rng required for the Monte-Carlo mean above n=20")
@@ -226,8 +226,8 @@ def ltf_mean(spec: LTFSpec, rng: Optional[np.random.Generator],
 
 def min_boundary_gap(spec: LTFSpec) -> float:
     """min_x |w.x - theta| over the cube (n <= 20); 0 means a boundary point."""
-    if spec.n > EXACT_MAX_N:
-        raise ValueError(f"boundary scan limited to n <= {EXACT_MAX_N}")
+    if spec.n > TABLE_MAX_N:
+        raise ValueError(f"boundary scan limited to n <= {TABLE_MAX_N}")
     return float(np.min(np.abs(cube_margins(spec))))
 
 
@@ -255,7 +255,7 @@ def classify_non_monotone(spec: LTFSpec, tau: float, gamma: float, lam: float,
     Monte-Carlo above that (rng required)."""
     profile = WeightProfile.from_weights(spec.weights)
     mu = ltf_mean(spec, rng, mc_samples)
-    method = "exact" if spec.n <= EXACT_MAX_N else "mc"
+    method = "exact" if spec.n <= TABLE_MAX_N else "mc"
     regular = profile.regularity <= tau
     balanced = abs(mu) <= 1.0 - gamma
     significant = profile.neg_fraction >= lam

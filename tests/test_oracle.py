@@ -18,6 +18,7 @@ from monotest.oracle import (
     Restriction,
     compose,
     eval_ltf,
+    exact_in_float,
     random_assignment,
     random_point,
     restrict,
@@ -137,23 +138,24 @@ def test_truth_table_matches_pointwise(n, seed):
 
 
 def test_eval_backends_agree():
-    # same integer-grid halfspace through table (small n), int16 byte tables
-    # and float64 byte tables (large n, padded)
+    # same integer-grid halfspace through the truth table (small n) and the
+    # byte tables (large n, padded), with a half-integer and a non-half-integer
+    # threshold
     rng = generator_for(11, "backends")
     w = np.round(rng.standard_normal(50) * 64)
     w[w == 0] = 3.0
     theta = 7.5
     spec = LTFSpec(w, theta)
-    spec_float = LTFSpec(w + 0.25 - 0.25, theta + 1e-9)
+    spec_shifted = LTFSpec(w + 0.25 - 0.25, theta + 1e-9)
     X = bits.random_packed(rng, 2000, 50)
     a = OracleHandle.for_spec(spec).query_packed(X)
-    b = OracleHandle.for_spec(spec_float).query_packed(X)
+    b = OracleHandle.for_spec(spec_shifted).query_packed(X)
     # theta differs by 1e-9 but w.x - theta is never within 1e-9 of zero here
     assert np.array_equal(a, b)
-    # integer instances keep the int16 tables; the threshold shift moves the
-    # other one onto float64 tables
-    assert LTFEvaluator(spec).backend == "int16"
-    assert LTFEvaluator(spec_float).backend == "float64"
+    # integer weights take the exact branch, whatever the threshold
+    assert LTFEvaluator(spec).backend == "byte-table"
+    assert LTFEvaluator(spec_shifted).backend == "byte-table"
+    assert exact_in_float(spec.weights) and exact_in_float(spec_shifted.weights)
     assert LTFEvaluator(LTFSpec(w[:20], theta)).backend == "truth-table"
 
 
@@ -167,7 +169,8 @@ def _cancellation_spec(n):
 
 def test_cancellation_byte_tables():
     spec = _cancellation_spec(21)
-    assert LTFEvaluator(spec).backend == "float64"
+    assert LTFEvaluator(spec).backend == "byte-table"
+    assert not exact_in_float(spec.weights)
     ones = np.ones((1, 21), dtype=np.int8)
     assert OracleHandle.for_spec(spec).query_pm(ones)[0] == 1
     assert eval_ltf(spec, ones[0]) == 1
@@ -224,52 +227,80 @@ def _block_batch(rng, n, ties):
     return X
 
 
-def test_byte_table_blocks_match_eval_ltf_int16():
-    n = 4096
-    rng = generator_for(21, "blocks16")
+def _blocks_exact_spec(rng, n):
     w = rng.integers(-4095, 4096, size=n).astype(np.float64)
     x0 = random_point(n, rng)
-    spec = LTFSpec(w, float(w @ x0) - 0.5)   # x0 sits just above
-    assert LTFEvaluator(spec).backend == "int16"
-    X = _block_batch(rng, n, x0)
-    got = OracleHandle.for_spec(spec).query_pm(X)
-    assert list(got) == [eval_ltf(spec, x) for x in X]
+    return LTFSpec(w, float(w @ x0) - 0.5), x0   # x0 sits just above
 
 
-def test_byte_table_blocks_match_eval_ltf_float64():
+def _blocks_float_spec(rng, n):
     # w_0 = -w_1 = 2^60 cancel exactly wherever x_0 = x_1, but a float sum
     # loses the small weights next to them; theta = w.x0 is an exact tie
-    n = 4096
-    rng = generator_for(22, "blocks64")
     w = rng.integers(-1024, 1025, size=n) / 1024.0
     w[:2] = [2.0 ** 60, -(2.0 ** 60)]
     x0 = random_point(n, rng)
     x0[1] = x0[0]
     theta = float(sum(Fraction(wi) * int(xi) for wi, xi in zip(w, x0)))
-    spec = LTFSpec(w, theta)
-    assert LTFEvaluator(spec).backend == "float64"
-    X = _block_batch(rng, n, x0)
+    return LTFSpec(w, theta), x0
+
+
+@pytest.mark.parametrize("make,exact", [(_blocks_exact_spec, True),
+                                        (_blocks_float_spec, False)],
+                         ids=["exact", "float"])
+def test_byte_table_blocks_match_eval_ltf(make, exact):
+    n = 4096
+    spec, x0 = make(generator_for(21, "blocks"), n)
+    assert LTFEvaluator(spec).backend == "byte-table"
+    assert exact_in_float(spec.weights) == exact
+    X = _block_batch(generator_for(22, "blocks"), n, x0)
     got = OracleHandle.for_spec(spec).query_pm(X)
     assert list(got) == [eval_ltf(spec, x) for x in X]
     assert np.all(got[np.all(X == x0, axis=1)] == 1)
 
 
-def test_int16_admission_needs_int32_row_totals():
-    # every |w_i| <= 4095 and theta half-integer, but sum |w_i| >= 2^31:
-    # an int32 row total could overflow, so the instance takes float64 tables
-    n = 2 ** 31 // 4095 + 1
-    w = np.full(n, 4095.0)
-    w[1::2] = -4095.0
-    assert np.abs(w).sum() >= 2.0 ** 31
-    rng = generator_for(23, "admission")
-    x0 = bits.unpack(bits.random_packed(rng, 1, n), n)[0]
-    spec = LTFSpec(w, float(w @ x0) + 0.5)   # x0 sits just below
+def _int_weights_case(n, lo, hi, at_x0):
+    """Integer weights with |w_i| in [lo, hi) and random signs, and theta =
+    w.x0 + at_x0 at a random point x0."""
+    def make(rng):
+        w = rng.integers(lo, hi, size=n) * rng.choice([-1.0, 1.0], size=n)
+        x0 = random_point(n, rng)
+        return LTFSpec(w, float(w @ x0) + at_x0), x0
+    return make
+
+
+def _quarter_case(rng):
+    # theta = 0.25 next to sum(w) = 2^52 + 22: fl(theta + sum(w)) drops
+    # theta, so folding it into the offset would decide w.x = 0 as +1
+    w = np.array([2.0 ** 51, 2.0 ** 51] + [1.0] * 22)
+    x0 = np.array([1, -1] + [1] * 11 + [-1] * 11, dtype=np.int8)
+    assert w @ x0 == 0
+    return LTFSpec(w, 0.25), x0
+
+
+@pytest.mark.parametrize("make,expect_x0", [
+    (_int_weights_case(40, 4096, 2 ** 24, 0.5), -1),
+    # 40 weights of at least 2^27: sum |w_i| >= 5 * 2^30 > 2^31
+    (_int_weights_case(40, 2 ** 27, 2 ** 28, -0.5), 1),
+    (_int_weights_case(64, 1, 2 ** 20, 0.0), 1),   # x0 is a tie: +1
+    (_quarter_case, -1),
+], ids=["wide-weights", "wide-total", "integer-tie", "quarter-theta"])
+def test_exact_byte_tables_match_fractions(make, expect_x0):
+    rng = generator_for(23, "exact-path")
+    spec, x0 = make(rng)
+    n = spec.n
     ev = LTFEvaluator(spec)
-    assert ev.backend == "float64"
-    X = np.stack([x0, -x0, np.ones(n, dtype=np.int8)])
-    expect = [eval_ltf(spec, x) for x in X]
-    assert expect[0] == -1
-    assert list(ev(bits.pack(X, n))) == expect
+    assert ev.backend == "byte-table" and exact_in_float(spec.weights)
+    # x0, its one-flip neighbours and random points
+    flips = np.repeat(x0[None, :], n, axis=0)
+    flips[np.arange(n), np.arange(n)] *= -1
+    rand = bits.unpack(bits.random_packed(rng, 32, n), n)
+    pts = np.concatenate([x0[None, :], flips, rand])
+    fw = [Fraction(wi) for wi in spec.weights]
+    expect = [1 if sum(wi * int(xi) for wi, xi in zip(fw, x))
+              >= Fraction(spec.theta) else -1 for x in pts]
+    assert expect[0] == expect_x0
+    assert list(ev(bits.pack(pts, n))) == expect
+    assert [eval_ltf(spec, x) for x in pts] == expect
 
 
 def test_nonfast_float_weights_still_work():

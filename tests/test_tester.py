@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
+import pytest
 
+from monotest.generators import InstanceFamily, generate
 from monotest.oracle import (
     LTFSpec,
     OracleHandle,
@@ -218,6 +221,32 @@ def test_full_tester_deterministic_given_seed():
                      None if v.certificate is None else v.certificate.to_dict(),
                      f.query_count))
     assert runs[0] == runs[1]
+
+
+def test_full_tester_runs_with_the_clamped_eps():
+    # eps above 1/2 is clamped by the schedule, and the tester must run with
+    # the clamped value: with eps=0.9 the mean bound 1 - 7 eps/6 is below 0,
+    # so every round would give up, and eps=6 is outside the mean check's
+    # (0, 1)
+    spec = generate(InstanceFamily("signed-majority", 16, {"k": 8}),
+                    SplitRng(1, ("g",))).spec
+
+    def run(eps, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the clamp warning
+            sched = build_schedule(16, eps)
+        f = OracleHandle.for_spec(spec)
+        v = mono_test_ltf(f, eps, sched, SplitRng(seed))
+        return v.outcome, v.diagnostic, f.query_count
+
+    for seed in range(3):
+        at_half = run(0.5, seed)
+        assert at_half[0] == "non-monotone"
+        assert run(0.9, seed) == at_half
+        assert run(6.0, seed) == at_half
+    with pytest.raises(ValueError, match="does not match"):
+        mono_test_ltf(OracleHandle.for_spec(spec), 0.1,
+                      build_schedule(16, 0.2), SplitRng(0))
 
 
 # ---------------------------------------------------------------------------
