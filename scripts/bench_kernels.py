@@ -8,7 +8,11 @@ Times, on one batch of QUERY_CHUNK points at each n in SIZES:
   both use the truth table for n <= 20 and the byte tables above,
 * the sampler `bits.random_packed`,
 * the byte-histogram kernel `bits.byte_histograms` over every byte position,
-  with +-1 weights.
+  with +-1 weights,
+* one edge-tester batch (`edge`, in ns per edge, not per point): the
+  coordinate draw, the sampler and both endpoint evaluations of
+  `subroutines.EDGE_CHUNK` edges (fewer where the batch would exceed
+  `bits.CHUNK_BYTES`) on the integer instance.
 
 Each figure is the best of REPEATS runs, timed with time.perf_counter.
 The result is stored under --tag in BENCH_kernels.json, keeping the rows of
@@ -27,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from monotest import bits
-from monotest.oracle import QUERY_CHUNK, LTFEvaluator, LTFSpec
+from monotest.oracle import QUERY_CHUNK, LTFEvaluator, LTFSpec, OracleHandle
+from monotest.subroutines import EDGE_CHUNK, _query_edges
 
 
 OUT = Path("BENCH_kernels.json")
@@ -62,6 +67,13 @@ def kernel_row(n, rows, repeats, gen):
     positions = np.arange(batch.shape[1])
     out["byte_histograms"] = best_ns_per_point(
         lambda: bits.byte_histograms(batch, v, positions), rows, repeats)
+    f = OracleHandle.for_spec(specs["int"])
+    edges = bits.chunk_rows(EDGE_CHUNK, bits.nbytes(n), copies=2)
+
+    def edge_batch():
+        coords = gen.integers(0, n, size=edges)
+        _query_edges(f, bits.random_packed(gen, edges, n), coords)
+    out["edge"] = best_ns_per_point(edge_batch, edges, repeats)
     return {k: round(x, 1) for k, x in out.items()}
 
 

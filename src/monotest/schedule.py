@@ -17,7 +17,15 @@ lam <= 1/(144 ln 24) < 0.0022 and tau_p < 0.0011 since eps <= 1/2.
 * ESTIMATOR_DELTA = 1e-2 floors the influence search's per-block confidence
   INFLUENCE_TAU^2 DELTA / (8 log2 n) <= 3.2e-5.
 * EDGE_EPS = 0.2 replaces the final edge test's eps^3 / (C ln(1/eps)),
-  which grows with eps and is below 0.091 at eps = 1/2.
+  which grows with eps and is below 0.091 at eps = 1/2.  It sizes the
+  edge test only when Phase 1 or the stages leave fixed coordinates: the
+  test then runs on a restriction of f, whose distance to monotone is not
+  proven to be at least eps, and gets distance EDGE_EPS / 4, that is
+  ceil(4 m ln(1/EDGE_DELTA) / EDGE_EPS) edges for m free variables.  The
+  factor 4 is a stated margin without proof, kept until the distance of
+  the restricted functions is measured.  When no coordinate is fixed the
+  edge test runs on f itself and is sized from the run's eps (see
+  subroutines.edge_tester for the bound).
 * EDGE_DELTA = 0.1 is the final edge test's confidence.
 
 With tau' = INFLUENCE_TAU, the paper's regularity checks use thresholds

@@ -223,14 +223,27 @@ def check_weight_positive(f: OracleHandle, rho: Restriction, i: int,
 
 def edge_tester(f: OracleHandle, eps: float, delta: float,
                 rng: SplitRng) -> Verdict:
-    """Sample ceil(4 m ln(1/delta) / eps) uniform edges of the free cube and
+    """Sample ceil(m ln(1/delta) / eps) uniform edges of the free m-cube and
     reject on the first anti-monotone one.  Never rejects a monotone
     function; finds a witness with probability >= 1-delta when the function
-    is eps-far from monotone."""
+    is eps-far from monotone.
+
+    Why that many edges.  Goldreich, Goldwasser, Lehman, Ron and
+    Samorodnitsky ("Testing monotonicity", Combinatorica 2000) show that a
+    function on the m-cube that is eps-far from monotone violates at least
+    an eps/m fraction of its m 2^(m-1) edges: swapping the values at the
+    two ends of every violated edge in direction i, one direction after
+    another, gives a monotone function (a swap in direction i adds no
+    violated edge in any other direction) and changes at most 2 points per
+    violated edge, so eps 2^m <= 2 |violated|.  A uniform coordinate and a uniform point give
+    a uniform edge, so each sample misses with probability at most
+    1 - eps/m, and k samples all miss with probability at most
+    exp(-k eps/m) <= delta once k >= m ln(1/delta) / eps.
+    """
     m_free = f.domain_size
     if m_free == 0:
         return Verdict.monotone("edge:empty-domain")
-    budget = int(math.ceil(4.0 * m_free * math.log(1.0 / delta) / eps))
+    budget = int(math.ceil(m_free * math.log(1.0 / delta) / eps))
     dom = f.domain
     gen = rng.generator
     chunk = bits.chunk_rows(EDGE_CHUNK, bits.nbytes(f.ambient_n), copies=2)

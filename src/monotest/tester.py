@@ -146,7 +146,10 @@ def main_procedure(f: OracleHandle, rho: Restriction, eps: float,
                    sched: ParameterSchedule, rng: SplitRng,
                    ledger: Optional[QueryLedger] = None) -> Verdict:
     """Stage phase: halve the free variables while maintaining regularity and
-    balance, then hand the small remainder to the edge tester."""
+    balance, then hand the small remainder to the edge tester.
+
+    The edge tester gets distance eps when rho_t fixes no coordinate, since
+    it then tests f itself, and EDGE_EPS / 4 otherwise (see schedule)."""
     rho_t = rho
     t = 0
     while rho_t.num_stars >= sched.star_floor:
@@ -177,8 +180,9 @@ def main_procedure(f: OracleHandle, rho: Restriction, eps: float,
         t += 1
         if t > sched.stage_cap:
             return Verdict.monotone("main:loop-cap")
+    edge_eps = eps if rho_t.num_stars == rho_t.n else EDGE_EPS / 4.0
     before = f.query_count
-    verdict = edge_tester(restrict(f, rho_t), EDGE_EPS, EDGE_DELTA,
+    verdict = edge_tester(restrict(f, rho_t), edge_eps, EDGE_DELTA,
                           rng.child("edge"))
     if ledger is not None:
         ledger.queries_edge += f.query_count - before

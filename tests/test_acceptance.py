@@ -383,18 +383,19 @@ def test_end_to_end_detection_planted():
 # 10b. detection near the eps threshold, against certified distances
 
 
-def test_near_threshold_detection_signed_majority():
-    # signed majority at n=256: k negated inputs put the MC distance at
-    # 0.046 (k=6, just below eps), 0.055 (k=8, certified distance at eps),
-    # then 0.061, 0.068 and 0.079; every instance certified eps-far counts
+def near_threshold_gate(n, eps, ks, seed_base):
+    """Run 20 signed-majority instances at n for each k and require that at
+    least 80% of the instances whose certified distance (MC value minus its
+    radius) reaches eps are rejected, and that at least 10 of those sit
+    within 0.01 of eps.  Signed-majority coefficients stay below
+    INFLUENCE_TAU at these n, so the edge tester does the detecting."""
     t0 = time.perf_counter()
-    eps = 0.05
     rows = []
     certified = []
-    for k in (6, 8, 10, 12, 16):
+    for k in ks:
         config = SuiteConfig(
-            family=InstanceFamily(SIGNED_MAJORITY, 256, {"k": k}),
-            count=20, eps=eps, master_seed=11_000 + k, threads=THREADS)
+            family=InstanceFamily(SIGNED_MAJORITY, n, {"k": k}),
+            count=20, eps=eps, master_seed=seed_base + k, threads=THREADS)
         records, summary = run_and_track(config)
         far = [r for r in records if r.distance - config.mc_radius >= eps]
         hits = sum(r.verdict == "non-monotone" for r in far)
@@ -402,16 +403,37 @@ def test_near_threshold_detection_signed_majority():
         rows.append(f"k={k} dist~{np.mean([r.distance for r in records]):.3f}"
                     f" {summary['rejections']}/{len(records)} rejected,"
                     f" {hits}/{len(far)} certified-far detected")
-    near = [r for r in certified if r.distance - 0.005 < eps + 0.01]
+    near = [r for r in certified
+            if r.distance - config.mc_radius < eps + 0.01]
     hits = sum(r.verdict == "non-monotone" for r in certified)
     rate = hits / len(certified) if certified else 0.0
     elapsed = time.perf_counter() - t0
     ok = len(near) >= 10 and rate >= 0.8
-    report("near-threshold-detection", ok,
+    report(f"near-threshold-detection eps={eps}", ok,
            f"{hits}/{len(certified)} certified-far instances detected at "
-           f"eps={eps} (threshold 0.8), {len(near)} within 0.01 of eps; "
+           f"n={n} (threshold 0.8), {len(near)} within 0.01 of eps; "
            + "; ".join(rows) + f"; {elapsed:.0f}s")
     assert ok, rows
+
+
+def test_near_threshold_detection_signed_majority():
+    # n=256: k negated inputs put the MC distance at 0.046 (k=6, just below
+    # eps), 0.055 (k=8, certified distance at eps), then 0.061, 0.068 and
+    # 0.079
+    near_threshold_gate(256, 0.05, (6, 8, 10, 12, 16), 11_000)
+
+
+def test_near_threshold_detection_eps_01():
+    # n=256: 0.098 (k=24, just below eps), 0.106 (k=28, at eps), then 0.113,
+    # 0.128 and 0.142; the edge test runs with the halved eps=0.1 budget
+    near_threshold_gate(256, 0.1, (24, 28, 32, 40, 48), 12_000)
+
+
+def test_near_threshold_detection_eps_002():
+    # n=512: 0.018 (k=2, just below eps), 0.027 and 0.026 (k=3, 4, at eps),
+    # then 0.034 and 0.039; the edge test samples more edges than the
+    # eps-independent budget it replaced
+    near_threshold_gate(512, 0.02, (2, 3, 4, 6, 8), 13_000)
 
 
 # ---------------------------------------------------------------------------

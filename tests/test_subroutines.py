@@ -12,7 +12,7 @@ from monotest.oracle import (
     verify_certificate,
 )
 from monotest.rng import SplitRng
-from monotest.schedule import build_schedule
+from monotest.schedule import EDGE_DELTA, EDGE_EPS, build_schedule
 from monotest.spectral import exact_spectrum, squares_sample_count
 from monotest.subroutines import (
     FAIL,
@@ -23,7 +23,11 @@ from monotest.subroutines import (
     find_balanced_restriction,
     find_hi_influence_vars,
 )
-from monotest.tester import maintain_regular_and_balanced
+from monotest.tester import (
+    QueryLedger,
+    main_procedure,
+    maintain_regular_and_balanced,
+)
 
 
 def planted_heavy(n, heavy=8.0, sign=1.0):
@@ -228,6 +232,39 @@ def test_edge_tester_on_restricted_view():
     assert v.certificate.coordinate == 2
     assert v.certificate.base_point[0] == 1
     assert verify_certificate(root, v.certificate)
+
+
+def edge_budget(m, eps, delta):
+    """Edges the edge tester samples on m free variables."""
+    return math.ceil(m * math.log(1.0 / delta) / eps)
+
+
+@pytest.mark.parametrize("m, eps, delta", [
+    (16, 0.1, 0.1), (64, 0.05, 0.1), (33, 0.25, 0.05), (300, 0.02, 0.1)])
+def test_edge_tester_monotone_pass_charges_its_budget(m, eps, delta):
+    f = OracleHandle.for_spec(LTFSpec(np.ones(m), 0.5))
+    v = edge_tester(f, eps, delta, rng_at(m, "budget"))
+    assert v.is_monotone and v.diagnostic == "edge:pass"
+    assert f.query_count == 2 * edge_budget(m, eps, delta)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.02])
+def test_main_procedure_sizes_the_edge_test_from_eps_or_the_margin(eps):
+    # no stage runs at n=32 (star_floor is 1e6): the edge test gets the
+    # run's eps on f itself and EDGE_EPS/4 on a view with a fixed coordinate
+    n = 32
+    spec = LTFSpec(np.ones(n), 0.5)
+    sched = build_schedule(n, eps)
+    for rho, m, edge_eps in (
+            (Restriction.all_stars(n), n, eps),
+            (Restriction.fixing(n, {0: 1}), n - 1, EDGE_EPS / 4)):
+        f = OracleHandle.for_spec(spec)
+        ledger = QueryLedger()
+        v = main_procedure(f, rho, eps, sched, rng_at(17, "main-edge"),
+                           ledger)
+        assert v.diagnostic == "edge:pass" and not ledger.stages
+        assert ledger.queries_edge == f.query_count == \
+            2 * edge_budget(m, edge_eps, EDGE_DELTA)
 
 
 # ---------------------------------------------------------------------------

@@ -315,7 +315,7 @@ def test_phase_step_outcomes_pinned():
         "point": "+-+-------+---+------+-+-++++-+-+", "coordinate": 1}
 
     f = OracleHandle.for_spec(neg)
-    out = edge_tester(restrict(f, base), 0.2, 0.1, rng_at(0, "e"))
+    out = edge_tester(restrict(f, base), 0.05, 0.1, rng_at(0, "e"))
     assert outcome(out, f) == (
         "non-monotone", "edge:anti-monotone-edge", 2856,
         {"point": "---+-+---+-++++-+--+++++-++-++--+", "coordinate": 1})
