@@ -21,9 +21,9 @@ from monotest.harness import SuiteConfig, run_suite
 
 SEED = 20240
 TRIALS = 8
-# (family, n, params, eps): monotone passes, edge-tester rejections and
-# initialization-phase sign-probe rejections, through the truth-table
-# (n <= 20) and the byte-table evaluators
+# (family, n, params, eps): monotone passes and edge-tester rejections, the
+# default tester's only way to reject, through the truth-table (n <= 20) and
+# the byte-table evaluators
 CELLS = [
     ("monotone-random", 512, {}, 0.1),
     ("monotone-random", 1024, {}, 0.05),

@@ -11,7 +11,7 @@ Layers, bottom up:
 * schedule / tester: the desk-scale constants that replace the paper's
   accuracy and confidence formulas, the (n, eps)-dependent round counts,
   the regularize-and-balance step (run by the initialization phase and by
-  each stage), and the two-phase test;
+  each stage), the default edge-first test and the adaptive two-phase test;
 * truth: exact and Monte-Carlo ground-truth oracles for distance to
   monotone, with executable structural identities;
 * generators / harness / cli: certified instance families, seeded benchmark
@@ -60,6 +60,7 @@ from .tester import (
     maintain_regular_and_balanced,
     mono_test_ltf,
     regularize_and_balance,
+    staged_test_ltf,
 )
 from .truth import (
     Classification,
@@ -126,5 +127,6 @@ __all__ = [
     "restrict",
     "restricted_spec",
     "run_suite",
+    "staged_test_ltf",
     "verify_certificate",
 ]

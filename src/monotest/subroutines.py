@@ -32,8 +32,10 @@ from .spectral import degree1_square_terms, estimate_mean, squares_sample_count
 from .spectral import check_fourier_regular  # noqa: F401
 from .spectral import estimate_sum_of_squares  # noqa: F401
 
-# edges per drawn batch; its lo and hi endpoints stay within
-# bits.CHUNK_BYTES (see bits.chunk_rows)
+# the edge tester's batches: the first has EDGE_FIRST_BATCH edges and each
+# later one twice the one before, up to EDGE_CHUNK edges whose lo and hi
+# endpoints stay within bits.CHUNK_BYTES (see bits.chunk_rows)
+EDGE_FIRST_BATCH = 64
 EDGE_CHUNK = 8192
 
 POSITIVE = "positive"
@@ -239,6 +241,17 @@ def edge_tester(f: OracleHandle, eps: float, delta: float,
     a uniform edge, so each sample misses with probability at most
     1 - eps/m, and k samples all miss with probability at most
     exp(-k eps/m) <= delta once k >= m ln(1/delta) / eps.
+
+    Batches.  The edges are drawn in batches of EDGE_FIRST_BATCH, then
+    twice the batch before, up to a chunk bounded in bytes, and the batches
+    sum to exactly the budget.  Each edge is uniform and independent of the
+    others whatever the batch sizes, so the bound above is unchanged; the
+    batches decide only how far past the first violated edge the tester
+    queries before it looks.  Every batch before the one holding that edge
+    had none, and no batch is longer than EDGE_FIRST_BATCH plus all the
+    batches before it, so if it is the j-th edge drawn (counting from 0) a
+    rejection costs at most 2j + EDGE_FIRST_BATCH edges, two queries each.
+    A pass costs exactly 2 ceil(m ln(1/delta) / eps) queries.
     """
     m_free = f.domain_size
     if m_free == 0:
@@ -247,9 +260,10 @@ def edge_tester(f: OracleHandle, eps: float, delta: float,
     dom = f.domain
     gen = rng.generator
     chunk = bits.chunk_rows(EDGE_CHUNK, bits.nbytes(f.ambient_n), copies=2)
+    batch = min(EDGE_FIRST_BATCH, chunk)
     done = 0
     while done < budget:
-        k = min(chunk, budget - done)
+        k = min(batch, budget - done)
         coords = dom[gen.integers(0, m_free, size=k)]
         pts = bits.random_packed(gen, k, f.ambient_n)
         lo, v_lo, v_hi = _query_edges(f, pts, coords)
@@ -259,6 +273,7 @@ def edge_tester(f: OracleHandle, eps: float, delta: float,
             cert = _edge_certificate(f, lo[first], coords[first])
             return Verdict.non_monotone(cert, "edge:anti-monotone-edge")
         done += k
+        batch = min(2 * batch, chunk)
     return Verdict.monotone("edge:pass")
 
 

@@ -1,13 +1,28 @@
-"""The two-phase monotonicity tester for halfspaces.
+"""The monotonicity tester for halfspaces.
 
-Phase 1 (initialization) strips out high-influence variables after checking
-their weight signs, then fixes them under an assignment that leaves the
-remainder balanced; with every coefficient of size INFLUENCE_TAU or more
-fixed, the remainder is regular up to INFLUENCE_TAU.  Phase 2 repeatedly
-halves the set of free variables, keeping the restricted function balanced
-the same way, until few enough variables remain that the plain edge tester
-is affordable; any witnessed anti-monotone edge along the way rejects
-immediately.
+The default, mono_test_ltf, is the uniform edge tester of Goldreich,
+Goldwasser, Lehman, Ron and Samorodnitsky run on f itself: ceil(n ln(1/delta)
+/ eps) uniform edges with delta = EDGE_DELTA, which finds a violated edge with
+probability at least 1 - delta when f is eps-far from monotone (see
+subroutines.edge_tester).  It draws its edges in batches of 64, 128, 256, ...
+up to a byte-bounded chunk.  Every edge is still uniform and independent of
+the others, so the batches change when the tester stops, not what it samples,
+and the bound holds as before.  A pass costs exactly 2 ceil(n ln(1/delta) /
+eps) queries; a rejection whose first violated edge is the j-th drawn,
+counting from 0, costs at most 2 (2j + 64) queries.
+
+staged_test_ltf is the paper's adaptive two-phase search.  Phase 1
+(initialization) strips out high-influence variables after checking their
+weight signs, then fixes them under an assignment that leaves the remainder
+balanced; with every coefficient of size INFLUENCE_TAU or more fixed, the
+remainder is regular up to INFLUENCE_TAU.  Phase 2 repeatedly halves the set
+of free variables, keeping the restricted function balanced the same way,
+until few enough variables remain that the plain edge tester is affordable;
+any witnessed anti-monotone edge along the way rejects immediately.  The
+shipped schedule runs no stage (its star_floor is 1e6), so the staged path
+is Phase 1 followed by one edge test, and Phase 1 only adds queries to the
+guarantee that edge test already gives; the path stays for measuring the
+adaptive mechanism.
 
 One-sidedness is structural: the only rejecting paths carry a certificate
 extracted from an actually-queried anti-monotone edge, so a monotone input
@@ -189,19 +204,44 @@ def main_procedure(f: OracleHandle, rho: Restriction, eps: float,
     return verdict
 
 
+def _run_eps(eps: float, sched: ParameterSchedule) -> float:
+    """The clamped eps every step runs with; eps must be the value sched was
+    built for."""
+    if eps != sched.eps_requested:
+        raise ValueError(f"eps={eps} does not match the schedule")
+    return sched.eps
+
+
 def mono_test_ltf(f: OracleHandle, eps: float, sched: ParameterSchedule,
                   rng: SplitRng,
                   ledger: Optional[QueryLedger] = None) -> Verdict:
-    """Full test: initialization phase, then the stage phase.
+    """Default test: the uniform edge tester on f itself, at the clamped
+    sched.eps and confidence 1 - EDGE_DELTA.
+
+    A monotone input yields "monotone" with probability 1; an input eps-far
+    from monotone is rejected, with a certificate, with probability at least
+    1 - EDGE_DELTA.  eps must be the value sched was built for.  Every query
+    is charged to ledger.queries_edge.
+    """
+    eps = _run_eps(eps, sched)
+    before = f.query_count
+    verdict = edge_tester(f, eps, EDGE_DELTA, rng.child("edge"))
+    if ledger is not None:
+        ledger.queries_edge += f.query_count - before
+    return verdict
+
+
+def staged_test_ltf(f: OracleHandle, eps: float, sched: ParameterSchedule,
+                    rng: SplitRng,
+                    ledger: Optional[QueryLedger] = None) -> Verdict:
+    """Adaptive test: initialization phase, then the stage phase.
 
     The input is promised to be a halfspace; behaviour on other functions is
     unspecified.  A monotone input yields "monotone" with probability 1.
     eps must be the value sched was built for; every phase runs with the
     clamped sched.eps.
     """
-    if eps != sched.eps_requested:
-        raise ValueError(f"eps={eps} does not match the schedule")
-    eps = sched.eps
+    eps = _run_eps(eps, sched)
     start = f.query_count
     phase1 = regularize_and_balance(f, eps, sched, rng.child("rb"))
     if ledger is not None:

@@ -129,7 +129,9 @@ def test_suite_detects_and_verifies():
 
 
 def test_suite_records_query_cap_errors():
-    config = SuiteConfig(family=InstanceFamily(SIGNED_MAJORITY, 25, {"k": 6}),
+    # monotone, so no trial can reject before the edge test's 2,304 queries
+    # run into the cap
+    config = SuiteConfig(family=InstanceFamily(MONOTONE_RANDOM, 25),
                          count=3, eps=0.05, master_seed=11, query_cap=1000)
     records, summary = run_suite(config)
     assert summary["trials"] == 3 and summary["errors"] == 3

@@ -234,6 +234,35 @@ def test_edge_tester_on_restricted_view():
     assert verify_certificate(root, v.certificate)
 
 
+@pytest.mark.parametrize("eps", [0.02, 0.005])
+def test_edge_tester_rejection_costs_one_first_batch(eps):
+    # every edge of sign(-x_0) on one variable is violated, so the first
+    # batch of EDGE_FIRST_BATCH edges holds the witness and the budget
+    # (116 or 461 edges) is never reached
+    for t in range(5):
+        f = OracleHandle.for_spec(LTFSpec(np.array([-1.0]), 0.0))
+        v = edge_tester(f, eps, 0.1, rng_at(t, "first-batch"))
+        assert v.diagnostic == "edge:anti-monotone-edge"
+        assert f.query_count == 2 * subroutines.EDGE_FIRST_BATCH == 128
+        assert verify_certificate(f, v.certificate)
+
+
+def test_edge_tester_rejects_at_a_doubling_batch_end():
+    # on 16 variables only direction-0 edges of sign(-x_0) are violated, so
+    # some runs pass a batch without a witness; each stops where a batch of
+    # 64, 128, 256, ... edges ends
+    first = subroutines.EDGE_FIRST_BATCH
+    ends = {2 * first * (2 ** b - 1) for b in range(1, 6)}
+    spec = LTFSpec(np.array([-1.0] + [0.0] * 15), 0.0)
+    counts = set()
+    for t in range(40):
+        f = OracleHandle.for_spec(spec)
+        v = edge_tester(f, 0.02, 0.1, rng_at(t, "doubling"))
+        assert v.diagnostic == "edge:anti-monotone-edge"
+        counts.add(f.query_count)
+    assert counts <= ends and len(counts) > 1
+
+
 def edge_budget(m, eps, delta):
     """Edges the edge tester samples on m free variables."""
     return math.ceil(m * math.log(1.0 / delta) / eps)

@@ -32,6 +32,7 @@ from monotest.tester import (
     maintain_regular_and_balanced,
     mono_test_ltf,
     regularize_and_balance,
+    staged_test_ltf,
 )
 
 
@@ -106,7 +107,7 @@ def test_rb_gives_up_after_one_round_without_high_variables():
     n, eps = 16, 0.1
     spec = LTFSpec(np.ones(n), -6.5)
     f = OracleHandle.for_spec(spec)
-    verdict = mono_test_ltf(f, eps, build_schedule(n, eps), SplitRng(3))
+    verdict = staged_test_ltf(f, eps, build_schedule(n, eps), SplitRng(3))
     assert verdict.is_monotone
     assert verdict.diagnostic == "rb:round-exhaustion"
     assert f.query_count == 59056  # 1,245,224 when every round ran
@@ -200,14 +201,24 @@ def test_full_tester_detects_planted_negative():
 
 
 def test_full_tester_ledger_accounting():
-    spec = LTFSpec(np.ones(48), 0.5)
-    sched = build_schedule(48, 0.1)
+    n, eps = 48, 0.1
+    spec = LTFSpec(np.ones(n), 0.5)
+    sched = build_schedule(n, eps)
     f = OracleHandle.for_spec(spec)
     ledger = QueryLedger()
-    mono_test_ltf(f, 0.1, sched, rng_at(9, "ledger"), ledger)
+    staged_test_ltf(f, eps, sched, rng_at(9, "ledger"), ledger)
     assert ledger.total == f.query_count
     assert ledger.queries_rb > 0
     assert ledger.queries_edge > 0
+
+    # the default path is the edge tester alone, on f itself
+    f = OracleHandle.for_spec(spec)
+    ledger = QueryLedger()
+    v = mono_test_ltf(f, eps, sched, rng_at(9, "ledger"), ledger)
+    assert v.diagnostic == "edge:pass"
+    assert ledger.queries_rb == ledger.queries_main == 0
+    assert ledger.queries_edge == f.query_count == \
+        2 * math.ceil(n * math.log(10) / eps)
 
 
 def test_full_tester_deterministic_given_seed():
@@ -317,8 +328,8 @@ def test_phase_step_outcomes_pinned():
     f = OracleHandle.for_spec(neg)
     out = edge_tester(restrict(f, base), 0.05, 0.1, rng_at(0, "e"))
     assert outcome(out, f) == (
-        "non-monotone", "edge:anti-monotone-edge", 2856,
-        {"point": "---+-+---+-++++-+--+++++-++-++--+", "coordinate": 1})
+        "non-monotone", "edge:anti-monotone-edge", 128,
+        {"point": "---+-+-+++++++-+-+-++-++--+-+-+-+", "coordinate": 1})
 
     staged = staged_schedule(17, 0.25, floor=8)
     f = OracleHandle.for_spec(LTFSpec(np.ones(17), 0.0))
@@ -331,7 +342,7 @@ def test_phase_step_outcomes_pinned():
         (0, 17, [1, 2, 3, 4, 5, 8, 9, 10, 14, 16], [], 7)]
     f = OracleHandle.for_spec(LTFSpec(np.ones(17), 0.0))
     ledger = QueryLedger()
-    out = mono_test_ltf(f, 0.25, staged, rng_at(4, "stf"), ledger)
+    out = staged_test_ltf(f, 0.25, staged, rng_at(4, "stf"), ledger)
     assert outcome(out, f) == ("monotone", "edge:pass", 118950, None)
     assert (ledger.queries_rb, ledger.queries_main,
             ledger.queries_edge) == (50928, 67376, 646)
