@@ -7,11 +7,11 @@ Layers, bottom up:
 * spectral: sampling estimators for means and degree-1 Fourier mass, plus
   exact spectra for validation;
 * subroutines: influence discovery, weight-sign probing, the edge tester,
-  and the stage balance search;
+  and the balance search;
 * schedule / tester: the desk-scale constants that replace the paper's
   accuracy and confidence formulas, the (n, eps)-dependent round counts,
-  the regularize-and-balance step (run by the initialization phase and by
-  each stage), the default edge-first test and the adaptive two-phase test;
+  the regularize-and-balance step, the default edge-first test and the
+  adaptive test (initialization phase, then the edge test);
 * truth: exact and Monte-Carlo ground-truth oracles for distance to
   monotone, with executable structural identities;
 * generators / harness / cli: certified instance families, seeded benchmark
@@ -55,7 +55,6 @@ from .subroutines import (
 )
 from .tester import (
     QueryLedger,
-    StageState,
     main_procedure,
     maintain_regular_and_balanced,
     mono_test_ltf,
@@ -93,7 +92,6 @@ __all__ = [
     "Restriction",
     "SpectralEstimate",
     "SplitRng",
-    "StageState",
     "SuiteConfig",
     "Verdict",
     "WeightProfile",

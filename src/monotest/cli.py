@@ -114,7 +114,6 @@ def cmd_test(args) -> int:
         "queries": {
             "total": handle.query_count,
             "regularize_and_balance": ledger.queries_rb,
-            "main_stages": ledger.queries_main,
             "edge_tester": ledger.queries_edge,
         },
         "wall_ms": int(round((time.perf_counter() - t0) * 1000)),

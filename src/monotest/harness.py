@@ -36,8 +36,8 @@ ERROR = "error"
 QUERY_BUDGET_DIAGNOSTIC = "error:query-budget"
 
 CSV_COLUMNS = ["family", "n", "epsilon", "seed", "verdict", "diagnostic",
-               "queries_total", "queries_rb", "queries_main", "queries_edge",
-               "wall_ms", "distance", "distance_method"]
+               "queries_total", "queries_rb", "queries_edge", "wall_ms",
+               "distance", "distance_method"]
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,6 @@ class ExperimentRecord:
     certificate_ok: Optional[bool]
     queries_total: int
     queries_rb: int
-    queries_main: int
     queries_edge: int
     wall_ms: int
     distance: float
@@ -74,7 +73,7 @@ class ExperimentRecord:
     def csv_row(self) -> list:
         return [self.family, self.n, repr(self.epsilon), self.seed,
                 self.verdict, self.diagnostic, self.queries_total,
-                self.queries_rb, self.queries_main, self.queries_edge,
+                self.queries_rb, self.queries_edge,
                 self.wall_ms, repr(self.distance), self.distance_method]
 
 
@@ -116,7 +115,7 @@ def run_trial(config: SuiteConfig, trial: int) -> ExperimentRecord:
         certificate=cert_dict,
         certificate_ok=cert_ok,
         queries_total=handle.query_count, queries_rb=ledger.queries_rb,
-        queries_main=ledger.queries_main, queries_edge=ledger.queries_edge,
+        queries_edge=ledger.queries_edge,
         wall_ms=wall_ms, distance=instance.distance.value,
         distance_method=instance.distance.method,
         known_monotone=instance.known_monotone)

@@ -1,5 +1,5 @@
 """Mid-level probes: high-influence variable discovery, weight-sign checks,
-the uniform edge tester, and the stage balance search.
+the uniform edge tester, and the balance search.
 
 Everything here returns a certificate whenever it claims non-monotonicity;
 there is no rejection path without a witnessed anti-monotone edge.  All
@@ -278,7 +278,7 @@ def edge_tester(f: OracleHandle, eps: float, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# stage building: the balance search
+# the balance search, which no tester path calls (the paper's stages used it)
 
 
 def find_balanced_restriction(f: OracleHandle, rho_t: Restriction,

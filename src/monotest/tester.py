@@ -11,18 +11,17 @@ and the bound holds as before.  A pass costs exactly 2 ceil(n ln(1/delta) /
 eps) queries; a rejection whose first violated edge is the j-th drawn,
 counting from 0, costs at most 2 (2j + 64) queries.
 
-staged_test_ltf is the paper's adaptive two-phase search.  Phase 1
-(initialization) strips out high-influence variables after checking their
-weight signs, then fixes them under an assignment that leaves the remainder
-balanced; with every coefficient of size INFLUENCE_TAU or more fixed, the
-remainder is regular up to INFLUENCE_TAU.  Phase 2 repeatedly halves the set
-of free variables, keeping the restricted function balanced the same way,
-until few enough variables remain that the plain edge tester is affordable;
-any witnessed anti-monotone edge along the way rejects immediately.  The
-shipped schedule runs no stage (its star_floor is 1e6), so the staged path
-is Phase 1 followed by one edge test, and Phase 1 only adds queries to the
-guarantee that edge test already gives; the path stays for measuring the
-adaptive mechanism.
+staged_test_ltf is Phase 1 of the paper's adaptive search followed by the
+same edge test.  Phase 1 (initialization) strips out high-influence
+variables after checking their weight signs, then fixes them under an
+assignment that leaves the remainder balanced; with every coefficient of
+size INFLUENCE_TAU or more fixed, the remainder is regular up to
+INFLUENCE_TAU.  The paper's Phase 2 would then repeatedly halve the free
+set down to 1/tau^2 free variables, above 8e5 at every n and eps for the
+paper's tau (below 0.0011, see schedule), so it is not implemented: the
+edge test runs on the Phase-1 restriction directly.  Phase 1 only adds
+queries to the guarantee that edge test already gives; the path stays for
+measuring the adaptive mechanism.
 
 One-sidedness is structural: the only rejecting paths carry a certificate
 extracted from an actually-queried anti-monotone edge, so a monotone input
@@ -31,10 +30,8 @@ can never be rejected, whatever the randomness does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
-
-import numpy as np
 
 from .oracle import (
     OracleHandle,
@@ -54,41 +51,28 @@ from .schedule import (
     ParameterSchedule,
 )
 from .spectral import estimate_mean
-# not called here any more, but perfbench/tracing.py wraps it under this name
-from .spectral import check_fourier_regular  # noqa: F401
 from .subroutines import (
     FAIL,
     NEGATIVE,
     check_weight_positive,
     edge_tester,
-    find_balanced_restriction,
     find_hi_influence_vars,
 )
-
-
-@dataclass
-class StageState:
-    """Bookkeeping for one stage of the main loop."""
-
-    t: int
-    stars_before: int
-    a_vars: np.ndarray
-    fixed_high: np.ndarray
-    stars_after: int
+# not called here any more, but perfbench/tracing.py wraps them under these names
+from .spectral import check_fourier_regular  # noqa: F401
+from .subroutines import find_balanced_restriction  # noqa: F401
 
 
 @dataclass
 class QueryLedger:
-    """Per-phase query accounting plus stage traces for a single run."""
+    """Per-phase query accounting for a single run."""
 
     queries_rb: int = 0
-    queries_main: int = 0
     queries_edge: int = 0
-    stages: list = field(default_factory=list)
 
     @property
     def total(self) -> int:
-        return self.queries_rb + self.queries_main + self.queries_edge
+        return self.queries_rb + self.queries_edge
 
 
 def _regular_balanced_step(f: OracleHandle, base: Restriction, eps: float,
@@ -150,9 +134,10 @@ def maintain_regular_and_balanced(f: OracleHandle, rho_p: Restriction,
                                   eps: float, sched: ParameterSchedule,
                                   rng: SplitRng
                                   ) -> Union[Verdict, Restriction]:
-    """Stage maintenance: the same step on f under rho_p, with
-    sched.m_rounds rounds.  A returned restriction fixes only the new
-    variables; the caller composes it with rho_p."""
+    """The same step on f under rho_p, with sched.m_rounds rounds.  A
+    returned restriction fixes only the new variables; the caller composes
+    it with rho_p.  No tester path calls it: it was the paper's per-stage
+    maintenance, and stays for a restriction step that would reuse it."""
     return _regular_balanced_step(f, rho_p, eps, sched.m_rounds,
                                   "maintain", "eta", rng)
 
@@ -160,44 +145,15 @@ def maintain_regular_and_balanced(f: OracleHandle, rho_p: Restriction,
 def main_procedure(f: OracleHandle, rho: Restriction, eps: float,
                    sched: ParameterSchedule, rng: SplitRng,
                    ledger: Optional[QueryLedger] = None) -> Verdict:
-    """Stage phase: halve the free variables while maintaining regularity and
-    balance, then hand the small remainder to the edge tester.
+    """Final phase: the edge tester on f under rho, at confidence
+    1 - EDGE_DELTA.
 
-    The edge tester gets distance eps when rho_t fixes no coordinate, since
-    it then tests f itself, and EDGE_EPS / 4 otherwise (see schedule)."""
-    rho_t = rho
-    t = 0
-    while rho_t.num_stars >= sched.star_floor:
-        stage_rng = rng.child("stage", t)
-        stars = rho_t.stars()
-        keep = stage_rng.child("a-draw").generator.integers(
-            0, 2, size=stars.size).astype(bool)
-        a_vars = stars[keep]
-        rho_p = find_balanced_restriction(f, rho_t, a_vars, eps, sched,
-                                          stage_rng.child("balance"))
-        if rho_p is None:
-            return Verdict.monotone("fbr:give-up")
-        assert rho_p.extends(rho_t), "stage restriction must extend its parent"
-        out = maintain_regular_and_balanced(f, rho_p, eps, sched,
-                                            stage_rng.child("maintain"))
-        if isinstance(out, Verdict):
-            return out
-        rho_next = compose(rho_p, out)
-        # structural stage invariants: support only grows, values persist,
-        # and at least the drawn variables disappeared from the stars
-        assert rho_next.extends(rho_t)
-        assert rho_next.num_stars <= rho_t.num_stars - a_vars.size
-        if ledger is not None:
-            ledger.stages.append(StageState(
-                t, int(stars.size), a_vars, out.support(),
-                rho_next.num_stars))
-        rho_t = rho_next
-        t += 1
-        if t > sched.stage_cap:
-            return Verdict.monotone("main:loop-cap")
-    edge_eps = eps if rho_t.num_stars == rho_t.n else EDGE_EPS / 4.0
+    The edge test gets distance eps when rho fixes no coordinate, since it
+    then tests f itself, and min(eps, EDGE_EPS / 4) otherwise (see
+    schedule)."""
+    edge_eps = eps if rho.num_stars == rho.n else min(eps, EDGE_EPS / 4.0)
     before = f.query_count
-    verdict = edge_tester(restrict(f, rho_t), edge_eps, EDGE_DELTA,
+    verdict = edge_tester(restrict(f, rho), edge_eps, EDGE_DELTA,
                           rng.child("edge"))
     if ledger is not None:
         ledger.queries_edge += f.query_count - before
@@ -234,7 +190,8 @@ def mono_test_ltf(f: OracleHandle, eps: float, sched: ParameterSchedule,
 def staged_test_ltf(f: OracleHandle, eps: float, sched: ParameterSchedule,
                     rng: SplitRng,
                     ledger: Optional[QueryLedger] = None) -> Verdict:
-    """Adaptive test: initialization phase, then the stage phase.
+    """Adaptive test: initialization phase, then the final edge test on
+    the restriction it returns.
 
     The input is promised to be a halfspace; behaviour on other functions is
     unspecified.  A monotone input yields "monotone" with probability 1.
@@ -248,10 +205,4 @@ def staged_test_ltf(f: OracleHandle, eps: float, sched: ParameterSchedule,
         ledger.queries_rb += f.query_count - start
     if isinstance(phase1, Verdict):
         return phase1
-    before_main = f.query_count
-    verdict = main_procedure(f, phase1, eps, sched, rng.child("main"), ledger)
-    if ledger is not None:
-        # edge queries are tracked inside main_procedure; the rest is stage work
-        ledger.queries_main += (f.query_count - before_main
-                                - ledger.queries_edge)
-    return verdict
+    return main_procedure(f, phase1, eps, sched, rng.child("main"), ledger)

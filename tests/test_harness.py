@@ -124,8 +124,7 @@ def test_suite_detects_and_verifies():
     for rec in records:
         if rec.verdict == "non-monotone":
             assert rec.certificate_ok is True
-        assert rec.queries_total == (rec.queries_rb + rec.queries_main
-                                     + rec.queries_edge)
+        assert rec.queries_total == rec.queries_rb + rec.queries_edge
 
 
 def test_suite_records_query_cap_errors():
@@ -172,8 +171,8 @@ def test_suite_csv_deterministic_modulo_walltime():
     assert a == b
     header = records_to_csv(a_records).splitlines()[0]
     assert header == ("family,n,epsilon,seed,verdict,diagnostic,"
-                      "queries_total,queries_rb,queries_main,queries_edge,"
-                      "wall_ms,distance,distance_method")
+                      "queries_total,queries_rb,queries_edge,wall_ms,"
+                      "distance,distance_method")
 
 
 def test_wilson_interval_sane():

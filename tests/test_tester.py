@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -123,34 +122,11 @@ def test_rb_gives_up_after_one_round_without_high_variables():
 
 
 # ---------------------------------------------------------------------------
-# main_procedure stage machinery
-
-
-def staged_schedule(n, eps, floor):
-    """Practical schedule with the star floor forced up so stages run."""
-    sched = build_schedule(n, eps)
-    return dataclasses.replace(sched, star_floor=float(floor))
-
-
-def test_main_stages_run_and_track_invariants():
-    spec = LTFSpec(np.ones(17), 0.0)
-    sched = staged_schedule(17, 0.25, floor=8)
-    for t in range(5):
-        f = OracleHandle.for_spec(spec)
-        ledger = QueryLedger()
-        verdict = main_procedure(f, Restriction.all_stars(17), 0.25, sched,
-                                 rng_at(t, "stages"), ledger)
-        assert verdict.is_monotone
-        for stage in ledger.stages:
-            assert stage.stars_after <= stage.stars_before - stage.a_vars.size
-        if verdict.diagnostic in ("edge:pass", "edge:empty-domain"):
-            assert ledger.queries_edge > 0
-            assert ledger.stages, "reaching the edge phase means stages ran"
-            assert ledger.stages[-1].stars_after < 8
+# main_procedure: the final edge test
 
 
 def test_main_skips_to_edge_when_already_small():
-    # practical floor is 1/tau^2 = 1e6, far above n: no stages, one edge call
+    # no restriction fixes a coordinate: one edge call on f itself
     spec = LTFSpec(np.ones(32), 0.5)
     sched = build_schedule(32, 0.1)
     f = OracleHandle.for_spec(spec)
@@ -158,7 +134,6 @@ def test_main_skips_to_edge_when_already_small():
     verdict = main_procedure(f, Restriction.all_stars(32), 0.1, sched,
                              rng_at(5, "skip"), ledger)
     assert verdict.is_monotone and verdict.diagnostic == "edge:pass"
-    assert not ledger.stages
     assert ledger.queries_edge == f.query_count
 
 
@@ -216,7 +191,7 @@ def test_full_tester_ledger_accounting():
     ledger = QueryLedger()
     v = mono_test_ltf(f, eps, sched, rng_at(9, "ledger"), ledger)
     assert v.diagnostic == "edge:pass"
-    assert ledger.queries_rb == ledger.queries_main == 0
+    assert ledger.queries_rb == 0
     assert ledger.queries_edge == f.query_count == \
         2 * math.ceil(n * math.log(10) / eps)
 
@@ -279,11 +254,6 @@ def outcome(out, f):
     return (out.outcome, out.diagnostic, f.query_count, cert)
 
 
-def stage_trace(ledger):
-    return [(s.t, s.stars_before, s.a_vars.tolist(), s.fixed_high.tolist(),
-             s.stars_after) for s in ledger.stages]
-
-
 def test_phase_step_outcomes_pinned():
     # Exact results for fixed seeds: a changed stream key, draw order,
     # parameter or diagnostic moves at least one of them.
@@ -331,20 +301,27 @@ def test_phase_step_outcomes_pinned():
         "non-monotone", "edge:anti-monotone-edge", 128,
         {"point": "---+-+-+++++++-+-+-++-++--+-+-+-+", "coordinate": 1})
 
-    staged = staged_schedule(17, 0.25, floor=8)
-    f = OracleHandle.for_spec(LTFSpec(np.ones(17), 0.0))
+
+def test_staged_tester_outcomes_pinned():
+    # staged_test_ltf end to end at the shipped schedule: Phase 1 fixes the
+    # heavy positive coordinate, so the edge test runs on the 32 free
+    # variables at distance min(0.1, EDGE_EPS/4) = 0.05 (2 ceil(32 ln10 /
+    # 0.05) = 2,948 queries); with the heavy weight negated the sign probe
+    # rejects in Phase 1 and no edge is queried
+    n, eps = 33, 0.1
+    sched = build_schedule(n, eps)
+    f = OracleHandle.for_spec(heavy_second(n, 8.0))
     ledger = QueryLedger()
-    out = main_procedure(f, Restriction.all_stars(17), 0.25, staged,
-                         rng_at(1, "st"), ledger)
-    assert outcome(out, f) == ("monotone", "edge:pass", 84342, None)
-    assert ledger.queries_edge == 646
-    assert stage_trace(ledger) == [
-        (0, 17, [1, 2, 3, 4, 5, 8, 9, 10, 14, 16], [], 7)]
-    f = OracleHandle.for_spec(LTFSpec(np.ones(17), 0.0))
+    out = staged_test_ltf(f, eps, sched, rng_at(0, "stf"), ledger)
+    assert outcome(out, f) == ("monotone", "edge:pass", 58020, None)
+    assert (ledger.queries_rb, ledger.queries_edge) == (55072, 2948)
+
+    f = OracleHandle.for_spec(heavy_second(n, -8.0))
     ledger = QueryLedger()
-    out = staged_test_ltf(f, 0.25, staged, rng_at(4, "stf"), ledger)
-    assert outcome(out, f) == ("monotone", "edge:pass", 118950, None)
-    assert (ledger.queries_rb, ledger.queries_main,
-            ledger.queries_edge) == (50928, 67376, 646)
-    assert stage_trace(ledger) == [
-        (0, 17, [0, 3, 4, 5, 7, 9, 10, 11, 14, 16], [], 7)]
+    out = staged_test_ltf(f, eps, sched, rng_at(0, "stf"), ledger)
+    assert outcome(out, f) == (
+        "non-monotone", "rb:negative-weight", 50976,
+        {"point": "--+-+---++--+++----+++-----++++--", "coordinate": 1})
+    assert (ledger.queries_rb, ledger.queries_edge) == (50976, 0)
+    assert verify_certificate(OracleHandle.for_spec(heavy_second(n, -8.0)),
+                              out.certificate)
