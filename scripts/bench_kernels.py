@@ -4,8 +4,11 @@
 Times, on one batch of QUERY_CHUNK points at each n in SIZES:
 
 * the halfspace evaluator on an integer instance (`eval.int`, the exact
-  branch) and a float instance (`eval.float`, the fsum-checked branch);
-  both use the truth table for n <= 20 and the byte tables above,
+  branch) and a float instance (`eval.float`, the fsum-checked branch),
+  both through the byte tables,
+* `eval.build`, in microseconds per call, not ns per point: building
+  `LTFEvaluator` for the integer instance (BUILDS in a row per run), which
+  every fresh `OracleHandle.for_spec` pays,
 * the sampler `bits.random_packed`,
 * the byte-histogram kernel `bits.byte_histograms` over every byte position,
   with +-1 weights,
@@ -36,8 +39,9 @@ from monotest.subroutines import EDGE_CHUNK, _query_edges
 
 
 OUT = Path("BENCH_kernels.json")
-SIZES = (16, 512, 1024, 4096)
+SIZES = (16, 20, 512, 1024, 4096)
 REPEATS = 7
+BUILDS = 20  # evaluator constructions per timed eval.build run
 SEED = 0
 
 
@@ -56,7 +60,11 @@ def kernel_row(n, rows, repeats, gen):
     specs = {"int": LTFSpec(w, theta),
              "float": LTFSpec(w + gen.uniform(0.0, 1e-3, size=n), theta)}
     batch = bits.random_packed(gen, rows, n)
-    out = {}
+
+    def build():
+        for _ in range(BUILDS):
+            LTFEvaluator(specs["int"])
+    out = {"eval.build": 1e-3 * best_ns_per_point(build, BUILDS, repeats)}
     for name, spec in specs.items():
         ev = LTFEvaluator(spec)
         out[f"eval.{name}"] = best_ns_per_point(
@@ -87,8 +95,8 @@ def main():
     kernels = {str(n): kernel_row(n, QUERY_CHUNK, REPEATS, gen)
                for n in SIZES}
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
-    doc.setdefault("unit", "ns/point, best of repeats, one batch of "
-                           f"{QUERY_CHUNK} points")
+    doc["unit"] = (f"ns/point, best of repeats, one batch of {QUERY_CHUNK} "
+                   "points; eval.build in us per LTFEvaluator construction")
     doc.setdefault("rows", {})[args.tag] = {
         "environment": {"nproc": os.cpu_count(),
                         "python": platform.python_version(),

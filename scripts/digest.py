@@ -31,8 +31,8 @@ from monotest.tester import QueryLedger, staged_test_ltf
 SEED = 20240
 TRIALS = 8
 # (family, n, params, eps): monotone passes and edge-tester rejections, the
-# default tester's only way to reject, through the truth-table (n <= 20) and
-# the byte-table evaluators; on the staged path also Phase-1 sign-probe
+# default tester's only way to reject, through the byte-table evaluator at
+# small (n <= 20) and large n; on the staged path also Phase-1 sign-probe
 # rejections and edge tests on restricted views
 CELLS = [
     ("monotone-random", 512, {}, 0.1),

@@ -114,16 +114,19 @@ def byte_histograms(packed: np.ndarray, v: np.ndarray,
     return out
 
 
-def signed_bit_sums(packed: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """For each coordinate i, return sum_j v[j] * x[j, i] with x in {-1,+1}.
+def signed_bit_sums(packed: np.ndarray, v: np.ndarray,
+                    positions) -> np.ndarray:
+    """sum_j v[j] * x[j, i] with x in {-1,+1}, for the 8 coordinates i of
+    each listed byte position: entry 8 k + b is bit b of positions[k].
 
-    v must be float64; the computation is exact for integer-valued v.  Runs
-    off per-byte histograms, so cost is O(m * nbytes) rather than O(m * n).
+    v must be float64; the sums are exact for integer-valued v below 2^53.
+    Runs off per-byte histograms, so cost is O(m * len(positions)) rather
+    than O(m * n).  Padding bits read as -1.
     """
-    hist = byte_histograms(packed, v, range(packed.shape[1]))
+    hist = byte_histograms(packed, v, positions)
     out = (hist @ BYTE_BITS.astype(np.float64)).ravel()
     # sum v*bit -> sum v*(2 bit - 1)
-    return (2.0 * out - float(v.sum()))[:n]
+    return 2.0 * out - float(v.sum())
 
 
 def point_to_string(point_pm: np.ndarray) -> str:

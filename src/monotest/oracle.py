@@ -10,16 +10,16 @@ sum |w_i| < 2^53), otherwise an fsum re-decision of near-threshold points,
 whose correctly rounded result has the exact sign.  Instances whose weights
 sit on an integer grid (every generator in this package emits such
 instances) have |w.x - theta| >= 1/2 or w.x = theta, the boundary case,
-which maps to +1.  LTFEvaluator has two backends, chosen by n:
+which maps to +1.
 
-* truth table (n <= TABLE_MAX_N): the table is materialized once and
-  queries become packed-index lookups.
-* byte tables: one 256-entry float64 table of set-bit sums per byte of the
-  packed point.  A batch is read in row blocks of min(QUERY_CHUNK,
-  bits.block_rows(nbytes)) rows, and within a block the tables are gathered
-  one byte position at a time (table.take(block[:, p])) into a running row
-  sum, so the block stays in cache and no index array wider than one column
-  is built.
+LTFEvaluator, the one path every oracle query takes at every n, keeps one
+256-entry float64 table of set-bit sums per byte of the packed point.  A
+batch is read in row blocks of min(QUERY_CHUNK, bits.block_rows(nbytes))
+rows, and within a block the tables are gathered one byte position at a
+time (table.take(block[:, p])) into a running row sum, so the block stays
+in cache and no index array wider than one column is built.  truth_table
+and cube_margins enumerate the whole cube; they are the exact reference
+that the ground-truth helpers use and tests compare against.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import bits
 
-TABLE_MAX_N = 20  # largest n whose cube is enumerated, here and in truth
+TABLE_MAX_N = 20  # largest n the exact references enumerate the cube for
 QUERY_CHUNK = 16384
 
 
@@ -203,9 +203,10 @@ def truth_table(spec: LTFSpec) -> np.ndarray:
 class LTFEvaluator:
     """Evaluates a halfspace on packed batches; returns int8 +-1 per row.
 
-    `backend` names the path taken: "truth-table" or "byte-table".  With s
-    the set-bit sum of a row, w.x = 2s - sum(w), and a byte-table row is
-    decided by one subtraction and one comparison:
+    One path at every n: per-byte tables of set-bit sums, whose padding
+    entries are zero, so padding bits never change an answer.  With s the
+    set-bit sum of a row, w.x = 2s - sum(w), and a row is decided by one
+    subtraction and one comparison:
 
     * exact_in_float(w): 2s - sum(w) >= theta.  Every table entry and
       partial row sum is an integer of magnitude at most sum |w_i| < 2^53,
@@ -221,13 +222,6 @@ class LTFEvaluator:
         self.spec = spec
         self.n = spec.n
         w = spec.weights
-        if self.n <= TABLE_MAX_N:
-            self.backend = "truth-table"
-            self._table = truth_table(spec)
-            self._index_pows = (256 ** np.arange(bits.nbytes(self.n),
-                                                 dtype=np.int64))
-            return
-        self.backend = "byte-table"
         nb = bits.nbytes(self.n)
         wp = np.zeros(8 * nb, dtype=np.float64)
         wp[: self.n] = w
@@ -249,9 +243,6 @@ class LTFEvaluator:
         self._rows = min(QUERY_CHUNK, bits.block_rows(nb))
 
     def __call__(self, packed: np.ndarray) -> np.ndarray:
-        if self.backend == "truth-table":
-            idx = packed.astype(np.int64) @ self._index_pows
-            return self._table[idx]
         out = np.empty(packed.shape[0], dtype=np.int8)
         rows = self._rows
         for lo in range(0, packed.shape[0], rows):

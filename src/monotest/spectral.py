@@ -191,28 +191,22 @@ def _signed_sums(f: OracleHandle, m: int, positions: np.ndarray,
     dom = f.domain
     amb_cols = dom[positions]
     byte_positions = np.unique(amb_cols >> 3)
-    hist_amb = np.zeros((byte_positions.size, 256), dtype=np.float64)
-    hist_dummy = np.zeros((bits.nbytes(n_dummy), 256), dtype=np.float64)
-    v_total = 0.0
+    s1_amb = np.zeros(8 * byte_positions.size)
+    s1_dummy = np.zeros(8 * bits.nbytes(n_dummy))
     chunk = bits.chunk_rows(CHUNK, bits.nbytes(f.ambient_n))
     done = 0
     while done < m:
         k = min(chunk, m - done)
         pts = bits.random_packed(rng, k, f.ambient_n)
         v = f.query_packed(pts).astype(np.float64)
-        v_total += v.sum()
-        hist_amb += bits.byte_histograms(pts, v, byte_positions)
+        s1_amb += bits.signed_bit_sums(pts, v, byte_positions)
         if n_dummy:
             dpts = bits.random_packed(rng, k, n_dummy)
-            hist_dummy += bits.byte_histograms(dpts, v, range(dpts.shape[1]))
+            s1_dummy += bits.signed_bit_sums(dpts, v, range(dpts.shape[1]))
         done += k
-    # bit sums -> signed sums
-    bm = bits.BYTE_BITS.astype(np.float64)
-    s1_amb = 2.0 * (hist_amb @ bm).ravel() - v_total
-    s1_dummy = 2.0 * (hist_dummy @ bm).ravel()[:n_dummy] - v_total
     s1 = s1_amb[8 * np.searchsorted(byte_positions, amb_cols >> 3)
                 + (amb_cols & 7)]
-    return s1, (s1_dummy if n_dummy else None)
+    return s1, (s1_dummy[:n_dummy] if n_dummy else None)
 
 
 def degree1_square_terms(f: OracleHandle, m: int, rng: np.random.Generator,
@@ -368,7 +362,7 @@ def exact_spectrum(spec: LTFSpec) -> ExactSpectrum:
             packed[:, k] = (idx >> (8 * k)) & 0xFF
         v = ev(packed).astype(np.float64)
         v_total += v.sum()
-        s1 += bits.signed_bit_sums(packed, v, n)
+        s1 += bits.signed_bit_sums(packed, v, range(nb))[:n]
     size = float(1 << n)
     return ExactSpectrum(n, v_total / size, s1 / size, None)
 

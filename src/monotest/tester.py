@@ -143,7 +143,7 @@ def maintain_regular_and_balanced(f: OracleHandle, rho_p: Restriction,
 
 
 def main_procedure(f: OracleHandle, rho: Restriction, eps: float,
-                   sched: ParameterSchedule, rng: SplitRng,
+                   rng: SplitRng,
                    ledger: Optional[QueryLedger] = None) -> Verdict:
     """Final phase: the edge tester on f under rho, at confidence
     1 - EDGE_DELTA.
@@ -205,4 +205,4 @@ def staged_test_ltf(f: OracleHandle, eps: float, sched: ParameterSchedule,
         ledger.queries_rb += f.query_count - start
     if isinstance(phase1, Verdict):
         return phase1
-    return main_procedure(f, phase1, eps, sched, rng.child("main"), ledger)
+    return main_procedure(f, phase1, eps, rng.child("main"), ledger)

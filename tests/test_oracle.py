@@ -98,8 +98,13 @@ def test_signed_bit_sums_matches_dense():
     n = 37
     X = bits.random_packed(rng, 500, n)
     v = rng.integers(0, 2, size=500).astype(np.float64) * 2 - 1
-    dense = bits.unpack(X, n).astype(np.float64)
-    assert np.allclose(bits.signed_bit_sums(X, v, n), dense.T @ v)
+    dense = bits.unpack(X, n).astype(np.float64).T @ v
+    nb = bits.nbytes(n)
+    assert np.array_equal(bits.signed_bit_sums(X, v, range(nb))[:n], dense)
+    # a subset of byte positions gives the 8 sums of each, in listed order
+    got = bits.signed_bit_sums(X, v, [3, 1]).reshape(2, 8)
+    assert np.array_equal(got[0], dense[24:32])
+    assert np.array_equal(got[1], dense[8:16])
 
 
 def test_point_string_roundtrip():
@@ -138,9 +143,8 @@ def test_truth_table_matches_pointwise(n, seed):
 
 
 def test_eval_backends_agree():
-    # same integer-grid halfspace through the truth table (small n) and the
-    # byte tables (large n, padded), with a half-integer and a non-half-integer
-    # threshold
+    # the same integer-grid halfspace with a half-integer and a
+    # non-half-integer threshold
     rng = generator_for(11, "backends")
     w = np.round(rng.standard_normal(50) * 64)
     w[w == 0] = 3.0
@@ -153,10 +157,7 @@ def test_eval_backends_agree():
     # theta differs by 1e-9 but w.x - theta is never within 1e-9 of zero here
     assert np.array_equal(a, b)
     # integer weights take the exact branch, whatever the threshold
-    assert LTFEvaluator(spec).backend == "byte-table"
-    assert LTFEvaluator(spec_shifted).backend == "byte-table"
     assert exact_in_float(spec.weights) and exact_in_float(spec_shifted.weights)
-    assert LTFEvaluator(LTFSpec(w[:20], theta)).backend == "truth-table"
 
 
 def _cancellation_spec(n):
@@ -169,7 +170,6 @@ def _cancellation_spec(n):
 
 def test_cancellation_byte_tables():
     spec = _cancellation_spec(21)
-    assert LTFEvaluator(spec).backend == "byte-table"
     assert not exact_in_float(spec.weights)
     ones = np.ones((1, 21), dtype=np.int8)
     assert OracleHandle.for_spec(spec).query_pm(ones)[0] == 1
@@ -178,7 +178,6 @@ def test_cancellation_byte_tables():
 
 def test_cancellation_truth_table():
     spec = _cancellation_spec(4)
-    assert LTFEvaluator(spec).backend == "truth-table"
     table = truth_table(spec)
     assert table[0b1111] == 1
     assert OracleHandle.for_spec(spec).query_pm(np.ones((1, 4)))[0] == 1
@@ -188,6 +187,47 @@ def test_cancellation_truth_table():
         x = [1 if (idx >> i) & 1 else -1 for i in range(4)]
         true = sum(Fraction(wi) * xi for wi, xi in zip(spec.weights, x))
         assert table[idx] == (1 if true >= Fraction(spec.theta) else -1)
+
+
+def _cube_packed(n):
+    """All 2^n points of the cube, packed, row i at packed index i."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    return np.stack([(idx >> (8 * k)) & 0xFF for k in range(bits.nbytes(n))],
+                    axis=1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("n", [3, 8, 12, 20])
+def test_evaluator_matches_truth_table_on_whole_cube(n):
+    # the oracle against the exact reference at every point: integer-grid
+    # weights, dyadic weights off the exact branch (two scaled by 2^45 so
+    # that float sums round; theta is w.x0 rounded, so x0 and its
+    # neighbours sit at the threshold) and float cancellation
+    rng = generator_for(n, "whole-cube")
+    grid = np.round(rng.standard_normal(n) * 16)
+    dyadic = rng.integers(-1024, 1025, size=n) / 1024.0
+    dyadic[:2] *= 2.0 ** 45
+    x0 = random_point(n, rng)
+    tie = float(sum(Fraction(wi) * int(xi) for wi, xi in zip(dyadic, x0)))
+    specs = [LTFSpec(grid, float(np.floor(0.1 * grid.sum())) + 0.5),
+             LTFSpec(dyadic, tie),
+             _cancellation_spec(max(n, 4))]
+    assert exact_in_float(specs[0].weights)
+    assert not exact_in_float(specs[1].weights)
+    for spec in specs:
+        got = OracleHandle.for_spec(spec).query_packed(_cube_packed(spec.n))
+        assert np.array_equal(got, truth_table(spec))
+
+
+def test_evaluator_ignores_padding_bits():
+    # n=12 leaves 4 padding bits in the last byte; setting them changes no
+    # answer, on the exact branch and off it
+    n = 12
+    X = _cube_packed(n)
+    padded = X.copy()
+    padded[:, -1] |= 0xF0
+    for spec in (LTFSpec(np.arange(1.0, n + 1), 3.5), _cancellation_spec(n)):
+        f = OracleHandle.for_spec(spec)
+        assert np.array_equal(f.query_packed(padded), f.query_packed(X))
 
 
 @given(st.integers(4, 60), st.integers(0, 2**32 - 1), st.booleans())
@@ -250,7 +290,6 @@ def _blocks_float_spec(rng, n):
 def test_byte_table_blocks_match_eval_ltf(make, exact):
     n = 4096
     spec, x0 = make(generator_for(21, "blocks"), n)
-    assert LTFEvaluator(spec).backend == "byte-table"
     assert exact_in_float(spec.weights) == exact
     X = _block_batch(generator_for(22, "blocks"), n, x0)
     got = OracleHandle.for_spec(spec).query_pm(X)
@@ -289,7 +328,7 @@ def test_exact_byte_tables_match_fractions(make, expect_x0):
     spec, x0 = make(rng)
     n = spec.n
     ev = LTFEvaluator(spec)
-    assert ev.backend == "byte-table" and exact_in_float(spec.weights)
+    assert exact_in_float(spec.weights)
     # x0, its one-flip neighbours and random points
     flips = np.repeat(x0[None, :], n, axis=0)
     flips[np.arange(n), np.arange(n)] *= -1

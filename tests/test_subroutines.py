@@ -288,15 +288,13 @@ def test_main_procedure_sizes_the_edge_test_from_eps_or_the_margin(eps):
     # eps/m bound asks
     n = 32
     spec = LTFSpec(np.ones(n), 0.5)
-    sched = build_schedule(n, eps)
     cases = ((Restriction.all_stars(n), n, eps),
              (Restriction.fixing(n, {0: 1}), n - 1, min(eps, EDGE_EPS / 4)))
     pins = MAIN_EDGE_QUERIES[eps]
     for (rho, m, edge_eps), pinned in zip(cases, pins):
         f = OracleHandle.for_spec(spec)
         ledger = QueryLedger()
-        v = main_procedure(f, rho, eps, sched, rng_at(17, "main-edge"),
-                           ledger)
+        v = main_procedure(f, rho, eps, rng_at(17, "main-edge"), ledger)
         assert v.diagnostic == "edge:pass"
         assert ledger.queries_edge == f.query_count == pinned == \
             2 * edge_budget(m, edge_eps, EDGE_DELTA)

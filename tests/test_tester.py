@@ -128,10 +128,9 @@ def test_rb_gives_up_after_one_round_without_high_variables():
 def test_main_skips_to_edge_when_already_small():
     # no restriction fixes a coordinate: one edge call on f itself
     spec = LTFSpec(np.ones(32), 0.5)
-    sched = build_schedule(32, 0.1)
     f = OracleHandle.for_spec(spec)
     ledger = QueryLedger()
-    verdict = main_procedure(f, Restriction.all_stars(32), 0.1, sched,
+    verdict = main_procedure(f, Restriction.all_stars(32), 0.1,
                              rng_at(5, "skip"), ledger)
     assert verdict.is_monotone and verdict.diagnostic == "edge:pass"
     assert ledger.queries_edge == f.query_count
@@ -139,9 +138,8 @@ def test_main_skips_to_edge_when_already_small():
 
 def test_main_detects_negated_function_via_edge_phase():
     spec = LTFSpec(np.array([-1.0] * 8), 0.5)  # anti-monotone everywhere
-    sched = build_schedule(8, 0.2)
     f = OracleHandle.for_spec(spec)
-    verdict = main_procedure(f, Restriction.all_stars(8), 0.2, sched,
+    verdict = main_procedure(f, Restriction.all_stars(8), 0.2,
                              rng_at(6, "edge-neg"))
     assert not verdict.is_monotone
     assert verify_certificate(f, verdict.certificate)
