@@ -3,7 +3,7 @@
 changes nothing.
 
 Runs fixed harness.run_suite cells that cover every instance family
-(n <= 1024, eight trials each, one thread) and prints one sha256 per cell,
+(n <= 1024, eight trials each) and prints one sha256 per cell,
 then one over all cells.  Each digest covers every record field except
 wall_ms, the one field that measures time: verdicts, diagnostics,
 certificates, per-phase query counts and certified distances.
@@ -92,7 +92,7 @@ def main() -> None:
         kind, n, params, eps = cell
         family = InstanceFamily(kind, n, params)
         config = SuiteConfig(family=family, count=TRIALS, eps=eps,
-                             master_seed=SEED, threads=1)
+                             master_seed=SEED)
         records, _summary = run_suite(config)
         default.append((cell, record_lines(records)))
         staged.append((cell, staged_lines(family, eps)))

@@ -25,7 +25,6 @@ from .generators import (
 )
 from .harness import (
     SuiteConfig,
-    default_threads,
     run_suite,
     write_outputs,
 )
@@ -131,7 +130,6 @@ def cmd_bench(args) -> int:
     family = _family_from_args(args)
     config = SuiteConfig(family=family, count=args.count, eps=args.epsilon,
                          master_seed=args.seed,
-                         threads=args.threads or default_threads(),
                          mc_radius=args.mc_radius)
     records, summary = run_suite(config)
     write_outputs(records, summary, csv_path=args.out_csv,
@@ -233,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--count", type=int, default=10)
     p_bench.add_argument("--epsilon", type=float, required=True)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--threads", type=int, default=None)
     p_bench.add_argument("--mc-radius", type=float, default=0.005)
     p_bench.add_argument("--out-csv", default=None)
     p_bench.add_argument("--out-json", default=None)

@@ -3,7 +3,7 @@ hard run-level invariants (no false alarms, every certificate re-verifies).
 
 Determinism contract: the content of every record is a pure function of
 (suite config, master seed).  Trials draw from independent streams keyed by
-trial index, so thread count and completion order cannot change any field.
+trial index, so no field depends on the order the trials run in.
 The single exception is wall_ms, which reports measured time and is excluded
 from reproducibility comparisons (see records_csv_deterministic_view).
 """
@@ -13,9 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,7 +44,6 @@ class SuiteConfig:
     count: int
     eps: float
     master_seed: int
-    threads: int = 1
     mc_radius: float = 0.005
     query_cap: Optional[int] = None
 
@@ -75,13 +72,6 @@ class ExperimentRecord:
                 self.verdict, self.diagnostic, self.queries_total,
                 self.queries_rb, self.queries_edge,
                 self.wall_ms, repr(self.distance), self.distance_method]
-
-
-def default_threads() -> int:
-    env = os.environ.get("MONOTEST_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(2, os.cpu_count() or 1)
 
 
 def run_trial(config: SuiteConfig, trial: int) -> ExperimentRecord:
@@ -161,15 +151,8 @@ def summarize(records: list[ExperimentRecord]) -> dict:
 
 
 def run_suite(config: SuiteConfig):
-    """Run all trials (work spread over a thread pool, records in trial
-    order) and return (records, summary)."""
-    workers = max(1, config.threads)
-    if workers == 1:
-        records = [run_trial(config, t) for t in range(config.count)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda t: run_trial(config, t),
-                                    range(config.count)))
+    """Run all trials in trial order and return (records, summary)."""
+    records = [run_trial(config, t) for t in range(config.count)]
     return records, summarize(records)
 
 

@@ -226,12 +226,8 @@ class LTFEvaluator:
         wp = np.zeros(8 * nb, dtype=np.float64)
         wp[: self.n] = w
         # tables[p, b] = sum of the weights of the set bits of byte value b
-        # at byte position p.  Filled row by row: one (nb, 8) @ (8, 256)
-        # product raised the peak RSS of a whole n=4096 run by 4.5 MB.
-        self._tables = np.empty((nb, 256), dtype=np.float64)
-        bm = bits.BYTE_BITS.astype(np.float64)
-        for p in range(nb):
-            self._tables[p] = bm @ wp[8 * p: 8 * p + 8]
+        # at byte position p
+        self._tables = wp.reshape(nb, 8) @ bits.BYTE_BITS.T.astype(np.float64)
         if exact_in_float(w):
             self._offset = float(w.sum())
             self._threshold = spec.theta
@@ -451,9 +447,15 @@ class OracleHandle:
 
         For restricted views the fixed coordinates of the batch are overridden
         by the restriction, so callers may fill them with anything (typically
-        fresh random bytes).
+        fresh random bytes).  A batch of any other width raises
+        DimensionMismatchError before a query is charged.
         """
         packed = np.atleast_2d(packed)
+        width = bits.nbytes(self.ambient_n)
+        if packed.shape[1] != width:
+            raise DimensionMismatchError(
+                f"points have {packed.shape[1]} bytes, "
+                f"ambient width is {width}")
         self._charge(packed.shape[0])
         if self.rho is not None:
             packed = self.rho.overlay_packed(packed)

@@ -24,7 +24,7 @@ from monotest.generators import (
     SIGNED_MAJORITY,
     grid_spec,
 )
-from monotest.harness import SuiteConfig, default_threads, run_suite
+from monotest.harness import SuiteConfig, run_suite
 from monotest.oracle import (
     LTFSpec,
     OracleHandle,
@@ -48,8 +48,6 @@ from monotest.truth import (
     dist_ltf_to_monotone_mc,
     dist_to_monotone_matching,
 )
-
-THREADS = default_threads()
 
 # accumulated across the module; the soundness test audits these at the end
 SUITE_RECORDS = []
@@ -80,8 +78,7 @@ def test_one_sidedness_on_monotone_halfspaces():
     total = 0
     for n in (8, 64, 512, 4096):
         config = SuiteConfig(family=InstanceFamily(MONOTONE_RANDOM, n),
-                             count=125, eps=0.1, master_seed=1000 + n,
-                             threads=THREADS)
+                             count=125, eps=0.1, master_seed=1000 + n)
         records, summary = run_and_track(config)
         total += len(records)
         rejected += [(n, r.trial) for r in records
@@ -363,7 +360,7 @@ def test_end_to_end_detection_planted():
     config = SuiteConfig(
         family=InstanceFamily(PLANTED_NEGATIVE_MASS, 1024,
                               {"lambda_target": 0.25}),
-        count=50, eps=0.05, master_seed=10_000, threads=THREADS)
+        count=50, eps=0.05, master_seed=10_000)
     records, summary = run_and_track(config)
     # each instance must carry an MC-certified distance of at least eps
     weak = [r.trial for r in records
@@ -395,7 +392,7 @@ def near_threshold_gate(n, eps, ks, seed_base):
     for k in ks:
         config = SuiteConfig(
             family=InstanceFamily(SIGNED_MAJORITY, n, {"k": k}),
-            count=20, eps=eps, master_seed=seed_base + k, threads=THREADS)
+            count=20, eps=eps, master_seed=seed_base + k)
         records, summary = run_and_track(config)
         far = [r for r in records if r.distance - config.mc_radius >= eps]
         hits = sum(r.verdict == "non-monotone" for r in far)
@@ -444,20 +441,17 @@ def test_suite_rerun_reproducibility():
     from monotest.harness import records_csv_deterministic_view, records_to_csv
     fam = InstanceFamily(PLANTED_NEGATIVE_MASS, 256, {"lambda_target": 0.2})
 
-    def one(threads):
-        cfg = SuiteConfig(family=fam, count=10, eps=0.05, master_seed=77,
-                          threads=threads)
+    def one():
+        cfg = SuiteConfig(family=fam, count=10, eps=0.05, master_seed=77)
         records, _ = run_suite(cfg)
         return records_to_csv(records)
 
-    first, second, cross_threads = one(1), one(1), one(THREADS)
-    a = records_csv_deterministic_view(first)
-    b = records_csv_deterministic_view(second)
-    c = records_csv_deterministic_view(cross_threads)
+    a = records_csv_deterministic_view(one())
+    b = records_csv_deterministic_view(one())
     # wall_ms is measured time and is the only column allowed to differ
-    ok = a == b == c
+    ok = a == b
     report("suite-determinism", ok,
-           "byte-identical CSV across reruns and thread counts "
+           "byte-identical CSV across reruns "
            "(wall_ms column excluded as measured time)")
     assert ok
 
@@ -476,7 +470,7 @@ def test_certificate_soundness_everywhere():
     ]
     for idx, fam in enumerate(detection_families):
         config = SuiteConfig(family=fam, count=10, eps=0.05,
-                             master_seed=20_000 + idx, threads=THREADS)
+                             master_seed=20_000 + idx)
         run_and_track(config)
     suite_rejections = [r for r in SUITE_RECORDS
                         if r.verdict == "non-monotone"]

@@ -45,7 +45,6 @@ def test_bench_command_writes_outputs(tmp_path, capsys):
     json_path = tmp_path / "summary.json"
     rc = main(["bench", "--family", "signed-majority", "--n", "21", "--k",
                "5", "--count", "4", "--epsilon", "0.05", "--seed", "2",
-               "--threads", "1",
                "--out-csv", str(csv_path), "--out-json", str(json_path)])
     assert rc == 0
     lines = csv_path.read_text().splitlines()
@@ -80,4 +79,12 @@ def test_usage_error_exits_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["test", "--instance", str(instance), "--epsilon", "0.1",
               "--profile", "theoretical"])
+    assert exc.value.code == 1
+
+
+def test_bench_rejects_threads_flag():
+    # bench has no --threads option, and an unknown option is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--family", "signed-majority", "--n", "21", "--k",
+              "5", "--count", "1", "--epsilon", "0.05", "--threads", "2"])
     assert exc.value.code == 1

@@ -110,10 +110,9 @@ def test_instance_file_roundtrip(tmp_path):
 # suites
 
 
-def small_suite(seed=11, count=6, threads=1):
+def small_suite(seed=11, count=6):
     fam = InstanceFamily(SIGNED_MAJORITY, 25, {"k": 6})
-    return SuiteConfig(family=fam, count=count, eps=0.05, master_seed=seed,
-                       threads=threads)
+    return SuiteConfig(family=fam, count=count, eps=0.05, master_seed=seed)
 
 
 def test_suite_detects_and_verifies():
@@ -164,8 +163,8 @@ def test_suite_monotone_no_false_alarms():
 
 
 def test_suite_csv_deterministic_modulo_walltime():
-    a_records, _ = run_suite(small_suite(threads=1))
-    b_records, _ = run_suite(small_suite(threads=2))
+    a_records, _ = run_suite(small_suite())
+    b_records, _ = run_suite(small_suite())
     a = records_csv_deterministic_view(records_to_csv(a_records))
     b = records_csv_deterministic_view(records_to_csv(b_records))
     assert a == b

@@ -458,6 +458,18 @@ def test_query_cap_raises_without_truncation():
     assert f.query_count == 10
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_wrong_width_batch_raises_before_charging(width):
+    # n=16 takes 2 bytes per point: a narrower batch would fail inside the
+    # evaluator after charging, a wider one would be read from its first 2
+    f = handle(np.ones(16), 0.0)
+    views = (f, restrict(f, Restriction.fixing(16, {0: 1, 9: -1})))
+    for view in views:
+        with pytest.raises(DimensionMismatchError):
+            view.query_packed(np.zeros((4, width), dtype=np.uint8))
+    assert f.query_count == 0
+
+
 def test_query_cap_holds_across_threads():
     # a counter that yields between reading and writing its value: two
     # threads that both pass a cap check made outside the lock would both
