@@ -18,6 +18,9 @@ Times, on one batch of QUERY_CHUNK points at each n in SIZES:
   `bits.CHUNK_BYTES`) on the integer instance.
 
 Each figure is the best of REPEATS runs, timed with time.perf_counter.
+BLAS and OpenMP run on one thread, as in perfbench: unpinned, OpenBLAS
+splits the n=4096 table product of `eval.build` over two threads, and on a
+shared host that hand-off can cost 100 times the product itself.
 The result is stored under --tag in BENCH_kernels.json, keeping the rows of
 other tags, so one file can hold two trees measured alike:
 
@@ -31,11 +34,18 @@ import platform
 import time
 from pathlib import Path
 
-import numpy as np
+# before numpy is imported, which reads them once
+PINNED_THREADS = {name: "1" for name in (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
+os.environ.update(PINNED_THREADS)
 
-from monotest import bits
-from monotest.oracle import QUERY_CHUNK, LTFEvaluator, LTFSpec, OracleHandle
-from monotest.subroutines import EDGE_CHUNK, _query_edges
+import numpy as np  # noqa: E402
+
+from monotest import bits  # noqa: E402
+from monotest.oracle import (  # noqa: E402
+    QUERY_CHUNK, LTFEvaluator, LTFSpec, OracleHandle)
+from monotest.subroutines import EDGE_CHUNK, _query_edges  # noqa: E402
 
 
 OUT = Path("BENCH_kernels.json")
@@ -100,7 +110,7 @@ def main():
     doc.setdefault("rows", {})[args.tag] = {
         "environment": {"nproc": os.cpu_count(),
                         "python": platform.python_version(),
-                        "numpy": np.__version__},
+                        "numpy": np.__version__, **PINNED_THREADS},
         "repeats": REPEATS,
         "kernels": kernels,
     }

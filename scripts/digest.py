@@ -6,13 +6,12 @@ Runs fixed harness.run_suite cells that cover every instance family
 (n <= 1024, eight trials each) and prints one sha256 per cell,
 then one over all cells.  Each digest covers every record field except
 wall_ms, the one field that measures time: verdicts, diagnostics,
-certificates, per-phase query counts and certified distances.
+certificates, query counts and certified distances.
 
 The suite runs the default tester only, so the same cells are then run
 through staged_test_ltf, on the same instances and test streams, and get
 one sha256 each (and one over all of them) over its verdict, diagnostic,
-certificate, total queries, queries_rb and queries_edge.  Run it on two
-trees and compare:
+certificate and total queries.  Run it on two trees and compare:
 
     PYTHONPATH=src python scripts/digest.py
 """
@@ -26,7 +25,7 @@ from monotest.harness import SuiteConfig, run_suite
 from monotest.oracle import OracleHandle
 from monotest.rng import SplitRng
 from monotest.schedule import build_schedule
-from monotest.tester import QueryLedger, staged_test_ltf
+from monotest.tester import staged_test_ltf
 
 SEED = 20240
 TRIALS = 8
@@ -62,15 +61,13 @@ def staged_lines(family: InstanceFamily, eps: float) -> list[str]:
         root = SplitRng(SEED, ("trial", trial))
         spec = generate(family, root.child("gen")).spec
         f = OracleHandle.for_spec(spec)
-        ledger = QueryLedger()
         verdict = staged_test_ltf(f, eps, build_schedule(spec.n, eps),
-                                  root.child("test"), ledger)
+                                  root.child("test"))
         cert = verdict.certificate
         lines.append(json.dumps({
             "verdict": verdict.outcome, "diagnostic": verdict.diagnostic,
             "certificate": None if cert is None else cert.to_dict(),
-            "queries_total": f.query_count, "queries_rb": ledger.queries_rb,
-            "queries_edge": ledger.queries_edge}, sort_keys=True))
+            "queries_total": f.query_count}, sort_keys=True))
     return lines
 
 

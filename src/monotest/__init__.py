@@ -54,7 +54,6 @@ from .subroutines import (
     find_hi_influence_vars,
 )
 from .tester import (
-    QueryLedger,
     main_procedure,
     maintain_regular_and_balanced,
     mono_test_ltf,
@@ -88,7 +87,6 @@ __all__ = [
     "OracleHandle",
     "ParameterSchedule",
     "QueryBudgetExceededError",
-    "QueryLedger",
     "Restriction",
     "SpectralEstimate",
     "SplitRng",

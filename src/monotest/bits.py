@@ -84,11 +84,9 @@ def random_packed(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return out
 
 
-def pack(points_pm: np.ndarray, n: int | None = None) -> np.ndarray:
+def pack(points_pm: np.ndarray) -> np.ndarray:
     """Pack an (m, n) or (n,) array over {-1,+1} into bytes."""
     pm = np.atleast_2d(np.asarray(points_pm))
-    if n is None:
-        n = pm.shape[1]
     bits = (pm > 0).astype(np.uint8)
     return np.packbits(bits, axis=1, bitorder="little")
 

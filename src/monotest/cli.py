@@ -36,7 +36,7 @@ from .oracle import (
 )
 from .rng import SplitRng
 from .schedule import build_schedule
-from .tester import QueryLedger, mono_test_ltf
+from .tester import mono_test_ltf
 from .truth import (
     check_negative_mass_lower_bound,
     check_restriction_preserves_distance,
@@ -97,11 +97,10 @@ def cmd_test(args) -> int:
     spec = LTFSpec.load(args.instance)
     sched = build_schedule(spec.n, args.epsilon)
     handle = OracleHandle.for_spec(spec, query_cap=args.max_queries)
-    ledger = QueryLedger()
     rng = SplitRng(args.seed, ("cli-test",))
     t0 = time.perf_counter()
     try:
-        verdict = mono_test_ltf(handle, args.epsilon, sched, rng, ledger)
+        verdict = mono_test_ltf(handle, args.epsilon, sched, rng)
     except QueryBudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -110,11 +109,7 @@ def cmd_test(args) -> int:
         "diagnostic": verdict.diagnostic,
         "certificate": (None if verdict.certificate is None
                         else verdict.certificate.to_dict()),
-        "queries": {
-            "total": handle.query_count,
-            "regularize_and_balance": ledger.queries_rb,
-            "edge_tester": ledger.queries_edge,
-        },
+        "queries": {"total": handle.query_count},
         "wall_ms": int(round((time.perf_counter() - t0) * 1000)),
         "schedule": sched.to_dict(),
     }

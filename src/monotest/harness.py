@@ -27,15 +27,14 @@ from .oracle import (
 )
 from .rng import SplitRng
 from .schedule import build_schedule
-from .tester import QueryLedger, mono_test_ltf
+from .tester import mono_test_ltf
 
 # verdict and diagnostic of a trial stopped by SuiteConfig.query_cap
 ERROR = "error"
 QUERY_BUDGET_DIAGNOSTIC = "error:query-budget"
 
 CSV_COLUMNS = ["family", "n", "epsilon", "seed", "verdict", "diagnostic",
-               "queries_total", "queries_rb", "queries_edge", "wall_ms",
-               "distance", "distance_method"]
+               "queries_total", "wall_ms", "distance", "distance_method"]
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,6 @@ class ExperimentRecord:
     certificate: Optional[dict]
     certificate_ok: Optional[bool]
     queries_total: int
-    queries_rb: int
-    queries_edge: int
     wall_ms: int
     distance: float
     distance_method: str
@@ -70,23 +67,20 @@ class ExperimentRecord:
     def csv_row(self) -> list:
         return [self.family, self.n, repr(self.epsilon), self.seed,
                 self.verdict, self.diagnostic, self.queries_total,
-                self.queries_rb, self.queries_edge,
                 self.wall_ms, repr(self.distance), self.distance_method]
 
 
 def run_trial(config: SuiteConfig, trial: int) -> ExperimentRecord:
     """Run one trial.  A trial that hits the query cap is recorded with
-    verdict ERROR, its queries so far and the phase counts it finished."""
+    verdict ERROR and its queries so far."""
     root = SplitRng(config.master_seed, ("trial", trial))
     instance = generate(config.family, root.child("gen"),
                         mc_radius=config.mc_radius)
     sched = build_schedule(instance.spec.n, config.eps)
     handle = OracleHandle.for_spec(instance.spec, query_cap=config.query_cap)
-    ledger = QueryLedger()
     t0 = time.perf_counter()
     try:
-        verdict = mono_test_ltf(handle, config.eps, sched, root.child("test"),
-                                ledger)
+        verdict = mono_test_ltf(handle, config.eps, sched, root.child("test"))
     except QueryBudgetExceededError:
         verdict = None
     wall_ms = int(round((time.perf_counter() - t0) * 1000.0))
@@ -104,9 +98,8 @@ def run_trial(config: SuiteConfig, trial: int) -> ExperimentRecord:
                     else verdict.diagnostic),
         certificate=cert_dict,
         certificate_ok=cert_ok,
-        queries_total=handle.query_count, queries_rb=ledger.queries_rb,
-        queries_edge=ledger.queries_edge,
-        wall_ms=wall_ms, distance=instance.distance.value,
+        queries_total=handle.query_count, wall_ms=wall_ms,
+        distance=instance.distance.value,
         distance_method=instance.distance.method,
         known_monotone=instance.known_monotone)
 

@@ -308,9 +308,9 @@ class Restriction:
         # (star_mask, fixed_plus_bits), both packed over n coordinates
         if self._packed is None:
             star = bits.pack(np.where(self.assignment == 0, 1, -1)
-                             .astype(np.int8), self.n)[0]
+                             .astype(np.int8))[0]
             plus = bits.pack(np.where(self.assignment == 1, 1, -1)
-                             .astype(np.int8), self.n)[0]
+                             .astype(np.int8))[0]
             self._packed = (star, plus)
         return self._packed
 
@@ -472,7 +472,7 @@ class OracleHandle:
             full = pm
         else:
             full = self.rho.merge(pm)
-        return self.query_packed(bits.pack(full, self.ambient_n))
+        return self.query_packed(bits.pack(full))
 
     def lift(self, packed: np.ndarray) -> np.ndarray:
         """Ambient packed points actually seen by the target for this batch."""
@@ -514,6 +514,14 @@ class AntiMonotoneEdgeCertificate:
 
     base_point: np.ndarray  # +-1 int8 vector, ambient width
     coordinate: int
+
+    def __post_init__(self):
+        point = np.asarray(self.base_point)
+        if point.ndim != 1 or np.count_nonzero(np.abs(point) != 1):
+            raise ValueError("base_point must be a 1-d +-1 vector")
+        if not 0 <= self.coordinate < point.size:
+            raise ValueError(f"coordinate {self.coordinate} is outside "
+                             f"[0, {point.size})")
 
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.asarray(self.base_point, dtype=np.int8).copy()

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bits
-from .oracle import LTFEvaluator, LTFSpec, OracleHandle, truth_table
+from .oracle import LTFSpec, OracleHandle, truth_table
 
 # rows per drawn batch, within bits.CHUNK_BYTES (see bits.chunk_rows)
 CHUNK = 16384
@@ -47,7 +47,6 @@ REGULAR = "regular"
 NOT_REGULAR = "not-regular"
 
 SPECTRUM_FULL_MAX_N = 16
-SPECTRUM_DEG1_MAX_N = 24
 
 
 class InfeasibleBudgetError(RuntimeError):
@@ -289,26 +288,21 @@ def check_fourier_regular(f: OracleHandle, t_set: Optional[Sequence[int]],
 
 @dataclass
 class ExactSpectrum:
-    """Exact Fourier data for a halfspace: degree-<=1 always, full table when
-    n is small enough.  full[mask] is the coefficient of the parity over the
-    set bits of mask."""
+    """Exact Fourier data for a halfspace.  full[mask] is the coefficient of
+    the parity over the set bits of mask."""
 
     n: int
     mean: float
     degree1: np.ndarray
-    full: Optional[np.ndarray] = None
+    full: np.ndarray
 
     def coefficient(self, s) -> float:
         mask = 0
         for i in s:
             mask |= 1 << int(i)
-        if self.full is None:
-            raise ValueError("full spectrum not available at this n")
         return float(self.full[mask])
 
     def total_mass(self) -> float:
-        if self.full is None:
-            raise ValueError("full spectrum not available at this n")
         return float((self.full ** 2).sum())
 
     def degree1_mass(self, t_set=None) -> float:
@@ -334,37 +328,21 @@ def _fwht(values: np.ndarray) -> np.ndarray:
 
 
 def exact_spectrum(spec: LTFSpec) -> ExactSpectrum:
-    """All 2^n coefficients for n <= 16; the degree-<=1 slice for n <= 24."""
+    """All 2^n coefficients (n <= 16)."""
     n = spec.n
-    if n <= SPECTRUM_FULL_MAX_N:
-        table = truth_table(spec).astype(np.float64)
-        wht = _fwht(table)
-        # points are indexed with bit=1 meaning +1, so parities pick up a
-        # (-1)^|S| relative to the vanilla transform
-        masks = np.arange(1 << n)
-        popc = np.zeros(1 << n, dtype=np.int64)
-        for i in range(n):
-            popc += (masks >> i) & 1
-        full = np.where(popc % 2 == 0, wht, -wht) / (1 << n)
-        degree1 = np.array([full[1 << i] for i in range(n)])
-        return ExactSpectrum(n, float(full[0]), degree1, full)
-    if n > SPECTRUM_DEG1_MAX_N:
-        raise ValueError(f"spectrum limited to n <= {SPECTRUM_DEG1_MAX_N}")
-    ev = LTFEvaluator(spec)
-    nb = bits.nbytes(n)
-    s1 = np.zeros(n, dtype=np.float64)
-    v_total = 0.0
-    block = 1 << 17
-    for lo in range(0, 1 << n, block):
-        idx = np.arange(lo, min(lo + block, 1 << n), dtype=np.int64)
-        packed = np.empty((idx.size, nb), dtype=np.uint8)
-        for k in range(nb):
-            packed[:, k] = (idx >> (8 * k)) & 0xFF
-        v = ev(packed).astype(np.float64)
-        v_total += v.sum()
-        s1 += bits.signed_bit_sums(packed, v, range(nb))[:n]
-    size = float(1 << n)
-    return ExactSpectrum(n, v_total / size, s1 / size, None)
+    if n > SPECTRUM_FULL_MAX_N:
+        raise ValueError(f"spectrum limited to n <= {SPECTRUM_FULL_MAX_N}")
+    table = truth_table(spec).astype(np.float64)
+    wht = _fwht(table)
+    # points are indexed with bit=1 meaning +1, so parities pick up a
+    # (-1)^|S| relative to the vanilla transform
+    masks = np.arange(1 << n)
+    popc = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        popc += (masks >> i) & 1
+    full = np.where(popc % 2 == 0, wht, -wht) / (1 << n)
+    degree1 = np.array([full[1 << i] for i in range(n)])
+    return ExactSpectrum(n, float(full[0]), degree1, full)
 
 
 def exact_influences(spec: LTFSpec) -> np.ndarray:

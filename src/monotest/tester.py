@@ -30,8 +30,7 @@ can never be rejected, whatever the randomness does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .oracle import (
     OracleHandle,
@@ -61,18 +60,6 @@ from .subroutines import (
 # not called here any more, but perfbench/tracing.py wraps them under these names
 from .spectral import check_fourier_regular  # noqa: F401
 from .subroutines import find_balanced_restriction  # noqa: F401
-
-
-@dataclass
-class QueryLedger:
-    """Per-phase query accounting for a single run."""
-
-    queries_rb: int = 0
-    queries_edge: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.queries_rb + self.queries_edge
 
 
 def _regular_balanced_step(f: OracleHandle, base: Restriction, eps: float,
@@ -143,8 +130,7 @@ def maintain_regular_and_balanced(f: OracleHandle, rho_p: Restriction,
 
 
 def main_procedure(f: OracleHandle, rho: Restriction, eps: float,
-                   rng: SplitRng,
-                   ledger: Optional[QueryLedger] = None) -> Verdict:
+                   rng: SplitRng) -> Verdict:
     """Final phase: the edge tester on f under rho, at confidence
     1 - EDGE_DELTA.
 
@@ -152,12 +138,8 @@ def main_procedure(f: OracleHandle, rho: Restriction, eps: float,
     then tests f itself, and min(eps, EDGE_EPS / 4) otherwise (see
     schedule)."""
     edge_eps = eps if rho.num_stars == rho.n else min(eps, EDGE_EPS / 4.0)
-    before = f.query_count
-    verdict = edge_tester(restrict(f, rho), edge_eps, EDGE_DELTA,
-                          rng.child("edge"))
-    if ledger is not None:
-        ledger.queries_edge += f.query_count - before
-    return verdict
+    return edge_tester(restrict(f, rho), edge_eps, EDGE_DELTA,
+                       rng.child("edge"))
 
 
 def _run_eps(eps: float, sched: ParameterSchedule) -> float:
@@ -169,27 +151,19 @@ def _run_eps(eps: float, sched: ParameterSchedule) -> float:
 
 
 def mono_test_ltf(f: OracleHandle, eps: float, sched: ParameterSchedule,
-                  rng: SplitRng,
-                  ledger: Optional[QueryLedger] = None) -> Verdict:
+                  rng: SplitRng) -> Verdict:
     """Default test: the uniform edge tester on f itself, at the clamped
     sched.eps and confidence 1 - EDGE_DELTA.
 
     A monotone input yields "monotone" with probability 1; an input eps-far
     from monotone is rejected, with a certificate, with probability at least
-    1 - EDGE_DELTA.  eps must be the value sched was built for.  Every query
-    is charged to ledger.queries_edge.
+    1 - EDGE_DELTA.  eps must be the value sched was built for.
     """
-    eps = _run_eps(eps, sched)
-    before = f.query_count
-    verdict = edge_tester(f, eps, EDGE_DELTA, rng.child("edge"))
-    if ledger is not None:
-        ledger.queries_edge += f.query_count - before
-    return verdict
+    return edge_tester(f, _run_eps(eps, sched), EDGE_DELTA, rng.child("edge"))
 
 
 def staged_test_ltf(f: OracleHandle, eps: float, sched: ParameterSchedule,
-                    rng: SplitRng,
-                    ledger: Optional[QueryLedger] = None) -> Verdict:
+                    rng: SplitRng) -> Verdict:
     """Adaptive test: initialization phase, then the final edge test on
     the restriction it returns.
 
@@ -199,10 +173,7 @@ def staged_test_ltf(f: OracleHandle, eps: float, sched: ParameterSchedule,
     clamped sched.eps.
     """
     eps = _run_eps(eps, sched)
-    start = f.query_count
     phase1 = regularize_and_balance(f, eps, sched, rng.child("rb"))
-    if ledger is not None:
-        ledger.queries_rb += f.query_count - start
     if isinstance(phase1, Verdict):
         return phase1
-    return main_procedure(f, phase1, eps, rng.child("main"), ledger)
+    return main_procedure(f, phase1, eps, rng.child("main"))

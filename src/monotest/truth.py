@@ -202,6 +202,17 @@ def exact_mean(spec: LTFSpec) -> float:
     return (2 * plus - (1 << spec.n)) / (1 << spec.n)
 
 
+def exact_degree1(spec: LTFSpec) -> np.ndarray:
+    """E[f(x) x_i] for every i (n <= 21): half the gap between the exact
+    means of f with x_i fixed to +1 and to -1.  Above n = 16, where
+    spectral.exact_spectrum stops, this is the degree-1 reference."""
+    w, theta = spec.weights, spec.theta
+    return np.array([
+        (exact_mean(LTFSpec(np.delete(w, i), theta - w[i]))
+         - exact_mean(LTFSpec(np.delete(w, i), theta + w[i]))) / 2
+        for i in range(spec.n)])
+
+
 def ltf_mean(spec: LTFSpec, rng: Optional[np.random.Generator],
              samples: int) -> float:
     """E[f] over the uniform cube: exact for n <= 20 (see exact_mean), else

@@ -47,6 +47,7 @@ from monotest.truth import (
     dist_ltf_to_monotone_exact,
     dist_ltf_to_monotone_mc,
     dist_to_monotone_matching,
+    exact_degree1,
 )
 
 # accumulated across the module; the soundness test audits these at the end
@@ -262,9 +263,9 @@ def test_influence_search_contract():
     trials = 0
     for n, heavy_pos in ((16, 5), (17, 11)):
         spec = planted_gap_spec(n, heavy_pos)
-        sp = exact_spectrum(spec)
-        gap_hi = abs(sp.degree1[heavy_pos])
-        gap_lo = max(abs(sp.degree1[i]) for i in range(n) if i != heavy_pos)
+        degree1 = exact_degree1(spec)
+        gap_hi = abs(degree1[heavy_pos])
+        gap_lo = max(abs(degree1[i]) for i in range(n) if i != heavy_pos)
         assert gap_hi >= tau and gap_lo < 0.15, "planted gap not certified"
         for trial in range(50):
             trials += 1

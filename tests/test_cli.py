@@ -23,6 +23,7 @@ def test_gen_and_test_roundtrip(tmp_path, capsys):
     assert rc == 0
     result = json.loads(out_json.read_text())
     assert result["verdict"] in ("monotone", "non-monotone")
+    assert list(result["queries"]) == ["total"]
     assert result["queries"]["total"] > 0
     assert result["schedule"]["n"] == 15
     if result["verdict"] == "non-monotone":

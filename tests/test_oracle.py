@@ -46,7 +46,7 @@ def test_pack_unpack_roundtrip(n, seed):
     pm = bits.unpack(packed, n)
     assert pm.shape == (7, n)
     assert set(np.unique(pm)) <= {-1, 1}
-    assert np.array_equal(bits.pack(pm, n), packed)
+    assert np.array_equal(bits.pack(pm), packed)
 
 
 @pytest.mark.parametrize("m,n", [(4, 8), (5, 8), (6, 8), (7, 8),
@@ -338,7 +338,7 @@ def test_exact_byte_tables_match_fractions(make, expect_x0):
     expect = [1 if sum(wi * int(xi) for wi, xi in zip(fw, x))
               >= Fraction(spec.theta) else -1 for x in pts]
     assert expect[0] == expect_x0
-    assert list(ev(bits.pack(pts, n))) == expect
+    assert list(ev(bits.pack(pts))) == expect
     assert [eval_ltf(spec, x) for x in pts] == expect
 
 
@@ -538,6 +538,24 @@ def test_certificate_serialization_roundtrip():
     back = AntiMonotoneEdgeCertificate.from_dict(d)
     assert back.coordinate == 3
     assert np.array_equal(back.base_point, cert.base_point)
+
+
+def test_certificate_rejects_malformed_edges():
+    # on sign(x1 + x2 - 4 x3 - 0.5) the coordinate -1 would index x3, the
+    # one anti-monotone direction, and verify as a real edge
+    f = handle([1.0, 1.0, -4.0], 0.5)
+    for d in ({"point": "+++", "coordinate": -1},
+              {"point": "+++", "coordinate": 3}):
+        with pytest.raises(ValueError):
+            AntiMonotoneEdgeCertificate.from_dict(d)
+    for point in (np.array([[1, 1, 1]], dtype=np.int8),
+                  np.array([1, 0, 1], dtype=np.int8)):
+        with pytest.raises(ValueError):
+            AntiMonotoneEdgeCertificate(point, 0)
+    assert f.query_count == 0
+    cert = AntiMonotoneEdgeCertificate.from_dict(
+        {"point": "+++", "coordinate": 2})
+    assert verify_certificate(f, cert)
 
 
 def test_verdict_requires_certificate():

@@ -15,7 +15,7 @@ from monotest.oracle import (
     truth_table,
 )
 from monotest.rng import generator_for
-from monotest.truth import exact_mean
+from monotest.truth import exact_degree1, exact_mean
 from monotest.spectral import (
     InfeasibleBudgetError,
     NOT_REGULAR,
@@ -109,26 +109,17 @@ def test_degree1_equals_influence():
         assert np.allclose(np.abs(sp.degree1), inf, atol=1e-12)
 
 
-def test_degree1_slice_large_n_matches_formula():
-    # majority on 17 variables goes through the chunked slice path
-    sp = exact_spectrum(majority_spec(17))
-    assert sp.full is None
-    assert np.allclose(sp.degree1, majority_degree1(17), atol=1e-12)
-    assert sp.mean == pytest.approx(0.0, abs=1e-12)
+def test_exact_spectrum_rejects_n_above_16():
+    with pytest.raises(ValueError):
+        exact_spectrum(majority_spec(17))
 
 
-def test_degree1_slice_agrees_with_full_path():
+def test_exact_degree1_matches_spectrum_and_formula():
+    # truth.exact_degree1 is the degree-1 reference where exact_spectrum stops
     spec = LTFSpec(np.concatenate([[8.0], np.ones(15)]), 0.5)
-    full = exact_spectrum(spec)
-    import monotest.spectral as spectral_mod
-    old = spectral_mod.SPECTRUM_FULL_MAX_N
-    spectral_mod.SPECTRUM_FULL_MAX_N = 10  # force the slice path
-    try:
-        sliced = exact_spectrum(spec)
-    finally:
-        spectral_mod.SPECTRUM_FULL_MAX_N = old
-    assert np.allclose(sliced.degree1, full.degree1, atol=1e-12)
-    assert sliced.mean == pytest.approx(full.mean, abs=1e-12)
+    assert np.array_equal(exact_degree1(spec), exact_spectrum(spec).degree1)
+    assert np.allclose(exact_degree1(majority_spec(17)), majority_degree1(17),
+                       atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

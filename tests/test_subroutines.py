@@ -13,7 +13,7 @@ from monotest.oracle import (
 )
 from monotest.rng import SplitRng
 from monotest.schedule import EDGE_DELTA, EDGE_EPS, build_schedule
-from monotest.spectral import exact_spectrum, squares_sample_count
+from monotest.spectral import squares_sample_count
 from monotest.subroutines import (
     FAIL,
     NEGATIVE,
@@ -24,10 +24,10 @@ from monotest.subroutines import (
     find_hi_influence_vars,
 )
 from monotest.tester import (
-    QueryLedger,
     main_procedure,
     maintain_regular_and_balanced,
 )
+from monotest.truth import exact_degree1
 
 
 def planted_heavy(n, heavy=8.0, sign=1.0):
@@ -65,9 +65,9 @@ def test_influence_search_majority51_empty():
 
 def test_influence_search_planted_gap_n17():
     spec = planted_heavy(17)
-    sp = exact_spectrum(spec)
-    assert abs(sp.degree1[0]) >= 0.3
-    assert np.max(np.abs(sp.degree1[1:])) < 0.15
+    degree1 = exact_degree1(spec)
+    assert abs(degree1[0]) >= 0.3
+    assert np.max(np.abs(degree1[1:])) < 0.15
     f = OracleHandle.for_spec(spec)
     out = find_hi_influence_vars(f, Restriction.all_stars(17), 0.3, 0.05,
                                  rng_at(3, "plant17"))
@@ -293,10 +293,9 @@ def test_main_procedure_sizes_the_edge_test_from_eps_or_the_margin(eps):
     pins = MAIN_EDGE_QUERIES[eps]
     for (rho, m, edge_eps), pinned in zip(cases, pins):
         f = OracleHandle.for_spec(spec)
-        ledger = QueryLedger()
-        v = main_procedure(f, rho, eps, rng_at(17, "main-edge"), ledger)
+        v = main_procedure(f, rho, eps, rng_at(17, "main-edge"))
         assert v.diagnostic == "edge:pass"
-        assert ledger.queries_edge == f.query_count == pinned == \
+        assert f.query_count == pinned == \
             2 * edge_budget(m, edge_eps, EDGE_DELTA)
 
 

@@ -26,7 +26,6 @@ from monotest.subroutines import (
     find_hi_influence_vars,
 )
 from monotest.tester import (
-    QueryLedger,
     main_procedure,
     maintain_regular_and_balanced,
     mono_test_ltf,
@@ -129,11 +128,10 @@ def test_main_skips_to_edge_when_already_small():
     # no restriction fixes a coordinate: one edge call on f itself
     spec = LTFSpec(np.ones(32), 0.5)
     f = OracleHandle.for_spec(spec)
-    ledger = QueryLedger()
     verdict = main_procedure(f, Restriction.all_stars(32), 0.1,
-                             rng_at(5, "skip"), ledger)
+                             rng_at(5, "skip"))
     assert verdict.is_monotone and verdict.diagnostic == "edge:pass"
-    assert ledger.queries_edge == f.query_count
+    assert f.query_count == 2 * math.ceil(32 * math.log(10) / 0.1)
 
 
 def test_main_detects_negated_function_via_edge_phase():
@@ -173,25 +171,28 @@ def test_full_tester_detects_planted_negative():
     assert hits >= 16
 
 
-def test_full_tester_ledger_accounting():
+def phase1_queries(spec, sched, rng):
+    """The queries staged_test_ltf spends in Phase 1 under rng: the same
+    regularize_and_balance stream, run on a fresh handle."""
+    g = OracleHandle.for_spec(spec)
+    regularize_and_balance(g, sched.eps, sched, rng.child("rb"))
+    return g.query_count
+
+
+def test_full_tester_query_accounting():
     n, eps = 48, 0.1
     spec = LTFSpec(np.ones(n), 0.5)
     sched = build_schedule(n, eps)
     f = OracleHandle.for_spec(spec)
-    ledger = QueryLedger()
-    staged_test_ltf(f, eps, sched, rng_at(9, "ledger"), ledger)
-    assert ledger.total == f.query_count
-    assert ledger.queries_rb > 0
-    assert ledger.queries_edge > 0
+    staged_test_ltf(f, eps, sched, rng_at(9, "accounting"))
+    rb = phase1_queries(spec, sched, rng_at(9, "accounting"))
+    assert 0 < rb < f.query_count
 
     # the default path is the edge tester alone, on f itself
     f = OracleHandle.for_spec(spec)
-    ledger = QueryLedger()
-    v = mono_test_ltf(f, eps, sched, rng_at(9, "ledger"), ledger)
+    v = mono_test_ltf(f, eps, sched, rng_at(9, "accounting"))
     assert v.diagnostic == "edge:pass"
-    assert ledger.queries_rb == 0
-    assert ledger.queries_edge == f.query_count == \
-        2 * math.ceil(n * math.log(10) / eps)
+    assert f.query_count == 2 * math.ceil(n * math.log(10) / eps)
 
 
 def test_full_tester_deterministic_given_seed():
@@ -309,17 +310,17 @@ def test_staged_tester_outcomes_pinned():
     n, eps = 33, 0.1
     sched = build_schedule(n, eps)
     f = OracleHandle.for_spec(heavy_second(n, 8.0))
-    ledger = QueryLedger()
-    out = staged_test_ltf(f, eps, sched, rng_at(0, "stf"), ledger)
+    out = staged_test_ltf(f, eps, sched, rng_at(0, "stf"))
     assert outcome(out, f) == ("monotone", "edge:pass", 58020, None)
-    assert (ledger.queries_rb, ledger.queries_edge) == (55072, 2948)
+    rb = phase1_queries(heavy_second(n, 8.0), sched, rng_at(0, "stf"))
+    assert (rb, f.query_count - rb) == (55072, 2948)
 
     f = OracleHandle.for_spec(heavy_second(n, -8.0))
-    ledger = QueryLedger()
-    out = staged_test_ltf(f, eps, sched, rng_at(0, "stf"), ledger)
+    out = staged_test_ltf(f, eps, sched, rng_at(0, "stf"))
     assert outcome(out, f) == (
         "non-monotone", "rb:negative-weight", 50976,
         {"point": "--+-+---++--+++----+++-----++++--", "coordinate": 1})
-    assert (ledger.queries_rb, ledger.queries_edge) == (50976, 0)
+    rb = phase1_queries(heavy_second(n, -8.0), sched, rng_at(0, "stf"))
+    assert (rb, f.query_count - rb) == (50976, 0)
     assert verify_certificate(OracleHandle.for_spec(heavy_second(n, -8.0)),
                               out.certificate)
