@@ -114,12 +114,19 @@ def test_exact_spectrum_rejects_n_above_16():
         exact_spectrum(majority_spec(17))
 
 
-def test_exact_degree1_matches_spectrum_and_formula():
-    # truth.exact_degree1 is the degree-1 reference where exact_spectrum stops
+def test_degree1_slice_large_n_matches_formula():
+    # majority on 17 variables: exact_spectrum stops at n=16, so the degree-1
+    # reference is truth.exact_degree1 (the x_i = +1 and x_i = -1 slices)
+    spec = majority_spec(17)
+    assert np.allclose(exact_degree1(spec), majority_degree1(17), atol=1e-12)
+    assert exact_mean(spec) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_degree1_slice_agrees_with_full_path():
     spec = LTFSpec(np.concatenate([[8.0], np.ones(15)]), 0.5)
-    assert np.array_equal(exact_degree1(spec), exact_spectrum(spec).degree1)
-    assert np.allclose(exact_degree1(majority_spec(17)), majority_degree1(17),
-                       atol=1e-12)
+    full = exact_spectrum(spec)
+    assert np.allclose(exact_degree1(spec), full.degree1, atol=1e-12)
+    assert exact_mean(spec) == pytest.approx(full.mean, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
