@@ -2,13 +2,12 @@
 """Calibration sweep for the sampling estimators against exact spectra.
 
 For a grid of (eta, delta) settings, measures the empirical failure rate of
-the degree-1 mass estimate and the regularity decision on random integer-
-grid halfspaces at n=12, where the exact Walsh-Hadamard spectrum is the
-ground truth.  The mean-decision rows do the same for the bounded mean
-check (estimate_mean with a bound) against exact means: the rate at which
-it lands on the wrong side of the bound, and its mean queries per call next
-to the fixed Hoeffding count.  Rates should sit well below the nominal
-delta.
+the degree-1 mass estimate on random integer-grid halfspaces at n=12, where
+the exact Walsh-Hadamard spectrum is the ground truth.  The mean-decision
+rows do the same for the bounded mean check (estimate_mean with a bound)
+against exact means: the rate at which it lands on the wrong side of the
+bound, and its mean queries per call next to the fixed Hoeffding count.
+Rates should sit well below the nominal delta.
 
 Example:
     python scripts/calibrate_estimators.py --trials 100
@@ -24,9 +23,6 @@ from monotest.generators import grid_spec
 from monotest.oracle import OracleHandle
 from monotest.rng import SplitRng
 from monotest.spectral import (
-    NOT_REGULAR,
-    REGULAR,
-    check_fourier_regular,
     estimate_mean,
     estimate_sum_of_squares,
     exact_spectrum,
@@ -62,27 +58,6 @@ def main():
         rows.append({"estimator": "degree1-mass", "eta": eta, "delta": delta,
                      "trials": total, "failure_rate": failures / total,
                      "queries_per_call": queries // total})
-
-    for tau, delta in [(0.5, 0.1), (0.7, 0.05)]:
-        wrong = 0
-        decided = 0
-        for inst in range(args.instances):
-            spec = grid_spec(gen, 12)
-            top = exact_spectrum(spec).max_abs_degree1()
-            f = OracleHandle.for_spec(spec)
-            for trial in range(args.trials):
-                rng = SplitRng(args.seed, ("reg", tau, inst, trial))
-                out = check_fourier_regular(f, None, tau, delta,
-                                            rng.generator)
-                if top >= tau:
-                    decided += 1
-                    wrong += out.decision != NOT_REGULAR
-                elif top <= tau * tau / 4:
-                    decided += 1
-                    wrong += out.decision != REGULAR
-        rows.append({"estimator": "regularity", "tau": tau, "delta": delta,
-                     "decidable_trials": decided,
-                     "failure_rate": (wrong / decided) if decided else None})
 
     # bounded mean check: wrong side of the bound, over the instances whose
     # exact |mean| is at most bound - eps or above bound + eps

@@ -40,7 +40,6 @@ from .schedule import ParameterSchedule, build_schedule
 from .spectral import (
     ExactSpectrum,
     SpectralEstimate,
-    check_fourier_regular,
     degree1_square_terms,
     estimate_mean,
     estimate_sum_of_squares,
@@ -95,7 +94,6 @@ __all__ = [
     "WeightProfile",
     "build_schedule",
     "check_distance_lower_bound",
-    "check_fourier_regular",
     "check_negative_mass_lower_bound",
     "check_restriction_preserves_distance",
     "check_weight_positive",

@@ -448,9 +448,12 @@ class OracleHandle:
         For restricted views the fixed coordinates of the batch are overridden
         by the restriction, so callers may fill them with anything (typically
         fresh random bytes).  A batch of any other width raises
-        DimensionMismatchError before a query is charged.
+        DimensionMismatchError, and one of any dtype but uint8 TypeError,
+        before a query is charged.
         """
         packed = np.atleast_2d(packed)
+        if packed.dtype != np.uint8:
+            raise TypeError(f"packed points must be uint8, got {packed.dtype}")
         width = bits.nbytes(self.ambient_n)
         if packed.shape[1] != width:
             raise DimensionMismatchError(

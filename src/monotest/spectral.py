@@ -1,5 +1,5 @@
-"""Sampling estimators for means and degree-1 Fourier mass, a regularity
-check, and exact spectra for validation.
+"""Sampling estimators for means and degree-1 Fourier mass, and exact
+spectra for validation.
 
 The degree-1 estimators share one design: draw m uniform points, keep the
 per-coordinate signed sums s1[i] = sum_j f(x_j) * x_j[i], and form unbiased
@@ -7,18 +7,14 @@ product statistics from them.  A single batch serves every coordinate at
 once, which is what makes the subroutines affordable; the per-coordinate
 power sums cost O(m * n / 8) via byte histograms.
 
-For g_j = f(x_j) * x_j[i] (i.i.d. +-1 with mean c_i = E[f * x_i]):
-
-* (s1^2 - m) / (m (m-1)) is unbiased for c_i^2,
-* the elementary symmetric function of degree 4 in the g_j, divided by
-  C(m, 4), is unbiased for c_i^4; since g_j^2 = 1 its Newton expansion
-  collapses to a polynomial in s1 and m alone.
+For g_j = f(x_j) * x_j[i] (i.i.d. +-1 with mean c_i = E[f * x_i]),
+(s1^2 - m) / (m (m-1)) is unbiased for c_i^2.
 
 Sample sizes follow the variance structure (the linear statistic dominates
 with variance <= 4/m; the degenerate part contributes ~|T|/m^2), with
 multipliers large enough that the calibration suites see failure rates well
 under the nominal delta.  Hard query caps from the coarse worst-case budgets
-are asserted on every call.
+bound every sample count.
 """
 
 from __future__ import annotations
@@ -38,13 +34,8 @@ CHUNK = 16384
 MEAN_CONST = 2.0           # Hoeffding: m = 2 ln(2/delta) / eps^2 exactly
 MEAN_FIRST_LOOK = 64       # the bounded mean check looks at 64 * 2^j samples
 SQUARES_CONST = 6.0
-FOURTH_CONST = 32.0
 SQUARES_CAP_CONST = 16.0   # cap: queries <= 16 ln(2/delta) / eta^4
-FOURTH_CAP_CONST = 128.0   # cap: queries <= 128 ln(2/delta) / tau^16
 MAX_FEASIBLE_QUERIES = 1 << 40
-
-REGULAR = "regular"
-NOT_REGULAR = "not-regular"
 
 SPECTRUM_FULL_MAX_N = 16
 
@@ -61,45 +52,26 @@ class SpectralEstimate:
     queries_used: int
 
 
-@dataclass(frozen=True)
-class RegularityResult:
-    decision: str               # REGULAR | NOT_REGULAR
-    fourth_power_estimate: float
-    threshold: float
-    queries_used: int
-
-    @property
-    def is_regular(self) -> bool:
-        return self.decision == REGULAR
-
-
 def _check_unit(name: str, value: float):
     if not (0.0 < value < 1.0):
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
-def _sample_count(accuracy: float, delta: float, t_size: int,
-                  const: float, cap_const: float, cap_power: float,
-                  cap_param: float) -> int:
+def squares_sample_count(eta: float, delta: float, t_size: int) -> int:
+    """Queries estimate_sum_of_squares spends on a set of t_size
+    coordinates; non-decreasing in t_size."""
     log_term = math.log(2.0 / delta)
-    # 1/accuracy^2 covers the linear statistic (variance <= 4/m); the
-    # sqrt(|T|)/accuracy term covers the degenerate part (variance ~ 2|T|/m^2)
-    m_acc = const * log_term * max(accuracy ** -2,
-                                   math.sqrt(t_size + 1.0) / (2.0 * accuracy))
-    m_cap = cap_const * log_term / cap_param ** cap_power
+    # 1/eta^2 covers the linear statistic (variance <= 4/m); the
+    # sqrt(|T|)/eta term covers the degenerate part (variance ~ 2|T|/m^2)
+    m_acc = SQUARES_CONST * log_term * max(
+        eta ** -2, math.sqrt(t_size + 1.0) / (2.0 * eta))
+    m_cap = SQUARES_CAP_CONST * log_term / eta ** 4
     m = int(math.ceil(min(m_acc, m_cap)))
     if m > MAX_FEASIBLE_QUERIES:
         raise InfeasibleBudgetError(
             f"estimator would need {m:.3g} queries; parameters are below "
             "any executable scale")
     return max(m, 8)
-
-
-def squares_sample_count(eta: float, delta: float, t_size: int) -> int:
-    """Queries estimate_sum_of_squares spends on a set of t_size
-    coordinates; non-decreasing in t_size."""
-    return _sample_count(eta, delta, t_size, SQUARES_CONST,
-                         SQUARES_CAP_CONST, 4.0, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -176,36 +148,7 @@ def estimate_mean(f: OracleHandle, eps: float, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# shared signed-sum sampling
-
-
-def _signed_sums(f: OracleHandle, m: int, positions: np.ndarray,
-                 n_dummy: int, rng: np.random.Generator):
-    """Signed per-coordinate sums over m fresh uniform queries.
-
-    positions index the handle's free coordinates; n_dummy extra columns of
-    pure noise are appended (exact coefficient zero, used to pad variable
-    sets).  Returns (s1 over positions, s1 over the dummies or None).
-    """
-    dom = f.domain
-    amb_cols = dom[positions]
-    byte_positions = np.unique(amb_cols >> 3)
-    s1_amb = np.zeros(8 * byte_positions.size)
-    s1_dummy = np.zeros(8 * bits.nbytes(n_dummy))
-    chunk = bits.chunk_rows(CHUNK, bits.nbytes(f.ambient_n))
-    done = 0
-    while done < m:
-        k = min(chunk, m - done)
-        pts = bits.random_packed(rng, k, f.ambient_n)
-        v = f.query_packed(pts).astype(np.float64)
-        s1_amb += bits.signed_bit_sums(pts, v, byte_positions)
-        if n_dummy:
-            dpts = bits.random_packed(rng, k, n_dummy)
-            s1_dummy += bits.signed_bit_sums(dpts, v, range(dpts.shape[1]))
-        done += k
-    s1 = s1_amb[8 * np.searchsorted(byte_positions, amb_cols >> 3)
-                + (amb_cols & 7)]
-    return s1, (s1_dummy[:n_dummy] if n_dummy else None)
+# degree-1 mass
 
 
 def degree1_square_terms(f: OracleHandle, m: int, rng: np.random.Generator,
@@ -219,9 +162,24 @@ def degree1_square_terms(f: OracleHandle, m: int, rng: np.random.Generator,
     sample count that estimate_sum_of_squares picks for |T| gives the
     accuracy it promises, and more samples only sharpen it.
     """
-    s1_real, s1_dummy = _signed_sums(
-        f, m, np.arange(f.domain_size, dtype=np.int64), n_dummy, rng)
-    s1 = np.concatenate([s1_real, s1_dummy]) if n_dummy else s1_real
+    dom = f.domain
+    byte_positions = np.unique(dom >> 3)
+    s1_amb = np.zeros(8 * byte_positions.size)
+    s1_dummy = np.zeros(8 * bits.nbytes(n_dummy))
+    chunk = bits.chunk_rows(CHUNK, bits.nbytes(f.ambient_n))
+    done = 0
+    while done < m:
+        k = min(chunk, m - done)
+        pts = bits.random_packed(rng, k, f.ambient_n)
+        v = f.query_packed(pts).astype(np.float64)
+        s1_amb += bits.signed_bit_sums(pts, v, byte_positions)
+        if n_dummy:
+            dpts = bits.random_packed(rng, k, n_dummy)
+            s1_dummy += bits.signed_bit_sums(dpts, v, range(dpts.shape[1]))
+        done += k
+    s1 = np.concatenate([
+        s1_amb[8 * np.searchsorted(byte_positions, dom >> 3) + (dom & 7)],
+        s1_dummy[:n_dummy]])
     return (s1 * s1 - m) / (m * (m - 1.0))
 
 
@@ -244,42 +202,6 @@ def estimate_sum_of_squares(f: OracleHandle, t_set: Sequence[int], eta: float,
     m = squares_sample_count(eta, delta, t_arr.size)
     terms = degree1_square_terms(f, m, rng, n_dummy)
     return SpectralEstimate(float(terms[t_arr].sum()), eta, delta, m)
-
-
-def check_fourier_regular(f: OracleHandle, t_set: Optional[Sequence[int]],
-                          tau: float, delta: float,
-                          rng: np.random.Generator) -> RegularityResult:
-    """Decide degree-1 regularity over T (None = whole domain).
-
-    Outputs NOT_REGULAR w.p. >= 1-delta when some |fhat(i)| >= tau, REGULAR
-    w.p. >= 1-delta when every |fhat(i)| <= tau^2/4; anything goes in the gap.
-    Decision statistic: sum of fourth powers, thresholded at tau^4/2 (the two
-    sides pin it at >= tau^4 and <= tau^4/16).  tau > 1 short-circuits to
-    REGULAR with zero queries since no coefficient can reach tau.
-    """
-    _check_unit("delta", delta)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if tau > 1.0:
-        return RegularityResult(REGULAR, 0.0, tau ** 4 / 2.0, 0)
-    t_arr = (np.arange(f.domain_size, dtype=np.int64) if t_set is None
-             else np.asarray(sorted({int(i) for i in t_set}), dtype=np.int64))
-    if t_arr.size and (t_arr[0] < 0 or t_arr[-1] >= f.domain_size):
-        raise ValueError("T outside the domain")
-    accuracy = tau ** 4 / 4.0
-    m = _sample_count(accuracy, delta, t_arr.size, FOURTH_CONST,
-                      FOURTH_CAP_CONST, 16.0, tau)
-    before = f.query_count
-    s1, _dummy = _signed_sums(f, m, t_arr, 0, rng)
-    used = f.query_count - before
-    assert used == m, "regularity check exceeded its precomputed budget"
-    # unbiased fourth powers from power sums (g^2 = 1 collapses p2, p3, p4)
-    e4 = (s1 ** 4 - (6.0 * m - 8.0) * s1 ** 2 + 3.0 * m * m - 6.0 * m) / 24.0
-    pairs4 = m * (m - 1.0) * (m - 2.0) * (m - 3.0) / 24.0
-    value = float(e4.sum() / pairs4)
-    threshold = tau ** 4 / 2.0
-    decision = NOT_REGULAR if value > threshold else REGULAR
-    return RegularityResult(decision, value, threshold, m)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,11 @@ from .oracle import (
 from .rng import SplitRng
 from .schedule import DELTA, ParameterSchedule
 from .spectral import degree1_square_terms, estimate_mean, squares_sample_count
-# not called here any more, but perfbench/tracing.py wraps them under these names
-from .spectral import check_fourier_regular  # noqa: F401
+# not called here any more, but perfbench/tracing.py wraps it under this name
 from .spectral import estimate_sum_of_squares  # noqa: F401
+# bound only because perfbench/tracing.py wraps this name here; spectral has
+# no regularity check, and nothing calls it
+check_fourier_regular = None
 
 # the edge tester's batches: the first has EDGE_FIRST_BATCH edges and each
 # later one twice the one before, up to EDGE_CHUNK edges whose lo and hi

@@ -57,9 +57,11 @@ from .subroutines import (
     edge_tester,
     find_hi_influence_vars,
 )
-# not called here any more, but perfbench/tracing.py wraps them under these names
-from .spectral import check_fourier_regular  # noqa: F401
+# not called here any more, but perfbench/tracing.py wraps it under this name
 from .subroutines import find_balanced_restriction  # noqa: F401
+# bound only because perfbench/tracing.py wraps this name here; spectral has
+# no regularity check, and nothing calls it
+check_fourier_regular = None
 
 
 def _regular_balanced_step(f: OracleHandle, base: Restriction, eps: float,

@@ -467,6 +467,12 @@ def test_wrong_width_batch_raises_before_charging(width):
     for view in views:
         with pytest.raises(DimensionMismatchError):
             view.query_packed(np.zeros((4, width), dtype=np.uint8))
+        # a right-width batch of another dtype would be charged and then fail
+        # in the evaluator, or on a view be masked to bytes nobody asked for
+        with pytest.raises(TypeError):
+            view.query_packed(np.array([[300, 0]], dtype=np.int64))
+        with pytest.raises(TypeError):
+            view.query_packed(np.zeros((1, 2), dtype=np.float64))
     assert f.query_count == 0
 
 

@@ -18,9 +18,6 @@ from monotest.rng import generator_for
 from monotest.truth import exact_degree1, exact_mean
 from monotest.spectral import (
     InfeasibleBudgetError,
-    NOT_REGULAR,
-    REGULAR,
-    check_fourier_regular,
     degree1_square_terms,
     estimate_mean,
     estimate_sum_of_squares,
@@ -328,81 +325,35 @@ def test_squares_on_restricted_view():
 
 def test_squares_is_sum_of_per_coordinate_terms():
     # the terms come from one draw of the stream: ambient points, then the
-    # dummy columns; checked against dense signed sums of that draw
-    n, n_dummy, eta, delta = 11, 5, 0.2, 0.1
-    spec = grid_spec(generator_for(16, "terms-spec"), n)
-    f = OracleHandle.for_spec(spec)
+    # dummy columns; checked against dense signed sums of that draw, on the
+    # root and on a view whose free coordinates share bytes with fixed ones
+    # and skip the fully fixed byte 1
+    n_dummy, eta, delta = 5, 0.2, 0.1
     t_set = [0, 3, 4, 10, 12, 15]
     m = squares_sample_count(eta, delta, len(t_set))
-    terms = degree1_square_terms(f, m, generator_for(16, "terms"), n_dummy)
-    gen = generator_for(16, "terms")
-    x = bits.random_packed(gen, m, n)
-    d = bits.random_packed(gen, m, n_dummy)
-    v = LTFEvaluator(spec)(x).astype(np.float64)
-    s1 = np.concatenate([bits.unpack(x, n).T @ v,
-                         bits.unpack(d, n_dummy).T @ v])
-    assert np.array_equal(terms, (s1 * s1 - m) / (m * (m - 1.0)))
-    est = estimate_sum_of_squares(f, t_set, eta, delta,
-                                  generator_for(16, "terms"), n_dummy=n_dummy)
-    assert est.queries_used == m
-    assert est.value == float(terms[t_set].sum())
+    byte1 = {i: (-1) ** i for i in range(8, 16)}
+    for n, fixed in [(11, {}), (21, {2: 1, 17: -1, **byte1})]:
+        spec = grid_spec(generator_for(16, "terms-spec"), n)
+        f = OracleHandle.for_spec(spec)
+        if fixed:
+            f = restrict(f, Restriction.fixing(n, fixed))
+        terms = degree1_square_terms(f, m, generator_for(16, "terms"), n_dummy)
+        gen = generator_for(16, "terms")
+        x = bits.unpack(bits.random_packed(gen, m, n), n)
+        d = bits.unpack(bits.random_packed(gen, m, n_dummy), n_dummy)
+        x[:, list(fixed)] = list(fixed.values())
+        v = LTFEvaluator(spec)(bits.pack(x)).astype(np.float64)
+        free = [i for i in range(n) if i not in fixed]
+        s1 = np.concatenate([x[:, free].T @ v, d.T @ v])
+        assert np.array_equal(terms, (s1 * s1 - m) / (m * (m - 1.0)))
+        est = estimate_sum_of_squares(f, t_set, eta, delta,
+                                      generator_for(16, "terms"),
+                                      n_dummy=n_dummy)
+        assert est.queries_used == m
+        assert est.value == float(terms[t_set].sum())
 
 
 def test_infeasible_budget_raises():
     f = OracleHandle.for_spec(majority_spec(5))
     with pytest.raises(InfeasibleBudgetError):
         estimate_sum_of_squares(f, [0], 1e-6, 1e-6, generator_for(0, "x"))
-
-
-# ---------------------------------------------------------------------------
-# check_fourier_regular
-
-
-def test_regularity_dictator_not_regular():
-    spec = LTFSpec(np.array([1.0] + [0.0] * 7), 0.0)
-    f = OracleHandle.for_spec(spec)
-    out = check_fourier_regular(f, [0], 0.5, 0.05, generator_for(11, "reg1"))
-    assert out.decision == NOT_REGULAR
-
-
-def test_regularity_irrelevant_coordinates_regular():
-    spec = LTFSpec(np.array([1.0] + [0.0] * 7), 0.0)
-    f = OracleHandle.for_spec(spec)
-    out = check_fourier_regular(f, range(1, 8), 0.5, 0.05,
-                                generator_for(12, "reg0"))
-    assert out.decision == REGULAR
-
-
-def test_regularity_majority51():
-    # every coefficient is ~0.112 <= tau^2/4 = 0.16, so "regular" is forced
-    coef = majority_degree1(51)
-    assert coef <= 0.8 ** 2 / 4
-    f = OracleHandle.for_spec(majority_spec(51))
-    out = check_fourier_regular(f, None, 0.8, 0.05, generator_for(13, "reg51"))
-    assert out.decision == REGULAR
-    assert f.query_count == out.queries_used
-
-
-def test_regularity_trivial_threshold_short_circuits():
-    f = OracleHandle.for_spec(majority_spec(5))
-    out = check_fourier_regular(f, None, 1.5, 0.05, generator_for(14, "triv"))
-    assert out.decision == REGULAR and out.queries_used == 0
-    assert f.query_count == 0
-
-
-def test_regularity_calibration_both_sides():
-    rng = generator_for(15, "reg-calib")
-    tau = 0.5
-    for trial in range(10):
-        n = int(rng.integers(5, 13))
-        spec = grid_spec(rng, n)
-        sp = exact_spectrum(spec)
-        f = OracleHandle.for_spec(spec)
-        out = check_fourier_regular(f, None, tau, 0.05,
-                                    generator_for(trial, "reg-run"))
-        top = sp.max_abs_degree1()
-        if top >= tau:
-            assert out.decision == NOT_REGULAR
-        elif top <= tau * tau / 4:
-            assert out.decision == REGULAR
-        # in the gap either answer is allowed
