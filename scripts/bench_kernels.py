@@ -15,7 +15,9 @@ Times, on one batch of QUERY_CHUNK points at each n in SIZES:
 * one edge-tester batch (`edge`, in ns per edge, not per point): the
   coordinate draw, the sampler and both endpoint evaluations of
   `subroutines.EDGE_CHUNK` edges (fewer where the batch would exceed
-  `bits.CHUNK_BYTES`) on the integer instance.
+  `bits.CHUNK_BYTES`) on the integer instance.  From n = 2048, whose rows
+  are `oracle.PAIR_MIN_BYTES` wide, the evaluator gathers only the lo ends
+  of that batch, so SIZES has widths on both sides of that choice.
 
 Each figure is the best of REPEATS runs, timed with time.perf_counter.
 BLAS and OpenMP run on one thread, as in perfbench: unpinned, OpenBLAS
@@ -49,7 +51,7 @@ from monotest.subroutines import EDGE_CHUNK, _query_edges  # noqa: E402
 
 
 OUT = Path("BENCH_kernels.json")
-SIZES = (16, 20, 512, 1024, 4096)
+SIZES = (16, 20, 512, 1024, 2048, 4096, 8192)
 REPEATS = 7
 BUILDS = 20  # evaluator constructions per timed eval.build run
 SEED = 0

@@ -17,9 +17,12 @@ LTFEvaluator, the one path every oracle query takes at every n, keeps one
 batch is read in row blocks of min(QUERY_CHUNK, bits.block_rows(nbytes))
 rows, and within a block the tables are gathered one byte position at a
 time (table.take(block[:, p])) into a running row sum, so the block stays
-in cache and no index array wider than one column is built.  truth_table
-and cube_margins enumerate the whole cube; they are the exact reference
-that the ground-truth helpers use and tests compare against.
+in cache and no index array wider than one column is built.  An edge batch
+[lo; hi] at least PAIR_MIN_BYTES wide, whose hi rows each differ from their
+lo rows in one byte, gathers only its lo half; each hi row swaps one table
+entry of its lo row's sum.  truth_table and cube_margins enumerate the whole
+cube; they are the exact reference that the ground-truth helpers use and
+tests compare against.
 """
 
 from __future__ import annotations
@@ -36,6 +39,16 @@ from . import bits
 
 TABLE_MAX_N = 20  # largest n the exact references enumerate the cube for
 QUERY_CHUNK = 16384
+# narrowest packed width, in bytes, at which LTFEvaluator looks for an edge
+# batch.  At 128 bytes the one-byte check already pays on a full batch of
+# 8192 edges, but it costs more than it saves on the edge tester's first
+# batch of 64; at 256 it breaks even there (README, Performance notes).
+PAIR_MIN_BYTES = 256
+# pairs per XOR in LTFEvaluator's edge-batch check: as fast as a whole row
+# block, whose 1 MiB XOR added 2 MiB to perfbench's mono-4096 peak memory
+# with a fixed mmap threshold, where 256 rows (128 KiB at n = 4096) add
+# about 0.3 MiB
+EDGE_CHECK_ROWS = 256
 
 
 class DimensionMismatchError(ValueError):
@@ -109,12 +122,18 @@ def _tie_bound(w: np.ndarray, theta: float) -> float:
       then subtracts twice: error <= u ((3n + 1) W + |theta|).
     * byte tables: an entry sums at most 8 weights, and the evaluator adds
       the nb entries of a row one after another, so the set-bit sum s is off
-      by at most (8 + nb) u W.  The margin 2s - T, with T = fsum(theta, w)
-      within u (W + |theta|) of theta + sum(w), is one more rounding of a
-      value below 3W + |theta|: error <= u ((2 nb + 20) W + 2 |theta|).
+      by at most (8 + nb) u W.  The hi row of an edge batch takes
+      s_lo - T[p, lo_byte] + T[p, hi_byte] instead: two more entries, each
+      off by at most 7 u W, and two more roundings of values below W, so its
+      s is off by at most (8 + nb) u W + 14 u W + 2 u W = (nb + 24) u W.
+      The margin 2s - T, with T = fsum(theta, w) within u (W + |theta|) of
+      theta + sum(w), is one more rounding of a value below 3W + |theta|:
+      error <= u ((2 nb + 20) W + 2 |theta|) for a gathered row and
+      u ((2 nb + 52) W + 2 |theta|) for a hi row.
 
-    Both are below 2 (n + 16) eps (W + |theta|), the bound returned (plus a
-    term for underflow), so a computed margin beyond it has the true sign.
+    All are below u (4 n + 64) (W + |theta|) = 2 (n + 16) eps (W + |theta|),
+    since 2 nb + 52 <= 2 n + 52, the bound returned (plus a term for
+    underflow), so a computed margin beyond it has the true sign.
     """
     eps = np.finfo(np.float64).eps
     tiny = np.finfo(np.float64).tiny
@@ -216,6 +235,15 @@ class LTFEvaluator:
       loses theta = 0.25 next to sum(w) = 2^52.
     * otherwise: 2s - fsum(theta, w) >= 0, and a row whose margin lies
       within _tie_bound of zero is re-decided with math.fsum.
+
+    Edge batches.  At PAIR_MIN_BYTES bytes and wider, a batch [lo; hi]
+    whose row k + j differs from row j in one byte position p_j, for every
+    j < k = m/2 (the layout subroutines._query_edges sends), gathers only
+    its first half; row k + j gets s_j - T[p_j, lo byte] + T[p_j, hi byte].
+    The evaluator checks that layout itself on every batch, and any other
+    batch is gathered in full.  Either way every row gets its exact sign:
+    on the exact branch the sums are the same integers, and off it the
+    _tie_bound covers the two extra entries and roundings.
     """
 
     def __init__(self, spec: LTFSpec):
@@ -239,22 +267,62 @@ class LTFEvaluator:
         self._rows = min(QUERY_CHUNK, bits.block_rows(nb))
 
     def __call__(self, packed: np.ndarray) -> np.ndarray:
+        pos = (_edge_positions(packed) if packed.shape[1] >= PAIR_MIN_BYTES
+               else None)
+        half = packed.shape[0] if pos is None else packed.shape[0] // 2
         out = np.empty(packed.shape[0], dtype=np.int8)
         rows = self._rows
-        for lo in range(0, packed.shape[0], rows):
-            block = packed[lo: lo + rows]
+        for lo in range(0, half, rows):
+            end = min(lo + rows, half)
+            block = packed[lo: end]
             acc = np.zeros(block.shape[0])
             for p, table in enumerate(self._tables):
                 acc += table.take(block[:, p])
-            margin = 2.0 * acc - self._offset
-            out[lo: lo + rows] = np.where(margin >= self._threshold, 1, -1)
-            if self._tie_bound is not None:
-                near = _near_threshold(margin, self._tie_bound)
-                if near.size:
-                    out[lo + near] = _exact_signs(
-                        self.spec.weights, self.spec.theta,
-                        bits.unpack(block[near], self.n))
+            self._decide(acc, block, out[lo: end])
+            if pos is not None:
+                # the hi ends of this block's edges: swap one table entry
+                hi = packed[half + lo: half + end]
+                p = pos[lo: end]
+                r = np.arange(p.size)
+                acc -= self._tables[p, block[r, p]]
+                acc += self._tables[p, hi[r, p]]
+                self._decide(acc, hi, out[half + lo: half + end])
         return out
+
+    def _decide(self, acc: np.ndarray, block: np.ndarray, out: np.ndarray):
+        """Write the signs of the rows of block, whose set-bit sums are acc,
+        into out."""
+        margin = 2.0 * acc - self._offset
+        out[:] = np.where(margin >= self._threshold, 1, -1)
+        if self._tie_bound is not None:
+            near = _near_threshold(margin, self._tie_bound)
+            if near.size:
+                out[near] = _exact_signs(self.spec.weights, self.spec.theta,
+                                         bits.unpack(block[near], self.n))
+
+
+def _edge_positions(packed: np.ndarray) -> Optional[np.ndarray]:
+    """If packed is an edge batch [lo; hi], whose row k + j differs from row
+    j in exactly one byte for every j < k = m/2, the index of that byte for
+    each j; otherwise None.  Checks EDGE_CHECK_ROWS pairs at a time."""
+    m = packed.shape[0]
+    # one edge takes as many table gathers either way, and numpy's in-place
+    # add is about 3 times slower on a one-element sum than on two
+    if m % 2 or m < 4:
+        return None
+    k = m // 2
+    pos = np.empty(k, dtype=np.intp)
+    rows = EDGE_CHECK_ROWS
+    for lo in range(0, k, rows):
+        diff = packed[lo: min(lo + rows, k)] ^ packed[k + lo: k + lo + rows]
+        # counted first, so that most other batches stop before the argmax
+        if np.count_nonzero(diff) != diff.shape[0]:
+            return None
+        p = diff.argmax(axis=1)
+        if not diff[np.arange(p.size), p].all():
+            return None
+        pos[lo: lo + rows] = p
+    return pos
 
 
 # ---------------------------------------------------------------------------

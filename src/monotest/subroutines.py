@@ -163,6 +163,8 @@ def _query_edges(view: OracleHandle, pts: np.ndarray, coords):
     """
     k = pts.shape[0]
     coords = np.asarray(coords)
+    # hi rows after all lo rows, each one byte from its lo row: the layout
+    # LTFEvaluator recognises, evaluating each hi end from its lo end's sum
     both = np.concatenate([pts, pts], axis=0)
     lo, hi = both[:k], both[k:]
     rows = np.arange(k)

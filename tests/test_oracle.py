@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monotest import bits
+from monotest import bits, oracle
 from monotest.oracle import (
     AntiMonotoneEdgeCertificate,
     DimensionMismatchError,
     LTFEvaluator,
     LTFSpec,
     OracleHandle,
+    PAIR_MIN_BYTES,
     QueryBudgetExceededError,
     Restriction,
     compose,
@@ -25,9 +26,12 @@ from monotest.oracle import (
     restricted_spec,
     truth_table,
     _Counter,
+    _edge_positions,
+    _exact_signs,
     verify_certificate,
 )
 from monotest.rng import generator_for
+from monotest.subroutines import _query_edges
 
 
 def handle(w, theta, **kw):
@@ -295,6 +299,94 @@ def test_byte_table_blocks_match_eval_ltf(make, exact):
     got = OracleHandle.for_spec(spec).query_pm(X)
     assert list(got) == [eval_ltf(spec, x) for x in X]
     assert np.all(got[np.all(X == x0, axis=1)] == 1)
+
+
+def _edge_batch_case(n, wide, restricted):
+    """(spec, evaluator, batch, k): the [lo; hi] batch of k edges that
+    _query_edges hands the evaluator, on the root or on a view with a fifth
+    of the coordinates fixed.
+
+    x* raises the free coordinates i and c (in different bytes, w_i = w_c =
+    1024, more than the evaluator's tie bound) of a point x0, and theta =
+    w.x*, an exact tie.  Edge 0 runs from x0 along i, edges 1 and 2 end at
+    x*, and edges 3 to 10 start at x*, so hi rows sit on and next to the
+    threshold.  With `wide`, the weights are dyadic with three of them
+    scaled by 2^45, so float sums round."""
+    rng = generator_for(n, "edge-batch", wide, restricted)
+    if wide:
+        w = rng.integers(-1024, 1025, size=n) / 1024.0
+        w[rng.choice(n, size=3, replace=False)] *= 2.0 ** 45
+    else:
+        w = np.round(rng.standard_normal(n) * 16)
+    rho = (random_assignment(rng.choice(n, size=n // 5, replace=False), n, rng)
+           if restricted else Restriction.all_stars(n))
+    dom = rho.stars()
+    i, c = dom[0], dom[-1]
+    w[[i, c]] = 1024.0
+    x0 = bits.unpack(rho.overlay_packed(bits.random_packed(rng, 1, n)), n)[0]
+    x0[[i, c]] = -1
+    star = x0.copy()
+    star[[i, c]] = 1
+    tie = sum(Fraction(wi) * int(xi) for wi, xi in zip(w, star))
+    # a small weight d takes up the rounding of w.x*, so that it is a float
+    d = next(j for j in dom[1:] if abs(w[j]) <= 1)
+    w[d] -= float(tie - Fraction(float(tie))) * star[d]
+    spec = LTFSpec(w, float(tie))
+    assert Fraction(spec.theta) == sum(Fraction(wi) * int(xi)
+                                       for wi, xi in zip(w, star))
+    assert exact_in_float(w) != wide
+    k = 40
+    pts = bits.random_packed(rng, k, n)
+    coords = dom[rng.integers(0, dom.size, size=k)]
+    with_c, with_i = x0.copy(), x0.copy()
+    with_c[c] = with_i[i] = 1
+    pts[:3] = bits.pack(np.stack([x0, with_c, with_i]))
+    coords[:3] = [i, i, c]
+    pts[3:11] = bits.pack(star)
+    ev = LTFEvaluator(spec)
+    seen = []
+    f = OracleHandle(lambda p: seen.append(p) or ev(p), n)
+    _, v_lo, v_hi = _query_edges(restrict(f, rho), pts, coords)
+    batch = seen[0]
+    assert np.array_equal(np.concatenate([v_lo, v_hi]),
+                          _exact_signs(w, spec.theta, bits.unpack(batch, n)))
+    return spec, ev, batch, k
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["root", "view"])
+@pytest.mark.parametrize("wide", [False, True], ids=["int", "float"])
+@pytest.mark.parametrize("n,paired", [(2040, False), (2041, True),
+                                      (4096, True)])
+def test_edge_batches_match_exact_reference(n, paired, wide, restricted,
+                                            monkeypatch):
+    # 2040 coordinates pack into 255 bytes, 2041 into 256: the widths on
+    # either side of the paired path
+    assert (bits.nbytes(n) >= PAIR_MIN_BYTES) == paired
+    spec, ev, batch, k = _edge_batch_case(n, wide, restricted)
+    assert ev(batch)[k + 1] == 1   # the hi end of edge 1 is the tie x*
+    # near misses that are gathered in full: an odd batch, one pair equal,
+    # and the hi end of edge 0 moved to x*, two bytes from its lo end x0,
+    # where either one-byte change alone stays below theta
+    same, two_bytes, two_bits = batch.copy(), batch.copy(), batch.copy()
+    same[k + 3] = same[3]
+    two_bytes[k] = batch[k + 1]
+    assert ev(batch)[k] == -1 and ev(two_bytes)[k] == 1
+    # and one pair whose ends differ in two bits of one byte, which is still
+    # an edge batch
+    two_bits[k + 20] = batch[20]
+    two_bits[k + 20, batch.shape[1] // 2] ^= 0x81
+    # each batch checked and gathered in one block, and in blocks of 7 rows,
+    # whose ends the edges straddle
+    one_block = ev._rows
+    for b, is_edge_batch in ((batch, True), (batch[:-1], False),
+                             (same, False), (two_bytes, False),
+                             (two_bits, True)):
+        expect = _exact_signs(spec.weights, spec.theta, bits.unpack(b, n))
+        for rows in (one_block, 7):
+            ev._rows = rows
+            monkeypatch.setattr(oracle, "EDGE_CHECK_ROWS", rows)
+            assert (_edge_positions(b) is not None) == is_edge_batch
+            assert np.array_equal(ev(b), expect)
 
 
 def _int_weights_case(n, lo, hi, at_x0):
