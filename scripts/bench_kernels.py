@@ -6,9 +6,15 @@ Times, on one batch of QUERY_CHUNK points at each n in SIZES:
 * the halfspace evaluator on an integer instance (`eval.int`, the exact
   branch) and a float instance (`eval.float`, the fsum-checked branch),
   both through the byte tables,
-* `eval.build`, in microseconds per call, not ns per point: building
-  `LTFEvaluator` for the integer instance (BUILDS in a row per run), which
-  every fresh `OracleHandle.for_spec` pays,
+* `eval.<r>rows`, in microseconds per call, not ns per point: the evaluator
+  on the integer instance called on a batch of r rows, for r in CALL_ROWS.
+  These are the batches of adaptive rounds and certificate checks, where
+  the evaluator's fixed cost per call and per byte position weighs most;
+  they sit on both sides of the choice between its flat gather and its
+  column loop (`oracle.FLAT_ROWS_PER_BYTE`, `oracle.FLAT_MAX_BYTES`),
+* `eval.build`, in microseconds per call: building `LTFEvaluator` for the
+  integer instance (BUILDS in a row per run), which every fresh
+  `OracleHandle.for_spec` pays,
 * the sampler `bits.random_packed`,
 * the byte-histogram kernel `bits.byte_histograms` over every byte position,
   with +-1 weights,
@@ -19,20 +25,29 @@ Times, on one batch of QUERY_CHUNK points at each n in SIZES:
   are `oracle.PAIR_MIN_BYTES` wide, the evaluator gathers only the lo ends
   of that batch, so SIZES has widths on both sides of that choice.
 
-Each figure is the best of REPEATS runs, timed with time.perf_counter.
-BLAS and OpenMP run on one thread, as in perfbench: unpinned, OpenBLAS
-splits the n=4096 table product of `eval.build` over two threads, and on a
-shared host that hand-off can cost 100 times the product itself.
-The result is stored under --tag in BENCH_kernels.json, keeping the rows of
-other tags, so one file can hold two trees measured alike:
+Each figure is the best of REPEATS runs, timed with time.perf_counter, in
+one process; one process of identical code can land in a slower speed mode
+than the next on a shared host.  So each tree named on the command line is
+timed in PROCESSES fresh processes, interleaved with the other trees' (the
+order alternates from round to round), and every figure stored is the
+best over that tree's processes.  A process imports monotest from the
+tree's `src/` and runs this file's timing code, so all trees are timed
+alike.  BLAS and OpenMP run on one thread, as in perfbench: unpinned,
+OpenBLAS splits the n=4096 table product of `eval.build` over two threads,
+and on a shared host that hand-off can cost 100 times the product itself.
+Each tree's result is stored under its tag in BENCH_kernels.json, keeping
+the rows of other tags.  From the root of a checkout, with a checkout of
+the parent commit in ../parent:
 
-    PYTHONPATH=src python scripts/bench_kernels.py --tag change
+    python scripts/bench_kernels.py parent=../parent change=.
 """
 
 import argparse
 import json
 import os
 import platform
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -44,15 +59,13 @@ os.environ.update(PINNED_THREADS)
 
 import numpy as np  # noqa: E402
 
-from monotest import bits  # noqa: E402
-from monotest.oracle import (  # noqa: E402
-    QUERY_CHUNK, LTFEvaluator, LTFSpec, OracleHandle)
-from monotest.subroutines import EDGE_CHUNK, _query_edges  # noqa: E402
-
 
 OUT = Path("BENCH_kernels.json")
 SIZES = (16, 20, 512, 1024, 2048, 4096, 8192)
+CALL_ROWS = (2, 8, 128, 256)  # batch rows of the eval.<r>rows columns
+CALLS = 20  # evaluator calls per timed eval.<r>rows run
 REPEATS = 7
+PROCESSES = 5  # fresh processes per tree
 BUILDS = 20  # evaluator constructions per timed eval.build run
 SEED = 0
 
@@ -67,6 +80,10 @@ def best_ns_per_point(fn, rows, repeats):
 
 
 def kernel_row(n, rows, repeats, gen):
+    from monotest import bits
+    from monotest.oracle import LTFEvaluator, LTFSpec, OracleHandle
+    from monotest.subroutines import EDGE_CHUNK, _query_edges
+
     w = np.round(np.abs(gen.standard_normal(n)) * 20.0) + 1.0
     theta = float(np.floor(0.1 * w.sum())) + 0.5
     specs = {"int": LTFSpec(w, theta),
@@ -81,6 +98,13 @@ def kernel_row(n, rows, repeats, gen):
         ev = LTFEvaluator(spec)
         out[f"eval.{name}"] = best_ns_per_point(
             lambda: ev(batch), rows, repeats)
+    for r in CALL_ROWS:
+        small = bits.random_packed(gen, r, n)
+
+        def calls():
+            for _ in range(CALLS):
+                ev(small)
+        out[f"eval.{r}rows"] = 1e-3 * best_ns_per_point(calls, CALLS, repeats)
     out["sampler"] = best_ns_per_point(
         lambda: bits.random_packed(gen, rows, n), rows, repeats)
     v = gen.integers(0, 2, size=rows).astype(np.float64) * 2.0 - 1.0
@@ -97,28 +121,57 @@ def kernel_row(n, rows, repeats, gen):
     return {k: round(x, 1) for k, x in out.items()}
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--tag", required=True,
-                    help="name of this measurement, e.g. parent or change")
-    args = ap.parse_args()
+def measure() -> dict:
+    """Every kernel at every n in SIZES, timed in this process."""
+    from monotest.oracle import QUERY_CHUNK
 
     gen = np.random.default_rng(np.random.Philox(SEED))
-    kernels = {str(n): kernel_row(n, QUERY_CHUNK, REPEATS, gen)
-               for n in SIZES}
+    return {str(n): kernel_row(n, QUERY_CHUNK, REPEATS, gen) for n in SIZES}
+
+
+def measure_in_process(tree: Path) -> dict:
+    """measure() in a fresh process that imports monotest from tree/src."""
+    env = {**os.environ, **PINNED_THREADS, "PYTHONPATH": str(tree / "src")}
+    out = subprocess.run([sys.executable, __file__, "--child"], env=env,
+                         check=True, stdout=subprocess.PIPE, text=True).stdout
+    return json.loads(out)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("trees", nargs="*", metavar="TAG=DIR",
+                    help="a tag and the checkout to time, e.g. change=.")
+    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.child:
+        print(json.dumps(measure()))
+        return
+    trees = [t.split("=", 1) for t in args.trees]
+    if not trees or any(len(t) != 2 for t in trees):
+        ap.error("name at least one tree as TAG=DIR")
+    runs = {tag: [] for tag, _ in trees}
+    for i in range(PROCESSES):
+        for tag, tree in (trees if i % 2 == 0 else trees[::-1]):
+            runs[tag].append(measure_in_process(Path(tree).resolve()))
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
-    doc["unit"] = (f"ns/point, best of repeats, one batch of {QUERY_CHUNK} "
-                   "points; eval.build in us per LTFEvaluator construction")
-    doc.setdefault("rows", {})[args.tag] = {
-        "environment": {"nproc": os.cpu_count(),
-                        "python": platform.python_version(),
-                        "numpy": np.__version__, **PINNED_THREADS},
-        "repeats": REPEATS,
-        "kernels": kernels,
-    }
+    doc["unit"] = ("ns/point on one batch of 16384 points; eval.build and "
+                   "eval.<r>rows in us per call; each the best of repeats "
+                   "in a process, then of processes")
+    for tag, results in runs.items():
+        kernels = {n: {k: min(r[n][k] for r in results) for k in row}
+                   for n, row in results[0].items()}
+        doc.setdefault("rows", {})[tag] = {
+            "environment": {"nproc": os.cpu_count(),
+                            "python": platform.python_version(),
+                            "numpy": np.__version__, **PINNED_THREADS},
+            "repeats": REPEATS,
+            "processes": PROCESSES,
+            "kernels": kernels,
+        }
+        print(tag)
+        for n, row in kernels.items():
+            print(f"  n={n}: " + ", ".join(f"{k} {v}" for k, v in row.items()))
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
-    for n, row in kernels.items():
-        print(f"n={n}: " + ", ".join(f"{k} {v}" for k, v in row.items()))
 
 
 if __name__ == "__main__":

@@ -29,7 +29,9 @@ from .rng import SplitRng
 from .schedule import build_schedule
 from .tester import mono_test_ltf
 
-# verdict and diagnostic of a trial stopped by SuiteConfig.query_cap
+# verdict of a trial the tester did not finish, and the diagnostic of one
+# stopped by SuiteConfig.query_cap; any other exception is recorded as
+# "error:<its type name>"
 ERROR = "error"
 QUERY_BUDGET_DIAGNOSTIC = "error:query-budget"
 
@@ -71,8 +73,10 @@ class ExperimentRecord:
 
 
 def run_trial(config: SuiteConfig, trial: int) -> ExperimentRecord:
-    """Run one trial.  A trial that hits the query cap is recorded with
-    verdict ERROR and its queries so far."""
+    """Run one trial.  A trial whose tester raises is recorded with verdict
+    ERROR and its queries so far, so one failing trial does not abort a
+    suite: the query cap gives diagnostic QUERY_BUDGET_DIAGNOSTIC, and any
+    other exception "error:<ExceptionType>"."""
     root = SplitRng(config.master_seed, ("trial", trial))
     instance = generate(config.family, root.child("gen"),
                         mc_radius=config.mc_radius)
@@ -81,8 +85,15 @@ def run_trial(config: SuiteConfig, trial: int) -> ExperimentRecord:
     t0 = time.perf_counter()
     try:
         verdict = mono_test_ltf(handle, config.eps, sched, root.child("test"))
+        diagnostic = verdict.diagnostic
     except QueryBudgetExceededError:
-        verdict = None
+        verdict, diagnostic = None, QUERY_BUDGET_DIAGNOSTIC
+    except Exception as exc:
+        # imported here, not at the top: every run would pay its memory
+        import logging
+        logging.getLogger(__name__).exception("trial %d: the tester raised",
+                                              trial)
+        verdict, diagnostic = None, f"error:{type(exc).__name__}"
     wall_ms = int(round((time.perf_counter() - t0) * 1000.0))
     cert_dict = None
     cert_ok = None
@@ -94,8 +105,7 @@ def run_trial(config: SuiteConfig, trial: int) -> ExperimentRecord:
         trial=trial, family=instance.kind, n=instance.spec.n,
         epsilon=config.eps, seed=trial,
         verdict=ERROR if verdict is None else verdict.outcome,
-        diagnostic=(QUERY_BUDGET_DIAGNOSTIC if verdict is None
-                    else verdict.diagnostic),
+        diagnostic=diagnostic,
         certificate=cert_dict,
         certificate_ok=cert_ok,
         queries_total=handle.query_count, wall_ms=wall_ms,
@@ -117,7 +127,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96):
 def summarize(records: list[ExperimentRecord]) -> dict:
     """Suite summary.  `trials` counts every record; the detection rate, its
     interval and the query statistics cover only the trials that finished,
-    so a trial stopped by the query cap is counted under `errors` alone."""
+    so a trial stopped by the query cap or by an exception is counted under
+    `errors` alone."""
     n_trials = len(records)
     done = [r for r in records if r.verdict != ERROR]
     rejections = [r for r in done if r.verdict == "non-monotone"]

@@ -13,16 +13,23 @@ instances) have |w.x - theta| >= 1/2 or w.x = theta, the boundary case,
 which maps to +1.
 
 LTFEvaluator, the one path every oracle query takes at every n, keeps one
-256-entry float64 table of set-bit sums per byte of the packed point.  A
-batch is read in row blocks of min(QUERY_CHUNK, bits.block_rows(nbytes))
-rows, and within a block the tables are gathered one byte position at a
-time (table.take(block[:, p])) into a running row sum, so the block stays
-in cache and no index array wider than one column is built.  An edge batch
-[lo; hi] at least PAIR_MIN_BYTES wide, whose hi rows each differ from their
-lo rows in one byte, gathers only its lo half; each hi row swaps one table
-entry of its lo row's sum.  truth_table and cube_margins enumerate the whole
-cube; they are the exact reference that the ground-truth helpers use and
-tests compare against.
+256-entry float64 table of set-bit sums per byte of the packed point, and
+gathers a batch one of two ways, chosen from its shape alone.  A small
+batch (at least FLAT_MIN_BYTES wide, at most FLAT_ROWS_PER_BYTE rows per
+byte of width, and at most FLAT_MAX_BYTES packed bytes) takes flat gathers
+on the raveled tables, flat.take(rows + 256 * arange(nb)).sum(axis=1),
+FLAT_BLOCK_BYTES of rows at a time.  Any other batch is read in row blocks
+of min(QUERY_CHUNK, bits.block_rows(nbytes)) rows, and within a block the
+tables are gathered one byte position at a time (table.take(block[:, p]))
+into a running row sum, so the block stays in cache and no index array
+wider than one column is built.  The column loop costs about 1-2 us per byte position per call
+whatever the rows, which dominates a batch of a few hundred rows; the flat
+gather costs per row byte.  An edge batch [lo; hi] at least PAIR_MIN_BYTES
+wide, whose hi rows each differ from their lo rows in one byte, gathers
+only its lo half, either way, and the choice is made on that half; each hi
+row swaps one table entry of its lo row's sum.  truth_table and
+cube_margins enumerate the whole cube; they are the exact reference that
+the ground-truth helpers use and tests compare against.
 """
 
 from __future__ import annotations
@@ -44,11 +51,30 @@ QUERY_CHUNK = 16384
 # 8192 edges, but it costs more than it saves on the edge tester's first
 # batch of 64; at 256 it breaks even there (README, Performance notes).
 PAIR_MIN_BYTES = 256
+# LTFEvaluator gathers a batch (or the lo half of an edge batch) of r rows
+# and nb bytes with flat takes when nb >= FLAT_MIN_BYTES,
+# r <= FLAT_ROWS_PER_BYTE * nb and r * nb <= FLAT_MAX_BYTES, and one byte
+# position at a time otherwise (measured crossover: README, Performance
+# notes).  At 2 bytes the column loop is two takes, and flat takes were
+# 1-13% slower at 2 to 32 rows; at 3 bytes they were 5-11% faster.
+FLAT_MIN_BYTES = 3
+FLAT_ROWS_PER_BYTE = 16
+FLAT_MAX_BYTES = 256 << 10
+# packed bytes per flat take, so that its intp index and float64 result, 8
+# bytes per packed byte each, stay below glibc's default 128 KiB mmap
+# threshold: one take over a whole 32 KiB batch ran up to twice as slow as
+# the column loop, as its 256 KiB temporaries were mapped and faulted in
+FLAT_BLOCK_BYTES = 8 << 10
 # pairs per XOR in LTFEvaluator's edge-batch check: as fast as a whole row
 # block, whose 1 MiB XOR added 2 MiB to perfbench's mono-4096 peak memory
 # with a fixed mmap threshold, where 256 rows (128 KiB at n = 4096) add
 # about 0.3 MiB
 EDGE_CHECK_ROWS = 256
+
+
+# (8, 256): column b holds the bits of byte value b, converted once here
+# since every evaluator built (one per certificate check) multiplies by it
+_BYTE_BITS_T = bits.BYTE_BITS.T.astype(np.float64)
 
 
 class DimensionMismatchError(ValueError):
@@ -120,12 +146,17 @@ def _tie_bound(w: np.ndarray, theta: float) -> float:
 
     * cube_margins adds at most n weights per subset sum and n for sum(w),
       then subtracts twice: error <= u ((3n + 1) W + |theta|).
-    * byte tables: an entry sums at most 8 weights, and the evaluator adds
-      the nb entries of a row one after another, so the set-bit sum s is off
-      by at most (8 + nb) u W.  The hi row of an edge batch takes
-      s_lo - T[p, lo_byte] + T[p, hi_byte] instead: two more entries, each
-      off by at most 7 u W, and two more roundings of values below W, so its
-      s is off by at most (8 + nb) u W + 14 u W + 2 u W = (nb + 24) u W.
+    * byte tables: an entry sums at most 8 weights, so the entries of a
+      row are off by at most 7 u W in all.  The evaluator adds the nb
+      entries of a row either one byte position after another (the column
+      loop) or in numpy's pairwise order (the flat gather's sum(axis=1)).
+      Any order of adding nb terms makes nb - 1 roundings, each of a partial
+      sum no larger than the terms' absolute sum, itself below W + 7 u W, so
+      either way the set-bit sum s is off by at most (8 + nb) u W.  The hi
+      row of an edge batch takes s_lo - T[p, lo_byte] + T[p, hi_byte]
+      instead, with s_lo from either gather: two more entries, each off by
+      at most 7 u W, and two more roundings of values below W, so its s is
+      off by at most (8 + nb) u W + 14 u W + 2 u W = (nb + 24) u W.
       The margin 2s - T, with T = fsum(theta, w) within u (W + |theta|) of
       theta + sum(w), is one more rounding of a value below 3W + |theta|:
       error <= u ((2 nb + 20) W + 2 |theta|) for a gathered row and
@@ -133,7 +164,9 @@ def _tie_bound(w: np.ndarray, theta: float) -> float:
 
     All are below u (4 n + 64) (W + |theta|) = 2 (n + 16) eps (W + |theta|),
     since 2 nb + 52 <= 2 n + 52, the bound returned (plus a term for
-    underflow), so a computed margin beyond it has the true sign.
+    underflow), so a computed margin beyond it has the true sign.  On the
+    exact_in_float branch no bound is needed: every partial sum, in any
+    order, is an integer below 2^53 and so exact.
     """
     eps = np.finfo(np.float64).eps
     tiny = np.finfo(np.float64).tiny
@@ -223,9 +256,21 @@ class LTFEvaluator:
     """Evaluates a halfspace on packed batches; returns int8 +-1 per row.
 
     One path at every n: per-byte tables of set-bit sums, whose padding
-    entries are zero, so padding bits never change an answer.  With s the
-    set-bit sum of a row, w.x = 2s - sum(w), and a row is decided by one
-    subtraction and one comparison:
+    entries are zero, so padding bits never change an answer.  A batch of r
+    rows and nb bytes (the lo half of an edge batch, below) is gathered with
+    flat takes when nb >= FLAT_MIN_BYTES, r <= FLAT_ROWS_PER_BYTE * nb and
+    r * nb <= FLAT_MAX_BYTES (the certificate checks, and the edge batches
+    of 128 to 1024 rows at n = 1024), and one byte position at a time
+    otherwise (every batch at n = 16, and the edge batches of 1024 edges and
+    more at n = 4096).  Timed against each other, the flat gather's time
+    over the loop's was 1.03 at 2 rows and 1.31 at 128 rows of 2 bytes,
+    0.72 at 128 rows and 1.56 at 1024 rows of 8 bytes, 0.24 at 128 rows and
+    0.90 at 2048 rows of 128 bytes, and 0.37 at 256 rows of 512 bytes;
+    README, Performance notes, has the grid.
+    The choice never changes an answer.
+
+    With s the set-bit sum of a row, w.x = 2s - sum(w), and a row is decided
+    by one subtraction and one comparison:
 
     * exact_in_float(w): 2s - sum(w) >= theta.  Every table entry and
       partial row sum is an integer of magnitude at most sum |w_i| < 2^53,
@@ -255,7 +300,7 @@ class LTFEvaluator:
         wp[: self.n] = w
         # tables[p, b] = sum of the weights of the set bits of byte value b
         # at byte position p
-        self._tables = wp.reshape(nb, 8) @ bits.BYTE_BITS.T.astype(np.float64)
+        self._tables = wp.reshape(nb, 8) @ _BYTE_BITS_T
         if exact_in_float(w):
             self._offset = float(w.sum())
             self._threshold = spec.theta
@@ -265,19 +310,30 @@ class LTFEvaluator:
             self._threshold = 0.0
             self._tie_bound = _tie_bound(w, spec.theta)
         self._rows = min(QUERY_CHUNK, bits.block_rows(nb))
+        # the flat gather reads entry 256 p + b of the raveled tables
+        self._flat = self._tables.ravel()
+        self._base = np.arange(0, 256 * nb, 256, dtype=np.intp)
+        self._flat_rows = (min(FLAT_ROWS_PER_BYTE * nb, FLAT_MAX_BYTES // nb)
+                           if nb >= FLAT_MIN_BYTES else 0)
+        self._flat_block = max(1, FLAT_BLOCK_BYTES // nb)
 
     def __call__(self, packed: np.ndarray) -> np.ndarray:
         pos = (_edge_positions(packed) if packed.shape[1] >= PAIR_MIN_BYTES
                else None)
         half = packed.shape[0] if pos is None else packed.shape[0] // 2
         out = np.empty(packed.shape[0], dtype=np.int8)
-        rows = self._rows
+        # a small batch (or lo half) is one block, gathered flat
+        flat = half <= self._flat_rows
+        rows = max(1, half) if flat else self._rows
         for lo in range(0, half, rows):
             end = min(lo + rows, half)
             block = packed[lo: end]
-            acc = np.zeros(block.shape[0])
-            for p, table in enumerate(self._tables):
-                acc += table.take(block[:, p])
+            if flat:
+                acc = self._flat_sums(block)
+            else:
+                acc = np.zeros(block.shape[0])
+                for p, table in enumerate(self._tables):
+                    acc += table.take(block[:, p])
             self._decide(acc, block, out[lo: end])
             if pos is not None:
                 # the hi ends of this block's edges: swap one table entry
@@ -288,6 +344,16 @@ class LTFEvaluator:
                 acc += self._tables[p, hi[r, p]]
                 self._decide(acc, hi, out[half + lo: half + end])
         return out
+
+    def _flat_sums(self, block: np.ndarray) -> np.ndarray:
+        """Set-bit sums of the rows of block, each FLAT_BLOCK_BYTES of rows
+        gathered with one take on the raveled tables and summed."""
+        acc = np.empty(block.shape[0])
+        step = self._flat_block
+        for i in range(0, block.shape[0], step):
+            self._flat.take(block[i: i + step] + self._base).sum(
+                axis=1, out=acc[i: i + step])
+        return acc
 
     def _decide(self, acc: np.ndarray, block: np.ndarray, out: np.ndarray):
         """Write the signs of the rows of block, whose set-bit sums are acc,

@@ -13,7 +13,9 @@ from monotest.generators import (
     InstanceFamily,
     generate,
 )
+from monotest import harness
 from monotest.harness import (
+    CSV_COLUMNS,
     SuiteConfig,
     records_csv_deterministic_view,
     records_to_csv,
@@ -23,6 +25,7 @@ from monotest.harness import (
 )
 from monotest.oracle import LTFEvaluator, LTFSpec
 from monotest.rng import SplitRng, generator_for
+from monotest.tester import mono_test_ltf
 from monotest.truth import (
     WeightProfile,
     dist_ltf_to_monotone_exact,
@@ -160,6 +163,47 @@ def test_suite_records_query_cap_errors():
     assert mixed["detection_rate_wilson95"] == clean["detection_rate_wilson95"]
     for key in ("queries_mean", "queries_p50", "queries_p90"):
         assert mixed[key] == clean[key]
+
+
+def test_suite_records_tester_exceptions(monkeypatch):
+    # the tester spends 5 queries and raises on trial 2 only; the suite goes
+    # on, and every other record is the one a clean run gives
+    clean, clean_summary = run_suite(small_suite())
+    calls = []
+
+    def flaky(f, eps, sched, rng):
+        calls.append(None)
+        if len(calls) == 3:
+            f.query_packed(np.zeros((5, bits.nbytes(f.ambient_n)), np.uint8))
+            raise FloatingPointError("injected")
+        return mono_test_ltf(f, eps, sched, rng)
+    monkeypatch.setattr(harness, "mono_test_ltf", flaky)
+    records, summary = run_suite(small_suite())
+    assert len(calls) == len(records) == 6
+    bad = records[2]
+    assert (bad.verdict, bad.diagnostic) == ("error",
+                                             "error:FloatingPointError")
+    assert bad.certificate is None and bad.certificate_ok is None
+    assert bad.queries_total == 5
+    assert (bad.distance, bad.known_monotone) == (clean[2].distance,
+                                                  clean[2].known_monotone)
+    for rec, ref in zip(records, clean):
+        if rec.trial != 2:
+            assert {**rec.__dict__, "wall_ms": 0} == {**ref.__dict__,
+                                                      "wall_ms": 0}
+    assert summary["trials"] == 6 and summary["errors"] == 1
+    rest = summarize([r for r in clean if r.trial != 2])
+    for key in ("rejections", "detection_rate", "detection_rate_wilson95",
+                "false_alarms", "certificates_checked",
+                "certificate_failures", "queries_mean", "queries_p50",
+                "queries_p90", "hard_invariant_violation"):
+        assert summary[key] == rest[key]
+    assert clean_summary["errors"] == 0
+    lines = records_to_csv(records).splitlines()
+    assert lines[0].split(",") == CSV_COLUMNS and len(CSV_COLUMNS) == 10
+    assert lines[3].split(",")[CSV_COLUMNS.index("diagnostic")] == (
+        "error:FloatingPointError")
+    assert all(len(line.split(",")) == 10 for line in lines)
 
 
 def test_suite_monotone_no_false_alarms():

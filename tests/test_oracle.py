@@ -301,7 +301,7 @@ def test_byte_table_blocks_match_eval_ltf(make, exact):
     assert np.all(got[np.all(X == x0, axis=1)] == 1)
 
 
-def _edge_batch_case(n, wide, restricted):
+def _edge_batch_case(n, wide, restricted, k=40):
     """(spec, evaluator, batch, k): the [lo; hi] batch of k edges that
     _query_edges hands the evaluator, on the root or on a view with a fifth
     of the coordinates fixed.
@@ -335,7 +335,6 @@ def _edge_batch_case(n, wide, restricted):
     assert Fraction(spec.theta) == sum(Fraction(wi) * int(xi)
                                        for wi, xi in zip(w, star))
     assert exact_in_float(w) != wide
-    k = 40
     pts = bits.random_packed(rng, k, n)
     coords = dom[rng.integers(0, dom.size, size=k)]
     with_c, with_i = x0.copy(), x0.copy()
@@ -376,17 +375,84 @@ def test_edge_batches_match_exact_reference(n, paired, wide, restricted,
     two_bits[k + 20] = batch[20]
     two_bits[k + 20, batch.shape[1] // 2] ^= 0x81
     # each batch checked and gathered in one block, and in blocks of 7 rows,
-    # whose ends the edges straddle
-    one_block = ev._rows
+    # whose ends the edges straddle: by the flat gather these small batches
+    # take, and by the column loop
+    one_block, flat_rows = ev._rows, ev._flat_rows
     for b, is_edge_batch in ((batch, True), (batch[:-1], False),
                              (same, False), (two_bytes, False),
                              (two_bits, True)):
         expect = _exact_signs(spec.weights, spec.theta, bits.unpack(b, n))
         for rows in (one_block, 7):
-            ev._rows = rows
             monkeypatch.setattr(oracle, "EDGE_CHECK_ROWS", rows)
             assert (_edge_positions(b) is not None) == is_edge_batch
-            assert np.array_equal(ev(b), expect)
+            # flat takes of `rows` rows, then the column loop (no batch is
+            # flat) in row blocks of `rows` rows
+            for setting in ((flat_rows, rows, one_block),
+                            (0, one_block, rows)):
+                ev._flat_rows, ev._flat_block, ev._rows = setting
+                assert np.array_equal(ev(b), expect)
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["root", "view"])
+@pytest.mark.parametrize("wide", [False, True], ids=["int", "float"])
+# the most rows that take the flat gather: none at 2 bytes, 16 per byte of
+# width, and at most 256 KiB
+@pytest.mark.parametrize("n,guard", [(16, 0), (24, 48), (1024, 2048),
+                                     (4096, 512)])
+def test_flat_and_column_gathers_match_exact_reference(n, guard, wide,
+                                                       restricted):
+    # batches on both sides of the flat gather's guard and exactly at it:
+    # at n = 16 (2 bytes, guard 0 rows) every batch takes the column loop,
+    # at n = 24 (guard 48) 128 and 256 rows take it, and at n = 1024 (guard
+    # 2048) and 4096 (guard 512) they take the flat gather.  Every row, ties
+    # and their one-flip neighbours included, must get the sign of the
+    # exact reference.
+    rng = generator_for(n, "flat-gather", wide, restricted)
+    if wide:
+        # dyadic weights, three scaled by 2^45 so that float sums round
+        w = rng.integers(-1024, 1025, size=n) / 1024.0
+        w[rng.choice(n, size=3, replace=False)] *= 2.0 ** 45
+    else:
+        w = rng.integers(-4095, 4096, size=n).astype(np.float64)
+    rho = (random_assignment(rng.choice(n, size=n // 5, replace=False), n, rng)
+           if restricted else Restriction.all_stars(n))
+    dom = rho.stars()
+    x0 = bits.unpack(rho.overlay_packed(bits.random_packed(rng, 1, n)), n)[0]
+    tie = sum(Fraction(wi) * int(xi) for wi, xi in zip(w, x0))
+    if wide:
+        # a small weight takes up the rounding of w.x0, so that theta = w.x0
+        # is an exact tie
+        d = next(j for j in dom if abs(w[j]) <= 1)
+        w[d] -= float(tie - Fraction(float(tie))) * x0[d]
+    spec = LTFSpec(w, float(tie))
+    assert Fraction(spec.theta) == sum(Fraction(wi) * int(xi)
+                                       for wi, xi in zip(w, x0))
+    assert exact_in_float(w) != wide
+    ev = LTFEvaluator(spec)
+    assert ev._flat_rows == guard and guard < ev._rows
+    seen = []
+    view = restrict(OracleHandle(lambda p: seen.append(p) or ev(p), n), rho)
+    tried = {2, 8, 128, 256, guard - 1, guard, guard + 1} - {-1, 0}
+    for rows in sorted(tried):
+        pts = np.repeat(x0[None, :], rows, axis=0)
+        flip = dom[rng.integers(0, dom.size, size=rows)]
+        pts[np.arange(rows), flip] *= -1
+        # x0 and its one-flip neighbours, then random points, with x0 also
+        # in the middle and last rows
+        pts[rows // 2:] = bits.unpack(
+            bits.random_packed(rng, rows - rows // 2, n), n)
+        pts[[0, rows // 2, -1]] = x0
+        got = view.query_pm(pts[:, dom])
+        expect = _exact_signs(w, spec.theta, bits.unpack(seen[-1], n))
+        assert np.array_equal(got, expect), rows
+        assert got[0] == got[-1] == 1
+    # an n = 4096 edge batch whose lo half of `guard` rows takes the flat
+    # gather, and one edge more, whose lo half takes the column loop
+    if n == 4096:
+        for k in (guard, guard + 1):
+            _, ev, batch, _ = _edge_batch_case(n, wide, restricted, k)
+            assert _edge_positions(batch) is not None
+            assert ev(batch)[k + 1] == 1
 
 
 def _int_weights_case(n, lo, hi, at_x0):
