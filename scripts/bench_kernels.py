@@ -23,7 +23,11 @@ Times, on one batch of QUERY_CHUNK points at each n in SIZES:
   `subroutines.EDGE_CHUNK` edges (fewer where the batch would exceed
   `bits.CHUNK_BYTES`) on the integer instance.  From n = 2048, whose rows
   are `oracle.PAIR_MIN_BYTES` wide, the evaluator gathers only the lo ends
-  of that batch, so SIZES has widths on both sides of that choice.
+  of that batch, so SIZES has widths on both sides of that choice,
+* `certify`, in milliseconds per call and only at n in CERTIFY_SIZES:
+  `generators._certify` on a planted-negative-mass instance with the
+  default Monte-Carlo radius, which is how `generate` certifies a far
+  instance above n = 20 (best of CERTIFY_REPEATS calls).
 
 Each figure is the best of REPEATS runs, timed with time.perf_counter, in
 one process; one process of identical code can land in a slower speed mode
@@ -62,6 +66,8 @@ import numpy as np  # noqa: E402
 
 OUT = Path("BENCH_kernels.json")
 SIZES = (16, 20, 512, 1024, 2048, 4096, 8192)
+CERTIFY_SIZES = (1024, 4096)  # n of the certify column
+CERTIFY_REPEATS = 3
 CALL_ROWS = (2, 8, 128, 256)  # batch rows of the eval.<r>rows columns
 CALLS = 20  # evaluator calls per timed eval.<r>rows run
 REPEATS = 7
@@ -118,7 +124,21 @@ def kernel_row(n, rows, repeats, gen):
         coords = gen.integers(0, n, size=edges)
         _query_edges(f, bits.random_packed(gen, edges, n), coords)
     out["edge"] = best_ns_per_point(edge_batch, edges, repeats)
+    if n in CERTIFY_SIZES:
+        out["certify"] = certify_ms(n)
     return {k: round(x, 1) for k, x in out.items()}
+
+
+def certify_ms(n):
+    """ms per generators._certify call on a planted-negative-mass instance."""
+    from monotest.generators import (
+        PLANTED_NEGATIVE_MASS, InstanceFamily, _certify, generate)
+    from monotest.rng import SplitRng
+
+    rng = SplitRng(SEED, ("bench-kernels", "certify", n))
+    spec = generate(InstanceFamily(PLANTED_NEGATIVE_MASS, n), rng).spec
+    return 1e-6 * best_ns_per_point(lambda: _certify(spec, rng, 0.005), 1,
+                                    CERTIFY_REPEATS)
 
 
 def measure() -> dict:
@@ -155,8 +175,9 @@ def main():
             runs[tag].append(measure_in_process(Path(tree).resolve()))
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc["unit"] = ("ns/point on one batch of 16384 points; eval.build and "
-                   "eval.<r>rows in us per call; each the best of repeats "
-                   "in a process, then of processes")
+                   "eval.<r>rows in us per call, certify in ms per call; "
+                   "each the best of repeats in a process, then of "
+                   "processes")
     for tag, results in runs.items():
         kernels = {n: {k: min(r[n][k] for r in results) for k in row}
                    for n, row in results[0].items()}

@@ -198,6 +198,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+MC_RADIUS_HELP = ("Monte-Carlo radius of a certified distance; used only "
+                  "above n=20, for float weights or a weight sum too large "
+                  "for the subset-sum DP (truth.dp_applies)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="monotest",
@@ -209,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p_gen)
     p_gen.add_argument("--count", type=int, default=1)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--mc-radius", type=float, default=0.005)
+    p_gen.add_argument("--mc-radius", type=float, default=0.005,
+                       help=MC_RADIUS_HELP)
     p_gen.add_argument("--out-dir", default="instances")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -226,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--count", type=int, default=10)
     p_bench.add_argument("--epsilon", type=float, required=True)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--mc-radius", type=float, default=0.005)
+    p_bench.add_argument("--mc-radius", type=float, default=0.005,
+                       help=MC_RADIUS_HELP)
     p_bench.add_argument("--out-csv", default=None)
     p_bench.add_argument("--out-json", default=None)
     p_bench.set_defaults(func=cmd_bench)

@@ -4,7 +4,10 @@ All families emit integer weights and thresholds that are half-integers or 0,
 so evaluations are exact (oracle.exact_in_float) and w.x - theta is 0 (the
 boundary, +1) or at least 1/2 away.  MAX_WEIGHT keeps instance draws as they
 were; the evaluator does not need it.  Far instances ship with a certified
-distance: exact counting for n <= TABLE_MAX_N, Monte-Carlo above that.
+distance: exact counting for n <= TABLE_MAX_N; above that, the subset-sum DP
+(truth.dist_ltf_to_monotone_dp, within a proven rounding radius) when the
+pmf of the weights' subset sum fits in bits.CHUNK_BYTES (truth.dp_applies),
+and Monte-Carlo within mc_radius only for a weight sum above that bound.
 """
 
 from __future__ import annotations
@@ -19,9 +22,12 @@ from .rng import SplitRng
 from .truth import (
     DistanceReport,
     WeightProfile,
+    dist_ltf_to_monotone_dp,
     dist_ltf_to_monotone_exact,
     dist_ltf_to_monotone_mc,
+    dp_applies,
     ltf_mean,
+    ltf_mean_dp,
 )
 
 MAX_WEIGHT = 4095.0
@@ -76,8 +82,13 @@ def _half_integer(x: float) -> float:
 
 def _certify(spec: LTFSpec, rng: SplitRng, mc_radius: float,
              mc_delta: float = 0.01) -> DistanceReport:
+    """Exact counting for n <= TABLE_MAX_N; above that the subset-sum DP where
+    dp_applies, else Monte-Carlo with radius mc_radius at confidence
+    1 - mc_delta on the "certify" stream."""
     if spec.n <= TABLE_MAX_N:
         return dist_ltf_to_monotone_exact(spec)
+    if dp_applies(spec.weights):
+        return dist_ltf_to_monotone_dp(spec)
     samples = int(math.ceil(math.log(2.0 / mc_delta) / (2.0 * mc_radius ** 2)))
     return dist_ltf_to_monotone_mc(spec, samples, mc_delta,
                                    rng.child("certify").generator)
@@ -151,8 +162,11 @@ def _make_planted_negative_mass(family, rng, mc_radius):
         if not (0.9 * target <= frac <= 1.1 * target):
             continue
         spec = LTFSpec(w, 0.5)
-        mean = ltf_mean(spec, rng.child("balance", attempt).generator,
-                        50_000)
+        if dp_applies(w):
+            mean = ltf_mean_dp(spec)
+        else:
+            mean = ltf_mean(spec, rng.child("balance", attempt).generator,
+                            50_000)
         if abs(mean) > max_mean:
             continue
         return GeneratedInstance(spec, family.kind,

@@ -11,7 +11,11 @@ tolerance.  Two independent distance oracles exist on purpose:
   negative weights), vectorized over subset sums.
 
 Their exact agreement on every tested halfspace is itself one of the
-structural facts under test.
+structural facts under test.  Above n = 20, where neither can enumerate,
+integer weights get the weight-based distance and the mean from a float64
+DP over the pmfs of subset sums (dist_ltf_to_monotone_dp, ltf_mean_dp),
+with a proven rounding radius; Monte-Carlo is left for float weights and
+weight sums too large for that DP.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ from .oracle import (
 MATCHING_MAX_N = 12
 # rows per Monte-Carlo batch, within bits.CHUNK_BYTES (see bits.chunk_rows)
 MC_CHUNK = 65536
+# largest sum of |w_i| (and largest n) for the subset-sum DP: the float64 pmf
+# of the sum of all |w_i|, DP_MAX_SUM + 1 entries, fits in bits.CHUNK_BYTES
+DP_MAX_SUM = bits.CHUNK_BYTES // 8 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +55,12 @@ class DistanceReport:
     """Distance to the nearest monotone function.
 
     Exact methods carry an integer numerator over denominator 2^n; the MC
-    method carries a confidence radius instead.
+    method carries a confidence radius instead, and the DP method a proven
+    bound on its float64 rounding error.
     """
 
-    method: str  # "matching" | "drop-negative-exact" | "drop-negative-mc"
+    method: str  # "matching" | "drop-negative-exact" | "drop-negative-dp"
+    #              | "drop-negative-mc"
     value: float
     numerator: Optional[int] = None
     denominator: Optional[int] = None
@@ -192,6 +201,146 @@ def dist_ltf_to_monotone_mc(spec: LTFSpec, samples: int, delta: float,
     radius = math.sqrt(math.log(2.0 / delta) / (2.0 * samples))
     return DistanceReport("drop-negative-mc", disagreements / samples,
                           radius=radius)
+
+
+# ---------------------------------------------------------------------------
+# the subset-sum DP: distance and mean at any n for integer weights
+
+
+def dp_applies(w: np.ndarray) -> bool:
+    """True iff the subset-sum DP runs on weights w: integer weights (see
+    oracle.exact_in_float) with sum |w_i| <= DP_MAX_SUM, and n <= DP_MAX_SUM."""
+    return (w.size <= DP_MAX_SUM and exact_in_float(w)
+            and float(np.abs(w).sum()) <= DP_MAX_SUM)
+
+
+def subset_sum_pmf(weights: np.ndarray) -> np.ndarray:
+    """p[s] = Pr[S = s], s = 0 .. sum(weights), for S the sum of a uniform
+    random subset of non-negative integer weights.
+
+    One step per nonzero weight v: p[v:] += p[:-v], then p *= 0.5, over the
+    entries that can be nonzero so far.  The weights go in ascending order,
+    so that support grows as slowly as it can.  dist_ltf_to_monotone_dp
+    bounds the rounding error.
+    """
+    v = np.sort(weights[weights > 0]).astype(np.int64)
+    p = np.zeros(int(v.sum()) + 1)
+    p[0] = 1.0
+    top = 1  # p[top:] is still zero
+    for vi in v.tolist():
+        p[vi: top + vi] += p[:top]  # numpy buffers the overlapping operand
+        top += vi
+        p[:top] *= 0.5
+    return p
+
+
+def _subset_sum_tails(spec: LTFSpec):
+    """(p, ge, lt, k_p) of the form in dist_ltf_to_monotone_dp: p[s] =
+    Pr[S_P = s], ge[s] = Pr[S_N >= K - s], lt[s] = Pr[S_N < K - s]."""
+    w = spec.weights
+    if not dp_applies(w):
+        raise ValueError("subset-sum DP needs integer weights with sum |w_i| "
+                         f"<= {DP_MAX_SUM} and n <= {DP_MAX_SUM}")
+    p = subset_sum_pmf(w[w >= 0])
+    q = subset_sum_pmf(-w[w < 0])
+    w_p, w_all = p.size - 1, p.size + q.size - 2
+    # ceil((theta + total) / 2) in integers, theta = num / den exactly;
+    # clamped: K <= 0 puts every K - s at or below 0, K > W every K - s above
+    # the largest value of S_N; likewise K_P against S_P
+    num, den = spec.theta.as_integer_ratio()
+    k = min(max(-(-(num + w_all * den) // (2 * den)), 0), w_all + 1)
+    k_p = min(max(-(-(num + w_p * den) // (2 * den)), 0), w_p + 1)
+    lt = np.zeros(q.size + 1)  # lt[j] = Pr[S_N < j], j = 0 .. q.size
+    lt[1:] = np.cumsum(q)
+    ge = np.zeros(q.size + 1)  # ge[j] = Pr[S_N >= j]
+    ge[:-1] = np.cumsum(q[::-1])[::-1]
+    j = np.clip(k - np.arange(p.size), 0, q.size)
+    return p, ge[j], lt[j], k_p
+
+
+def dp_radius(n: int, w_sum: int) -> float:
+    """The rounding-error bound of dist_ltf_to_monotone_dp, which proves it:
+    (n + sum |w_i| + 3) 2^-53, exact in float64."""
+    return (n + w_sum + 3) * 2.0 ** -53
+
+
+def dist_ltf_to_monotone_dp(spec: LTFSpec) -> DistanceReport:
+    """Distance to monotone at any n for integer weights, by a float64
+    subset-sum DP, with a proven bound on its rounding error as the radius.
+
+    It computes the disagreement with g = drop_negative_weights(spec) that
+    dist_ltf_to_monotone_exact counts and dist_ltf_to_monotone_mc samples.
+    It runs when dp_applies(spec.weights): integer weights, n and
+    W = sum |w_i| at most DP_MAX_SUM, so that the pmf of a subset sum of all
+    |w_i| (W + 1 float64) fits in bits.CHUNK_BYTES; no array it makes holds
+    more than W + 2 entries.  It takes at most n (W + 1) additions and as
+    many halvings: 5 ms at n = 1,024 and 61 ms at n = 4,096 on
+    planted-negative-mass instances, whose W is about 14 n (the best of 15
+    calls on one core of a shared 2-CPU x86-64 host; `certify` in
+    BENCH_kernels.json).
+
+    Form.  Read x_i = +1 as "w_i >= 0 is in the subset" and x_i = -1 as
+    "|w_i| for w_i < 0 is in the subset".  Then w.x = 2 (S_P + S_N) - W and
+    the non-negative part of w.x is 2 S_P - W_P, where S_P and S_N are
+    independent uniform subset sums of the weights >= 0 and of |w_i| over the
+    weights < 0, and W_P is the sum of the weights >= 0.  With sign(0) = +1,
+    f = +1 iff S_P + S_N >= K and g = +1 iff S_P >= K_P, for the integers
+    K = ceil((theta + W) / 2) and K_P = ceil((theta + W_P) / 2), computed
+    exactly.  The distance is
+
+        sum_s Pr[S_P = s] * (Pr[S_N < K - s] if s >= K_P
+                             else Pr[S_N >= K - s]).
+
+    The negative part 2 S_N - (W - W_P) is symmetric about 0, so each factor
+    is the smaller of the two tails: the slice-wise min(c, L - c) form of
+    dist_ltf_to_monotone_exact.
+
+    Exactness for n <= 53.  Every pmf entry, tail, product and partial sum
+    is a multiple of 2^-n in [0, 1], exact in float64, so no step rounds and
+    the value is the exact count over 2^n, whatever the summation order.
+
+    Error radius.  Let u = 2^-53 and e = 2^-1075 (half the smallest
+    subnormal).  Since n, W <= DP_MAX_SUM < 2^21, (n + W + 1) u < 2^-31, and
+    the second-order terms dropped below (products of two first-order terms)
+    sum to less than u.
+    1. A DP step maps p to T p, (T p)[s] = (p[s] + p[s - v]) / 2.  The float
+       step rounds the sum (relative error <= u; an addition never
+       underflows) and halves it (exact unless the result is subnormal, then
+       off by <= e).  T does not increase the l1 norm of any vector and keeps
+       that of p >= 0, so each step adds at most u ||p||_1 + L e to the l1
+       error, over the L <= W + 1 entries it writes.  After the k_P steps
+       for S_P, ||p - p*||_1 <= k_P (u + (W + 1) e); likewise k_N steps for
+       the pmf q of S_N, with k_P + k_N <= n.
+    2. Each tail of S_N is a cumulative sum of q from one end: off by at most
+       ||q - q*||_1, plus (W - W_P) u for the rounding of a sum of at most
+       W - W_P + 1 non-negative terms of total <= 1, in any order.
+    3. The distance is a dot product of p with the chosen tails t, each in
+       [0, 1]: |sum p t - sum p* t*| <= ||p - p*||_1 + max |t - t*|.  Each
+       product rounds (u relative, plus e if it underflows), and the sum of
+       W_P + 1 non-negative products, at most 1, rounds by W_P u.
+    In all: (k_P + k_N + (W - W_P) + 1 + W_P) u + (n + 1)(W + 1) e + u
+    <= (n + W + 2) u + 2^-1030 < (n + W + 3) u = dp_radius(n, W).
+    """
+    p, ge, lt, k_p = _subset_sum_tails(spec)
+    value = float(np.dot(p[:k_p], ge[:k_p]) + np.dot(p[k_p:], lt[k_p:]))
+    w_sum = int(np.abs(spec.weights).sum())
+    return DistanceReport("drop-negative-dp", value,
+                          radius=dp_radius(spec.n, w_sum))
+
+
+def ltf_mean_dp(spec: LTFSpec) -> float:
+    """E[f] over the uniform cube at any n for integer weights: the subset-sum
+    DP of dist_ltf_to_monotone_dp (same conditions and cost), as
+    Pr[f = +1] - Pr[f = -1] = sum_s Pr[S_P = s] (Pr[S_N >= K - s]
+    - Pr[S_N < K - s]).
+
+    Each of the two dot products is off by at most (n + W + 2) u + 2^-1030,
+    by the proof there, and their difference rounds by at most u, so the
+    value is within 2 dp_radius(n, W) of the true mean; for n <= 53 it is
+    exact, as there.
+    """
+    p, ge, lt, _ = _subset_sum_tails(spec)
+    return float(np.dot(p, ge)) - float(np.dot(p, lt))
 
 
 def exact_mean(spec: LTFSpec) -> float:

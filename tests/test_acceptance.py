@@ -44,8 +44,8 @@ from monotest.truth import (
     WeightProfile,
     check_negative_mass_lower_bound,
     check_restriction_preserves_distance,
+    dist_ltf_to_monotone_dp,
     dist_ltf_to_monotone_exact,
-    dist_ltf_to_monotone_mc,
     dist_to_monotone_matching,
     exact_degree1,
 )
@@ -187,7 +187,7 @@ def test_negative_mass_bound_sweep():
 
     # supplementary non-vacuous exercise of the conclusion: near-uniform
     # weights at large n are regular enough for the hypothesis once the
-    # distance (MC-certified lower bound) is large, which mostly-negative
+    # distance (DP-certified lower bound) is large, which mostly-negative
     # instances provide
     informative = 0
     for t in range(10):
@@ -197,8 +197,7 @@ def test_negative_mass_bound_sweep():
         w[g2.permutation(n_big)[: int(0.9 * n_big)]] *= -1.0
         spec = LTFSpec(w, 0.5)
         profile = WeightProfile.from_weights(w)
-        rep = dist_ltf_to_monotone_mc(spec, 200_000, 0.01,
-                                      rng_at(60 + t, "mc").generator)
+        rep = dist_ltf_to_monotone_dp(spec)
         eps = rep.value - rep.radius  # certified lower bound on the distance
         if eps <= 0 or profile.regularity > eps / 16.0:
             continue
@@ -209,7 +208,7 @@ def test_negative_mass_bound_sweep():
     report("negative-mass-lower-bound", ok,
            f"0 violations over 500 instances at n=16 ({vacuous} vacuous: "
            f"regularity >= 1/4 exceeds eps/16 for every eps <= 1/2; "
-           f"{informative}/10 non-vacuous MC-certified checks at n=4096 "
+           f"{informative}/10 non-vacuous DP-certified checks at n=4096 "
            f"also clean)")
     assert ok
 
@@ -383,9 +382,9 @@ def test_end_to_end_detection_planted():
 
 def near_threshold_gate(n, eps, ks, seed_base):
     """Run 20 signed-majority instances at n for each k and require that at
-    least 80% of the instances whose certified distance (MC value minus its
-    radius) reaches eps are rejected, and that at least 10 of those sit
-    within 0.01 of eps.  Signed-majority coefficients stay below
+    least 80% of the instances whose certified distance (the DP value, less
+    config.mc_radius as a margin) reaches eps are rejected, and that at least
+    10 of those sit within 0.01 of eps.  Signed-majority coefficients stay below
     INFLUENCE_TAU at these n, so the edge tester does the detecting."""
     t0 = time.perf_counter()
     rows = []
@@ -415,21 +414,22 @@ def near_threshold_gate(n, eps, ks, seed_base):
 
 
 def test_near_threshold_detection_signed_majority():
-    # n=256: k negated inputs put the MC distance at 0.046 (k=6, just below
-    # eps), 0.055 (k=8, certified distance at eps), then 0.061, 0.068 and
-    # 0.079
+    # n=256: k negated inputs put the exact distance at 0.0468 (k=6, below
+    # eps), 0.0547 (k=8, below eps once less the 0.005 margin), then 0.0616,
+    # 0.0679 and 0.0790
     near_threshold_gate(256, 0.05, (6, 8, 10, 12, 16), 11_000)
 
 
 def test_near_threshold_detection_eps_01():
-    # n=256: 0.098 (k=24, just below eps), 0.106 (k=28, at eps), then 0.113,
-    # 0.128 and 0.142; the edge test runs with the halved eps=0.1 budget
+    # n=256: exact 0.0978 (k=24, just below eps), 0.1061 (k=28, at eps), then
+    # 0.1139, 0.1282 and 0.1415; the edge test runs with the halved eps=0.1
+    # budget
     near_threshold_gate(256, 0.1, (24, 28, 32, 40, 48), 12_000)
 
 
 def test_near_threshold_detection_eps_002():
-    # n=512: 0.018 (k=2, just below eps), 0.027 and 0.026 (k=3, 4, at eps),
-    # then 0.034 and 0.039; the edge test samples more edges than the
+    # n=512: exact 0.0176 (k=2, just below eps), 0.0265 (k=3 and 4, at eps),
+    # then 0.0331 and 0.0386; the edge test samples more edges than the
     # eps-independent budget it replaced
     near_threshold_gate(512, 0.02, (2, 3, 4, 6, 8), 13_000)
 

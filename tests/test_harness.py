@@ -29,6 +29,7 @@ from monotest.tester import mono_test_ltf
 from monotest.truth import (
     WeightProfile,
     dist_ltf_to_monotone_exact,
+    dp_radius,
     ltf_mean,
 )
 
@@ -61,8 +62,11 @@ def test_planted_negative_mass_hits_target():
     inst = generate(fam, rng_at(3, "g"))
     frac = WeightProfile.from_weights(inst.spec.weights).neg_fraction
     assert 0.225 <= frac <= 0.275
-    assert inst.distance.method == "drop-negative-mc"
-    assert inst.distance.radius <= 0.005 + 1e-12
+    # integer weights: certified by the subset-sum DP, within its proven
+    # rounding radius, not by Monte-Carlo
+    w_sum = int(np.abs(inst.spec.weights).sum())
+    assert inst.distance.method == "drop-negative-dp"
+    assert inst.distance.radius == dp_radius(4096, w_sum) < 1e-10
 
 
 def test_heavy_coordinate_has_one_negative():

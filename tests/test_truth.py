@@ -5,20 +5,26 @@ from itertools import product
 import numpy as np
 import pytest
 
+from monotest.generators import _certify, grid_spec
 from monotest.oracle import LTFSpec, truth_table
-from monotest.rng import generator_for
+from monotest.rng import SplitRng, generator_for
 from monotest.truth import (
+    DP_MAX_SUM,
     WeightProfile,
     check_distance_lower_bound,
     check_negative_mass_lower_bound,
     check_restriction_preserves_distance,
     classify_non_monotone,
+    dist_ltf_to_monotone_dp,
     dist_ltf_to_monotone_exact,
     dist_ltf_to_monotone_mc,
     dist_to_monotone_matching,
+    dp_radius,
     drop_negative_weights,
     exact_mean,
+    ltf_mean_dp,
     min_boundary_gap,
+    subset_sum_pmf,
 )
 
 
@@ -169,6 +175,88 @@ def test_mc_distance_seed_stability():
         vals.append(rep.value)
     radius = math.sqrt(math.log(2 / 0.05) / (2 * 50_000))
     assert max(vals) - min(vals) <= 4 * radius
+
+
+# ---------------------------------------------------------------------------
+# subset-sum DP distance and mean
+
+
+def test_subset_sum_pmf_counts_subsets():
+    # subsets of {0, 1, 2, 2}: sums 0, 1, 2, 3, 4, 5 in 2, 2, 4, 4, 2, 2 ways
+    p = subset_sum_pmf(np.array([2.0, 0.0, 1.0, 2.0]))
+    assert np.array_equal(p * 16, [2, 2, 4, 4, 2, 2])
+
+
+def _dp_specs():
+    """48 grid specs, n = 1 .. 20: zero weights on every third, and an
+    integer theta on every other, where boundary points can occur."""
+    gen = generator_for(23, "dp-grid")
+    for t in range(48):
+        n = 1 + t % 20
+        spec = grid_spec(gen, n)
+        w = spec.weights.copy()
+        if t % 3 == 0:
+            w[gen.choice(n, size=max(1, n // 4), replace=False)] = 0.0
+        theta = spec.theta - 0.5 if t % 2 else spec.theta
+        yield LTFSpec(w, theta)
+
+
+def test_dp_equals_exact_oracles_on_grid_specs():
+    zeros = ties = 0
+    for spec in _dp_specs():
+        exact = dist_ltf_to_monotone_exact(spec)
+        dp = dist_ltf_to_monotone_dp(spec)
+        # below n = 54 no DP step rounds: equal as rationals over 2^n
+        assert dp.method == "drop-negative-dp"
+        assert dp.value == exact.value
+        assert dp.value * 2 ** spec.n == exact.numerator
+        assert dp.radius == dp_radius(spec.n, int(np.abs(spec.weights).sum()))
+        assert ltf_mean_dp(spec) == exact_mean(spec)
+        zeros += bool(np.any(spec.weights == 0))
+        ties += min_boundary_gap(spec) == 0.0
+    assert zeros >= 10 and ties >= 5
+
+
+def test_dp_counts_boundary_ties_as_plus():
+    # w.x = x1 + x2 - x3 equals theta = 1 at masks 0b001, 0b010 and 0b111;
+    # sign(0) = +1 puts them on the +1 side, so f = +1 on masks 1, 2, 3, 7
+    # and the distance is 2/8.  Counted on the -1 side (theta = 1.5), f is
+    # +1 on mask 3 alone and the distance is 1/8.
+    spec = spec_of([1.0, 1.0, -1.0], 1.0)
+    table = truth_table(spec)
+    assert np.array_equal(np.flatnonzero(table > 0), [1, 2, 3, 7])
+    assert dist_ltf_to_monotone_dp(spec).value * 8 == 2
+    assert dist_to_monotone_matching(table).numerator == 2
+    assert ltf_mean_dp(spec) == exact_mean(spec) == 0.0
+    strict = spec_of([1.0, 1.0, -1.0], 1.5)
+    assert dist_ltf_to_monotone_dp(strict).value * 8 == 1
+    assert ltf_mean_dp(strict) == -0.75
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_dp_within_mc_radius_at_large_n(n):
+    gen = generator_for(24, "dp-mc", n)
+    w = np.round(np.abs(gen.standard_normal(n)) * 16) + 1
+    w[gen.permutation(n)[: n // 4]] *= -1.0
+    spec = LTFSpec(w, 0.5)
+    dp = dist_ltf_to_monotone_dp(spec)
+    mc = dist_ltf_to_monotone_mc(spec, 20_000, 0.01, generator_for(25, n))
+    assert 0.05 < dp.value < 0.45 and dp.radius < 1e-10
+    assert abs(dp.value - mc.value) <= mc.radius + dp.radius
+
+
+def test_certify_takes_mc_only_for_float_or_oversize_weights():
+    rng = SplitRng(26, ("certify",))
+    w = np.r_[-np.ones(4), np.ones(20)]
+    assert _certify(LTFSpec(w, 0.5), rng, 0.05).method == "drop-negative-dp"
+    floats = _certify(LTFSpec(w + 0.25, 0.5), rng, 0.05)
+    assert floats.method == "drop-negative-mc"
+    big = w * (DP_MAX_SUM // 20)
+    assert np.abs(big).sum() > DP_MAX_SUM
+    oversize = _certify(LTFSpec(big, 0.5), rng, 0.05)
+    assert oversize.method == "drop-negative-mc" and oversize.radius < 0.05
+    with pytest.raises(ValueError):
+        dist_ltf_to_monotone_dp(LTFSpec(big, 0.5))
 
 
 # ---------------------------------------------------------------------------
