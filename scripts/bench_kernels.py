@@ -25,9 +25,11 @@ Times, on one batch of QUERY_CHUNK points at each n in SIZES:
   are `oracle.PAIR_MIN_BYTES` wide, the evaluator gathers only the lo ends
   of that batch, so SIZES has widths on both sides of that choice,
 * `certify`, in milliseconds per call and only at n in CERTIFY_SIZES:
-  `generators._certify` on a planted-negative-mass instance with the
-  default Monte-Carlo radius, which is how `generate` certifies a far
-  instance above n = 20 (best of CERTIFY_REPEATS calls).
+  `generators._certify` on a planted-negative-mass instance, which is how
+  `generate` certifies a far instance above n = 20 (best of
+  CERTIFY_REPEATS calls).  Trees from before `generators.MC_RADIUS`, whose
+  `_certify` takes the radius as an argument, need this script's older
+  version.
 
 Each figure is the best of REPEATS runs, timed with time.perf_counter, in
 one process; one process of identical code can land in a slower speed mode
@@ -137,7 +139,7 @@ def certify_ms(n):
 
     rng = SplitRng(SEED, ("bench-kernels", "certify", n))
     spec = generate(InstanceFamily(PLANTED_NEGATIVE_MASS, n), rng).spec
-    return 1e-6 * best_ns_per_point(lambda: _certify(spec, rng, 0.005), 1,
+    return 1e-6 * best_ns_per_point(lambda: _certify(spec, rng), 1,
                                     CERTIFY_REPEATS)
 
 

@@ -14,6 +14,8 @@ one sha256 each (and one over all of them) over its verdict, diagnostic,
 certificate and total queries.  Run it on two trees and compare:
 
     PYTHONPATH=src python scripts/digest.py
+
+main() also returns the two totals; tests/test_digest.py pins them.
 """
 
 import hashlib
@@ -71,7 +73,8 @@ def staged_lines(family: InstanceFamily, eps: float) -> list[str]:
     return lines
 
 
-def print_digests(title: str, cell_lines) -> None:
+def print_digests(title: str, cell_lines) -> str:
+    """Print one sha256 per cell and one over all cells; return the last."""
     print(title)
     total = hashlib.sha256()
     for (kind, n, _params, eps), lines in cell_lines:
@@ -80,9 +83,12 @@ def print_digests(title: str, cell_lines) -> None:
         cell = hashlib.sha256(text.encode()).hexdigest()
         print(f"{kind:<22} n={n:<5} eps={eps:<5} {cell}")
     print(f"{'all cells':<39} {total.hexdigest()}")
+    return total.hexdigest()
 
 
-def main() -> None:
+def main() -> tuple[str, str]:
+    """Print the digests; return the (mono_test_ltf, staged_test_ltf)
+    totals."""
     t0 = time.perf_counter()
     default, staged = [], []
     for cell in CELLS:
@@ -93,9 +99,10 @@ def main() -> None:
         records, _summary = run_suite(config)
         default.append((cell, record_lines(records)))
         staged.append((cell, staged_lines(family, eps)))
-    print_digests("mono_test_ltf (suite records)", default)
-    print_digests("staged_test_ltf", staged)
+    totals = (print_digests("mono_test_ltf (suite records)", default),
+              print_digests("staged_test_ltf", staged))
     print(f"({time.perf_counter() - t0:.1f} s)")
+    return totals
 
 
 if __name__ == "__main__":

@@ -6,11 +6,11 @@ Layers, bottom up:
   and anti-monotone-edge certificates;
 * spectral: sampling estimators for means and degree-1 Fourier mass, plus
   exact spectra for validation;
-* subroutines: influence discovery, weight-sign probing, the edge tester,
-  and the balance search;
+* subroutines: influence discovery, weight-sign probing, and the edge
+  tester;
 * schedule / tester: the desk-scale constants that replace the paper's
-  accuracy and confidence formulas, the (n, eps)-dependent round counts,
-  the regularize-and-balance step, the default edge-first test and the
+  accuracy and confidence formulas, the eps-dependent round count, the
+  regularize-and-balance step, the default edge-first test and the
   adaptive test (initialization phase, then the edge test);
 * truth: exact and Monte-Carlo ground-truth oracles for distance to
   monotone, with executable structural identities;
@@ -27,6 +27,7 @@ from .oracle import (
     QueryBudgetExceededError,
     Restriction,
     Verdict,
+    certificate_holds,
     compose,
     eval_ltf,
     random_assignment,
@@ -49,12 +50,10 @@ from .subroutines import (
     HiInfluenceResult,
     check_weight_positive,
     edge_tester,
-    find_balanced_restriction,
     find_hi_influence_vars,
 )
 from .tester import (
     main_procedure,
-    maintain_regular_and_balanced,
     mono_test_ltf,
     regularize_and_balance,
     staged_test_ltf,
@@ -93,6 +92,7 @@ __all__ = [
     "Verdict",
     "WeightProfile",
     "build_schedule",
+    "certificate_holds",
     "check_distance_lower_bound",
     "check_negative_mass_lower_bound",
     "check_restriction_preserves_distance",
@@ -109,11 +109,9 @@ __all__ = [
     "estimate_sum_of_squares",
     "eval_ltf",
     "exact_spectrum",
-    "find_balanced_restriction",
     "find_hi_influence_vars",
     "generate",
     "main_procedure",
-    "maintain_regular_and_balanced",
     "mono_test_ltf",
     "random_assignment",
     "random_point",

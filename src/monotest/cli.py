@@ -73,7 +73,7 @@ def cmd_gen(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for idx in range(args.count):
         rng = SplitRng(args.seed, ("gen", idx))
-        inst = generate(family, rng, mc_radius=args.mc_radius)
+        inst = generate(family, rng)
         stem = f"{family.kind}-n{family.n}-{idx:04d}"
         inst.spec.dump(out_dir / f"{stem}.json")
         meta = {
@@ -124,8 +124,7 @@ def cmd_test(args) -> int:
 def cmd_bench(args) -> int:
     family = _family_from_args(args)
     config = SuiteConfig(family=family, count=args.count, eps=args.epsilon,
-                         master_seed=args.seed,
-                         mc_radius=args.mc_radius)
+                         master_seed=args.seed)
     records, summary = run_suite(config)
     write_outputs(records, summary, csv_path=args.out_csv,
                   json_path=args.out_json)
@@ -198,11 +197,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-MC_RADIUS_HELP = ("Monte-Carlo radius of a certified distance; used only "
-                  "above n=20, for float weights or a weight sum too large "
-                  "for the subset-sum DP (truth.dp_applies)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="monotest",
@@ -214,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p_gen)
     p_gen.add_argument("--count", type=int, default=1)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--mc-radius", type=float, default=0.005,
-                       help=MC_RADIUS_HELP)
     p_gen.add_argument("--out-dir", default="instances")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -232,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--count", type=int, default=10)
     p_bench.add_argument("--epsilon", type=float, required=True)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--mc-radius", type=float, default=0.005,
-                       help=MC_RADIUS_HELP)
     p_bench.add_argument("--out-csv", default=None)
     p_bench.add_argument("--out-json", default=None)
     p_bench.set_defaults(func=cmd_bench)

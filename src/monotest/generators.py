@@ -7,7 +7,7 @@ were; the evaluator does not need it.  Far instances ship with a certified
 distance: exact counting for n <= TABLE_MAX_N; above that, the subset-sum DP
 (truth.dist_ltf_to_monotone_dp, within a proven rounding radius) when the
 pmf of the weights' subset sum fits in bits.CHUNK_BYTES (truth.dp_applies),
-and Monte-Carlo within mc_radius only for a weight sum above that bound.
+and Monte-Carlo within MC_RADIUS only for a weight sum above that bound.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from .truth import (
 
 MAX_WEIGHT = 4095.0
 WEIGHT_SCALE = 16.0
+# radius of a Monte-Carlo certified distance (see _certify)
+MC_RADIUS = 0.005
 
 MONOTONE_RANDOM = "monotone-random"
 SIGNED_MAJORITY = "signed-majority"
@@ -80,16 +82,16 @@ def _half_integer(x: float) -> float:
     return math.floor(x) + 0.5
 
 
-def _certify(spec: LTFSpec, rng: SplitRng, mc_radius: float,
+def _certify(spec: LTFSpec, rng: SplitRng,
              mc_delta: float = 0.01) -> DistanceReport:
     """Exact counting for n <= TABLE_MAX_N; above that the subset-sum DP where
-    dp_applies, else Monte-Carlo with radius mc_radius at confidence
+    dp_applies, else Monte-Carlo with radius MC_RADIUS at confidence
     1 - mc_delta on the "certify" stream."""
     if spec.n <= TABLE_MAX_N:
         return dist_ltf_to_monotone_exact(spec)
     if dp_applies(spec.weights):
         return dist_ltf_to_monotone_dp(spec)
-    samples = int(math.ceil(math.log(2.0 / mc_delta) / (2.0 * mc_radius ** 2)))
+    samples = int(math.ceil(math.log(2.0 / mc_delta) / (2.0 * MC_RADIUS ** 2)))
     return dist_ltf_to_monotone_mc(spec, samples, mc_delta,
                                    rng.child("certify").generator)
 
@@ -103,8 +105,7 @@ def grid_spec(gen: np.random.Generator, n: int, scale: int = 8) -> LTFSpec:
     return LTFSpec(w, float(gen.integers(-scale, scale)) + 0.5)
 
 
-def generate(family: InstanceFamily, rng: SplitRng,
-             mc_radius: float = 0.005) -> GeneratedInstance:
+def generate(family: InstanceFamily, rng: SplitRng) -> GeneratedInstance:
     """Draw one instance of the family, with a certified distance report."""
     maker = {
         MONOTONE_RANDOM: _make_monotone_random,
@@ -113,10 +114,10 @@ def generate(family: InstanceFamily, rng: SplitRng,
         HEAVY_COORDINATE: _make_heavy_coordinate,
         ADVERSARIAL: _make_adversarial,
     }[family.kind]
-    return maker(family, rng, mc_radius)
+    return maker(family, rng)
 
 
-def _make_monotone_random(family, rng, mc_radius):
+def _make_monotone_random(family, rng):
     gen = rng.child("draw").generator
     n = family.n
     w = _grid_magnitudes(gen, n)
@@ -128,7 +129,7 @@ def _make_monotone_random(family, rng, mc_radius):
                              WeightProfile.from_weights(w), 1)
 
 
-def _make_signed_majority(family, rng, mc_radius):
+def _make_signed_majority(family, rng):
     gen = rng.child("draw").generator
     n, k = family.n, int(family.params.get("k", 1))
     if not 0 <= k <= n:
@@ -137,11 +138,11 @@ def _make_signed_majority(family, rng, mc_radius):
     flip = gen.choice(n, size=k, replace=False)
     w[flip] = -1.0
     spec = LTFSpec(w, 0.0)
-    return GeneratedInstance(spec, family.kind, _certify(spec, rng, mc_radius),
+    return GeneratedInstance(spec, family.kind, _certify(spec, rng),
                              WeightProfile.from_weights(w), 1)
 
 
-def _make_planted_negative_mass(family, rng, mc_radius):
+def _make_planted_negative_mass(family, rng):
     n = family.n
     target = float(family.params.get("lambda_target", 0.25))
     max_mean = float(family.params.get("max_abs_mean", 0.9))
@@ -169,13 +170,12 @@ def _make_planted_negative_mass(family, rng, mc_radius):
                             50_000)
         if abs(mean) > max_mean:
             continue
-        return GeneratedInstance(spec, family.kind,
-                                 _certify(spec, rng, mc_radius),
+        return GeneratedInstance(spec, family.kind, _certify(spec, rng),
                                  WeightProfile.from_weights(w), attempt + 1)
     raise RuntimeError("could not hit the negative-mass target")
 
 
-def _make_heavy_coordinate(family, rng, mc_radius):
+def _make_heavy_coordinate(family, rng):
     gen = rng.child("draw").generator
     n = family.n
     heavy = float(family.params.get("heavy", 8.0))
@@ -184,11 +184,11 @@ def _make_heavy_coordinate(family, rng, mc_radius):
     pos = int(gen.integers(0, n))
     w[pos] = sign * min(abs(heavy), MAX_WEIGHT)
     spec = LTFSpec(w, 0.0)
-    return GeneratedInstance(spec, family.kind, _certify(spec, rng, mc_radius),
+    return GeneratedInstance(spec, family.kind, _certify(spec, rng),
                              WeightProfile.from_weights(w), 1)
 
 
-def _make_adversarial(family, rng, mc_radius):
+def _make_adversarial(family, rng):
     """Heavy-tailed weights, a sizeable negative subset, and a threshold
     pushed toward one tail so the function is noticeably biased."""
     gen = rng.child("draw").generator
@@ -201,5 +201,5 @@ def _make_adversarial(family, rng, mc_radius):
     w[flip] *= -1.0
     theta = _half_integer(bias * float(np.linalg.norm(w)))
     spec = LTFSpec(w, theta)
-    return GeneratedInstance(spec, family.kind, _certify(spec, rng, mc_radius),
+    return GeneratedInstance(spec, family.kind, _certify(spec, rng),
                              WeightProfile.from_weights(w), 1)

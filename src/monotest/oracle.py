@@ -198,15 +198,25 @@ def _exact_signs(w: np.ndarray, theta: float,
                     1, -1).astype(np.int8)
 
 
+def _ltf_signs(spec: LTFSpec, points_pm: np.ndarray) -> np.ndarray:
+    """sign(w.x - theta) for each row of a (k, n) +-1 array, exactly: a
+    float dot product where exact_in_float holds, fsum otherwise."""
+    if points_pm.ndim != 2 or points_pm.shape[1] != spec.n:
+        raise DimensionMismatchError(
+            f"points have shape {points_pm.shape}, expected (k, {spec.n})")
+    if not exact_in_float(spec.weights):
+        return _exact_signs(spec.weights, spec.theta, points_pm)
+    return np.where(points_pm.astype(np.float64) @ spec.weights >= spec.theta,
+                    1, -1)
+
+
 def eval_ltf(spec: LTFSpec, x) -> int:
     """Evaluate a halfspace at a single +-1 point (boundary maps to +1)."""
     x = np.asarray(x)
     if x.shape != (spec.n,):
         raise DimensionMismatchError(
             f"point has shape {x.shape}, expected ({spec.n},)")
-    if not exact_in_float(spec.weights):
-        return int(_exact_signs(spec.weights, spec.theta, x[None, :])[0])
-    return 1 if float(spec.weights @ x.astype(np.float64)) >= spec.theta else -1
+    return int(_ltf_signs(spec, x[None, :])[0])
 
 
 def subset_sums(w: np.ndarray) -> np.ndarray:
@@ -678,10 +688,20 @@ class AntiMonotoneEdgeCertificate:
 
 def verify_certificate(f: OracleHandle,
                        cert: AntiMonotoneEdgeCertificate) -> bool:
-    """Re-check a certificate with exactly 2 queries."""
+    """Re-check a certificate on a black-box handle with exactly 2 queries.
+    For a known halfspace, certificate_holds checks without the evaluator."""
     lo, hi = cert.endpoints()
     vals = f.query_pm(np.stack([lo, hi]))
     return int(vals[0]) == 1 and int(vals[1]) == -1
+
+
+def certificate_holds(spec: LTFSpec,
+                      cert: AntiMonotoneEdgeCertificate) -> bool:
+    """Re-check a certificate against the halfspace itself, exactly, as
+    eval_ltf evaluates.  It builds no byte tables and charges no query, so
+    a fault in LTFEvaluator cannot confirm its own false witness."""
+    signs = _ltf_signs(spec, np.stack(cert.endpoints()))
+    return int(signs[0]) == 1 and int(signs[1]) == -1
 
 
 MONOTONE = "monotone"

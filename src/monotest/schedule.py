@@ -9,12 +9,10 @@ on a grid.  Below, lam = eps^2 / (36 ln(12/eps)), tau_p = lam eps /
 log2(n)^2 is the paper's tau, and lam <= 1/(144 ln 24) < 0.0022 and
 tau_p < 0.0011 since eps <= 1/2.
 
-* INFLUENCE_TAU = 0.5 replaces the influence threshold of both phase steps:
-  tau_p^2 eps^3 / C (initialization) and (tau_p eps / C)^2 sqrt(lam)
-  (maintenance), both below 1e-6.
-* DELTA = 1e-3 replaces the confidences tau'^2 / C and tau'^2 / (C log2 n)
-  of the two steps (below 1e-12 with the tau' above) and the balance
-  search's eps^3 / (200 C log2(n)^2) <= 1/3200.
+* INFLUENCE_TAU = 0.5 replaces the initialization step's influence
+  threshold tau_p^2 eps^3 / C, below 1e-6.
+* DELTA = 1e-3 replaces that step's confidence tau'^2 / C, below 1e-12
+  with the tau' above.
 * ESTIMATOR_DELTA = 1e-2 floors the influence search's per-block confidence
   INFLUENCE_TAU^2 DELTA / (8 log2 n) <= 3.2e-5.
 * EDGE_EPS = 0.2 replaces the final edge test's eps^3 / (C ln(1/eps)),
@@ -30,11 +28,11 @@ tau_p < 0.0011 since eps <= 1/2.
   subroutines.edge_tester for the bound).
 * EDGE_DELTA = 0.1 is the final edge test's confidence.
 
-With tau' = INFLUENCE_TAU, the paper's regularity checks use thresholds
-sqrt(12 tau' / eps) >= sqrt(12) (initialization) and
-sqrt(C tau' / sqrt(lam)) > 4.6 (maintenance).  Both exceed 1, no degree-1
-coefficient does, so no function fails them and the steps skip them:
-regularity up to INFLUENCE_TAU comes from the influence search alone.
+With tau' = INFLUENCE_TAU, the paper's regularity check in the
+initialization step uses the threshold sqrt(12 tau' / eps) >= sqrt(12).
+It exceeds 1, no degree-1 coefficient does, so no function fails it and
+the step skips it: regularity up to INFLUENCE_TAU comes from the influence
+search alone.
 
 What still depends on (n, eps) lives in ParameterSchedule.  Throughout, log
 means log base 2, except the ln(...) factors written explicitly.
@@ -52,8 +50,7 @@ ESTIMATOR_DELTA = 1e-2
 EDGE_EPS = 0.2
 EDGE_DELTA = 0.1
 
-C = 2.0            # the paper's "large enough" constant, at desk scale
-ROUND_CAP = 256    # caps the balance-search and maintenance round counts
+C = 2.0  # the paper's "large enough" constant, at desk scale
 
 
 @dataclass(frozen=True)
@@ -61,9 +58,7 @@ class ParameterSchedule:
     n: int
     eps: float
     eps_requested: float
-    rb_rounds: int     # ceil(C / eps)
-    fbr_rounds: int    # min(ceil(C log2(n) / eps^3), ROUND_CAP)
-    m_rounds: int      # min(ceil(C log2(n) / sqrt(lam)), ROUND_CAP)
+    rb_rounds: int  # ceil(C / eps)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "influence_tau": INFLUENCE_TAU,
@@ -86,11 +81,5 @@ def build_schedule(n: int, eps: float) -> ParameterSchedule:
         warnings.warn(f"eps={eps} clamped to 0.5 "
                       "(distance to monotone is at most 1/2)", stacklevel=2)
         eps = 0.5
-    log2n = math.log2(n)
-    lam = eps * eps / (36.0 * math.log(12.0 / eps))
-    return ParameterSchedule(
-        n=n, eps=eps, eps_requested=eps_requested,
-        rb_rounds=int(math.ceil(C / eps)),
-        fbr_rounds=min(int(math.ceil(C * log2n / eps ** 3)), ROUND_CAP),
-        m_rounds=min(int(math.ceil(C * log2n / math.sqrt(lam))), ROUND_CAP),
-    )
+    return ParameterSchedule(n=n, eps=eps, eps_requested=eps_requested,
+                             rb_rounds=int(math.ceil(C / eps)))

@@ -1,5 +1,5 @@
 """Mid-level probes: high-influence variable discovery, weight-sign checks,
-the uniform edge tester, and the balance search.
+and the uniform edge tester.
 
 Everything here returns a certificate whenever it claims non-monotonicity;
 there is no rejection path without a witnessed anti-monotone edge.  All
@@ -21,15 +21,13 @@ from .oracle import (
     OracleHandle,
     Restriction,
     Verdict,
-    compose,
-    random_assignment,
     restrict,
 )
 from .rng import SplitRng
-from .schedule import DELTA, ParameterSchedule
-from .spectral import degree1_square_terms, estimate_mean, squares_sample_count
-# not called here any more, but perfbench/tracing.py wraps it under this name
-from .spectral import estimate_sum_of_squares  # noqa: F401
+from .spectral import degree1_square_terms, squares_sample_count
+# not called here any more, but perfbench/tracing.py wraps them under these
+# names
+from .spectral import estimate_mean, estimate_sum_of_squares  # noqa: F401
 # bound only because perfbench/tracing.py wraps this name here; spectral has
 # no regularity check, and nothing calls it
 check_fourier_regular = None
@@ -279,30 +277,3 @@ def edge_tester(f: OracleHandle, eps: float, delta: float,
         done += k
         batch = min(2 * batch, chunk)
     return Verdict.monotone("edge:pass")
-
-
-# ---------------------------------------------------------------------------
-# the balance search, which no tester path calls (the paper's stages used it)
-
-
-def find_balanced_restriction(f: OracleHandle, rho_t: Restriction,
-                              a_vars, eps: float, sched: ParameterSchedule,
-                              rng: SplitRng) -> Optional[Restriction]:
-    """Search for an extension of rho_t fixing exactly the variables in a_vars
-    under which the restricted function looks nearly balanced.
-
-    Each round draws a uniform assignment of a_vars and accepts as soon as a
-    mean check (accuracy 0.01, confidence 1 - DELTA) puts |E f| within 0.03;
-    the check stops once its side of 0.03 is proven.  Returns None when
-    every round is exhausted: the caller treats that as a give-up signal.
-    """
-    a_vars = np.asarray(sorted(int(i) for i in a_vars), dtype=np.int64)
-    for r in range(sched.fbr_rounds):
-        rho_star = random_assignment(a_vars, f.ambient_n,
-                                     rng.child("assign", r).generator)
-        rho_p = compose(rho_t, rho_star)
-        est = estimate_mean(restrict(f, rho_p), 0.01, DELTA,
-                            rng.child("mean", r).generator, bound=0.03)
-        if abs(est.value) <= 0.03:
-            return rho_p
-    return None

@@ -36,7 +36,6 @@ from .oracle import (
     OracleHandle,
     Restriction,
     Verdict,
-    compose,
     random_assignment,
     restrict,
 )
@@ -57,78 +56,59 @@ from .subroutines import (
     edge_tester,
     find_hi_influence_vars,
 )
-# not called here any more, but perfbench/tracing.py wraps it under this name
-from .subroutines import find_balanced_restriction  # noqa: F401
-# bound only because perfbench/tracing.py wraps this name here; spectral has
-# no regularity check, and nothing calls it
+# bound only because perfbench/tracing.py wraps these names here: spectral
+# has no regularity check, and the balance search and maintenance step are
+# deleted, so nothing calls them
 check_fourier_regular = None
-
-
-def _regular_balanced_step(f: OracleHandle, base: Restriction, eps: float,
-                           rounds: int, prefix: str, label: str,
-                           rng: SplitRng) -> Union[Verdict, Restriction]:
-    """Pull out the variables of f under base whose degree-1 coefficient
-    reaches INFLUENCE_TAU, certify that their weights are positive
-    (rejecting on any witnessed negative), then fix them under an
-    assignment that leaves the remainder balanced.
-
-    Returns the fixing restriction, whose support is exactly the discovered
-    high-influence set, a non-monotone verdict with certificate, or a
-    monotone verdict whose diagnostic `prefix:...` names the bailing branch.
-    The assignment of round r is drawn from the stream (label, r), and its
-    mean check (accuracy eps/6, confidence 1 - DELTA/2) stops as soon as it
-    has decided whether |E f| is within 1 - 7 eps/6.  When no variable is
-    high there is nothing to fix, so one round is run instead of `rounds`.
-    """
-    found = find_hi_influence_vars(f, base, INFLUENCE_TAU, DELTA,
-                                   rng.child("influence"),
-                                   min_call_delta=ESTIMATOR_DELTA)
-    if found.failed:
-        return Verdict.monotone(f"{prefix}:influence-cap")
-    high = found.variables
-    if high.size > 4.0 / INFLUENCE_TAU ** 2:
-        return Verdict.monotone(f"{prefix}:h-overflow")
-    for i in high:
-        probe = check_weight_positive(f, base, int(i), INFLUENCE_TAU / 2.0,
-                                      DELTA, rng.child("sign", int(i)))
-        if probe.decision == NEGATIVE:
-            return Verdict.non_monotone(probe.certificate,
-                                        f"{prefix}:negative-weight")
-        if probe.decision == FAIL:
-            return Verdict.monotone(f"{prefix}:check-fail")
-    bound = 1.0 - 7.0 * eps / 6.0
-    # with nothing to fix, every round would re-test the same function
-    for r in range(rounds if high.size else 1):
-        fix = random_assignment(high, f.ambient_n,
-                                rng.child(label, r).generator)
-        sub = restrict(f, compose(base, fix))
-        mean = estimate_mean(sub, eps / 6.0, DELTA / 2.0,
-                             rng.child("mean", r).generator, bound=bound)
-        if abs(mean.value) <= bound:
-            return fix
-    return Verdict.monotone(f"{prefix}:round-exhaustion")
+find_balanced_restriction = None
+maintain_regular_and_balanced = None
 
 
 def regularize_and_balance(f: OracleHandle, eps: float,
                            sched: ParameterSchedule, rng: SplitRng
                            ) -> Union[Verdict, Restriction]:
-    """Initialization phase: the regularize-and-balance step on f itself,
-    with sched.rb_rounds rounds."""
-    return _regular_balanced_step(
-        f, Restriction.all_stars(f.ambient_n), eps, sched.rb_rounds,
-        "rb", "rho", rng)
+    """Initialization phase.  Pull out the variables of f whose degree-1
+    coefficient reaches INFLUENCE_TAU, certify that their weights are
+    positive (rejecting on any witnessed negative), then fix them under an
+    assignment that leaves the remainder balanced.
 
-
-def maintain_regular_and_balanced(f: OracleHandle, rho_p: Restriction,
-                                  eps: float, sched: ParameterSchedule,
-                                  rng: SplitRng
-                                  ) -> Union[Verdict, Restriction]:
-    """The same step on f under rho_p, with sched.m_rounds rounds.  A
-    returned restriction fixes only the new variables; the caller composes
-    it with rho_p.  No tester path calls it: it was the paper's per-stage
-    maintenance, and stays for a restriction step that would reuse it."""
-    return _regular_balanced_step(f, rho_p, eps, sched.m_rounds,
-                                  "maintain", "eta", rng)
+    Returns the fixing restriction, whose support is exactly the discovered
+    high-influence set, a non-monotone verdict with certificate, or a
+    monotone verdict whose diagnostic `rb:...` names the bailing branch.
+    The assignment of round r is drawn from the stream ("rho", r), and its
+    mean check (accuracy eps/6, confidence 1 - DELTA/2) stops as soon as it
+    has decided whether |E f| is within 1 - 7 eps/6.  When no variable is
+    high there is nothing to fix, so one round is run instead of
+    sched.rb_rounds.
+    """
+    all_stars = Restriction.all_stars(f.ambient_n)
+    found = find_hi_influence_vars(f, all_stars, INFLUENCE_TAU, DELTA,
+                                   rng.child("influence"),
+                                   min_call_delta=ESTIMATOR_DELTA)
+    if found.failed:
+        return Verdict.monotone("rb:influence-cap")
+    high = found.variables
+    if high.size > 4.0 / INFLUENCE_TAU ** 2:
+        return Verdict.monotone("rb:h-overflow")
+    for i in high:
+        probe = check_weight_positive(f, all_stars, int(i),
+                                      INFLUENCE_TAU / 2.0, DELTA,
+                                      rng.child("sign", int(i)))
+        if probe.decision == NEGATIVE:
+            return Verdict.non_monotone(probe.certificate,
+                                        "rb:negative-weight")
+        if probe.decision == FAIL:
+            return Verdict.monotone("rb:check-fail")
+    bound = 1.0 - 7.0 * eps / 6.0
+    # with nothing to fix, every round would re-test the same function
+    for r in range(sched.rb_rounds if high.size else 1):
+        fix = random_assignment(high, f.ambient_n,
+                                rng.child("rho", r).generator)
+        mean = estimate_mean(restrict(f, fix), eps / 6.0, DELTA / 2.0,
+                             rng.child("mean", r).generator, bound=bound)
+        if abs(mean.value) <= bound:
+            return fix
+    return Verdict.monotone("rb:round-exhaustion")
 
 
 def main_procedure(f: OracleHandle, rho: Restriction, eps: float,

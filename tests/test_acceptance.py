@@ -19,6 +19,7 @@ from monotest.generators import (
     ADVERSARIAL,
     HEAVY_COORDINATE,
     InstanceFamily,
+    MC_RADIUS,
     MONOTONE_RANDOM,
     PLANTED_NEGATIVE_MASS,
     SIGNED_MAJORITY,
@@ -364,7 +365,7 @@ def test_end_to_end_detection_planted():
     records, summary = run_and_track(config)
     # each instance must carry an MC-certified distance of at least eps
     weak = [r.trial for r in records
-            if r.distance - config.mc_radius < 0.05]
+            if r.distance - MC_RADIUS < 0.05]
     rate = summary["detection_rate"]
     elapsed = time.perf_counter() - t0
     ok = rate >= 0.8 and not weak and not summary["hard_invariant_violation"]
@@ -383,7 +384,7 @@ def test_end_to_end_detection_planted():
 def near_threshold_gate(n, eps, ks, seed_base):
     """Run 20 signed-majority instances at n for each k and require that at
     least 80% of the instances whose certified distance (the DP value, less
-    config.mc_radius as a margin) reaches eps are rejected, and that at least
+    MC_RADIUS as a margin) reaches eps are rejected, and that at least
     10 of those sit within 0.01 of eps.  Signed-majority coefficients stay below
     INFLUENCE_TAU at these n, so the edge tester does the detecting."""
     t0 = time.perf_counter()
@@ -394,14 +395,14 @@ def near_threshold_gate(n, eps, ks, seed_base):
             family=InstanceFamily(SIGNED_MAJORITY, n, {"k": k}),
             count=20, eps=eps, master_seed=seed_base + k)
         records, summary = run_and_track(config)
-        far = [r for r in records if r.distance - config.mc_radius >= eps]
+        far = [r for r in records if r.distance - MC_RADIUS >= eps]
         hits = sum(r.verdict == "non-monotone" for r in far)
         certified += far
         rows.append(f"k={k} dist~{np.mean([r.distance for r in records]):.3f}"
                     f" {summary['rejections']}/{len(records)} rejected,"
                     f" {hits}/{len(far)} certified-far detected")
     near = [r for r in certified
-            if r.distance - config.mc_radius < eps + 0.01]
+            if r.distance - MC_RADIUS < eps + 0.01]
     hits = sum(r.verdict == "non-monotone" for r in certified)
     rate = hits / len(certified) if certified else 0.0
     elapsed = time.perf_counter() - t0

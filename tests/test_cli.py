@@ -89,3 +89,14 @@ def test_bench_rejects_threads_flag():
         main(["bench", "--family", "signed-majority", "--n", "21", "--k",
               "5", "--count", "1", "--epsilon", "0.05", "--threads", "2"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("command", [["gen"], ["bench", "--epsilon", "0.05"]],
+                         ids=["gen", "bench"])
+def test_gen_and_bench_reject_mc_radius_flag(command):
+    # the Monte-Carlo radius is the constant generators.MC_RADIUS, so
+    # --mc-radius is an unknown option, a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--family", "signed-majority", "--n", "21", "--k",
+                        "5", "--count", "1", "--mc-radius", "0.01"])
+    assert exc.value.code == 1

@@ -23,7 +23,12 @@ from monotest.harness import (
     summarize,
     wilson_interval,
 )
-from monotest.oracle import LTFEvaluator, LTFSpec
+from monotest.oracle import (
+    AntiMonotoneEdgeCertificate,
+    LTFEvaluator,
+    LTFSpec,
+    eval_ltf,
+)
 from monotest.rng import SplitRng, generator_for
 from monotest.tester import mono_test_ltf
 from monotest.truth import (
@@ -208,6 +213,29 @@ def test_suite_records_tester_exceptions(monkeypatch):
     assert lines[3].split(",")[CSV_COLUMNS.index("diagnostic")] == (
         "error:FloatingPointError")
     assert all(len(line.split(",")) == 10 for line in lines)
+
+
+def test_certificates_are_checked_without_the_evaluator(monkeypatch):
+    # an evaluator fault that negates f wherever x_0 = +1 makes a monotone
+    # instance look anti-monotone in direction 0; a re-check through the
+    # same evaluator confirms the false witness, the halfspace itself must
+    # not
+    evaluate = LTFEvaluator.__call__
+
+    def faulty(self, packed):
+        out = evaluate(self, packed).copy()
+        out[(packed[:, 0] & 1) == 1] *= -1
+        return out
+    monkeypatch.setattr(LTFEvaluator, "__call__", faulty)
+    config = SuiteConfig(family=InstanceFamily(MONOTONE_RANDOM, 16),
+                         count=1, eps=0.1, master_seed=1)
+    rec = harness.run_trial(config, 0)
+    assert rec.known_monotone
+    assert (rec.verdict, rec.certificate_ok) == ("non-monotone", False)
+    assert summarize([rec])["hard_invariant_violation"]
+    spec = generate(config.family, rng_at(1, "trial", 0).child("gen")).spec
+    cert = AntiMonotoneEdgeCertificate.from_dict(rec.certificate)
+    assert [eval_ltf(spec, end) for end in cert.endpoints()] == [-1, 1]
 
 
 def test_suite_monotone_no_false_alarms():

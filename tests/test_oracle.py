@@ -17,6 +17,7 @@ from monotest.oracle import (
     PAIR_MIN_BYTES,
     QueryBudgetExceededError,
     Restriction,
+    certificate_holds,
     compose,
     eval_ltf,
     exact_in_float,
@@ -720,6 +721,26 @@ def test_certificate_rejects_malformed_edges():
     cert = AntiMonotoneEdgeCertificate.from_dict(
         {"point": "+++", "coordinate": 2})
     assert verify_certificate(f, cert)
+
+
+@pytest.mark.parametrize("make", [_blocks_exact_spec, _blocks_float_spec],
+                         ids=["exact", "float"])
+def test_certificate_holds_matches_the_evaluator(make):
+    # every edge out of x0, which sits on or just above the threshold, so
+    # both outcomes occur; the float spec's sums round unless re-decided
+    spec, x0 = make(generator_for(23, "holds"), 64)
+    f = OracleHandle.for_spec(spec)
+    got = []
+    for i in range(spec.n):
+        cert = AntiMonotoneEdgeCertificate(x0, i)
+        lo, hi = cert.endpoints()
+        expect = (eval_ltf(spec, lo), eval_ltf(spec, hi)) == (1, -1)
+        assert certificate_holds(spec, cert) == expect
+        assert verify_certificate(f, cert) == expect
+        got.append(expect)
+    assert any(got) and not all(got)
+    with pytest.raises(DimensionMismatchError):
+        certificate_holds(LTFSpec(spec.weights[:-1], spec.theta), cert)
 
 
 def test_verdict_requires_certificate():

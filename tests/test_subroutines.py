@@ -8,11 +8,10 @@ from monotest.oracle import (
     LTFSpec,
     OracleHandle,
     Restriction,
-    Verdict,
     verify_certificate,
 )
 from monotest.rng import SplitRng
-from monotest.schedule import EDGE_DELTA, EDGE_EPS, build_schedule
+from monotest.schedule import EDGE_DELTA, EDGE_EPS
 from monotest.spectral import squares_sample_count
 from monotest.subroutines import (
     FAIL,
@@ -20,13 +19,9 @@ from monotest.subroutines import (
     POSITIVE,
     check_weight_positive,
     edge_tester,
-    find_balanced_restriction,
     find_hi_influence_vars,
 )
-from monotest.tester import (
-    main_procedure,
-    maintain_regular_and_balanced,
-)
+from monotest.tester import main_procedure
 from monotest.truth import exact_degree1
 
 
@@ -297,113 +292,3 @@ def test_main_procedure_sizes_the_edge_test_from_eps_or_the_margin(eps):
         assert v.diagnostic == "edge:pass"
         assert f.query_count == pinned == \
             2 * edge_budget(m, edge_eps, EDGE_DELTA)
-
-
-# ---------------------------------------------------------------------------
-# find_balanced_restriction
-
-
-def majority_shift_mean(k, threshold):
-    """Exact E[sign(sum of k fair +-1 >= threshold)] by binomial counting."""
-    count = sum(math.comb(k, j) for j in range(k + 1) if 2 * j - k >= threshold)
-    return 2 * count / 2 ** k - 1
-
-
-def test_balance_search_accepts_balanced_extension():
-    # an odd number of surviving majority variables admits perfectly balanced
-    # extensions (fixing an even number leaves a probability atom at the
-    # threshold, so the size of a_vars matters here)
-    n = 16
-    spec = LTFSpec(np.ones(n), 0.0)
-    sched = build_schedule(n, 0.25)
-    rng = np.random.default_rng(17)
-    accepted = 0
-    good = 0
-    for t in range(20):
-        f = OracleHandle.for_spec(spec)
-        rho_t = Restriction.all_stars(n)
-        a_vars = np.sort(rng.choice(n, size=7, replace=False))
-        rho_p = find_balanced_restriction(f, rho_t, a_vars, 0.25, sched,
-                                          rng_at(t, "fbr"))
-        if rho_p is None:
-            continue
-        accepted += 1
-        assert rho_p.extends(rho_t)
-        assert np.array_equal(rho_p.support(), a_vars)
-        shift = int(rho_p.assignment[a_vars].sum())
-        if abs(majority_shift_mean(n - 7, -shift)) <= 0.04:
-            good += 1
-    assert accepted >= 15
-    assert good >= 0.95 * accepted
-
-
-def test_balance_search_majority64():
-    # same structure at n=64 through the byte-table evaluation path
-    spec = LTFSpec(np.ones(64), 0.0)
-    sched = build_schedule(64, 0.25)
-    f = OracleHandle.for_spec(spec)
-    a_vars = np.arange(33)
-    rho_p = find_balanced_restriction(f, Restriction.all_stars(64), a_vars,
-                                      0.25, sched, rng_at(3, "fbr64"))
-    assert rho_p is not None
-    shift = int(rho_p.assignment[a_vars].sum())
-    assert abs(majority_shift_mean(31, -shift)) <= 0.04
-
-
-def test_balance_search_gives_up_on_constant():
-    f = OracleHandle.for_function(
-        lambda pm: np.ones(pm.shape[0], dtype=np.int8), 16)
-    sched = build_schedule(16, 0.5)
-    rho = find_balanced_restriction(f, Restriction.all_stars(16),
-                                    np.arange(8), 0.5, sched,
-                                    rng_at(23, "const"))
-    assert rho is None
-
-
-# ---------------------------------------------------------------------------
-# maintain_regular_and_balanced (defined in tester; no tester path calls it)
-
-
-def test_maintain_rejects_planted_negative():
-    spec = planted_heavy(33, heavy=8.0, sign=-1.0)
-    sched = build_schedule(33, 0.1)
-    hits = 0
-    for t in range(30):
-        f = OracleHandle.for_spec(spec)
-        out = maintain_regular_and_balanced(f, Restriction.all_stars(33),
-                                            0.1, sched, rng_at(t, "mrb"))
-        if isinstance(out, Verdict) and not out.is_monotone:
-            assert verify_certificate(f, out.certificate)
-            hits += 1
-    assert hits >= 24  # contract asks >= 80%
-
-
-def test_maintain_monotone_never_rejects_and_eta_support():
-    spec = LTFSpec(np.ones(32), 0.5)
-    sched = build_schedule(32, 0.1)
-    for t in range(10):
-        f = OracleHandle.for_spec(spec)
-        out = maintain_regular_and_balanced(f, Restriction.all_stars(32),
-                                            0.1, sched, rng_at(t, "mrb-mono"))
-        if isinstance(out, Verdict):
-            assert out.is_monotone
-        else:
-            assert isinstance(out, Restriction)
-            # support is exactly the discovered high-influence set (possibly
-            # empty), inside the free coordinates
-            assert set(out.support()) <= set(range(32))
-
-
-def test_maintain_heavy_positive_fixes_it():
-    # the heavy positive coordinate must be discovered, certified positive,
-    # and end up in the support of the returned extension
-    spec = planted_heavy(33, heavy=8.0, sign=1.0)
-    sched = build_schedule(33, 0.1)
-    fixed = 0
-    for t in range(10):
-        f = OracleHandle.for_spec(spec)
-        out = maintain_regular_and_balanced(f, Restriction.all_stars(33),
-                                            0.1, sched, rng_at(t, "mrb-pos"))
-        if isinstance(out, Restriction) and 0 in set(out.support()):
-            fixed += 1
-    assert fixed >= 8

@@ -27,7 +27,6 @@ from monotest.subroutines import (
 )
 from monotest.tester import (
     main_procedure,
-    maintain_regular_and_balanced,
     mono_test_ltf,
     regularize_and_balance,
     staged_test_ltf,
@@ -276,16 +275,6 @@ def test_phase_step_outcomes_pinned():
                                  rng_at(0, "c"))
     assert outcome(out, const) == (
         "monotone", "rb:round-exhaustion", 51120, None)
-
-    f = OracleHandle.for_spec(neg)
-    out = maintain_regular_and_balanced(f, base, 0.1, sched, rng_at(0, "m"))
-    assert outcome(out, f) == (
-        "non-monotone", "maintain:negative-weight", 50976,
-        {"point": "--++--+--+++-+++-+++-+-+++-++---+", "coordinate": 1})
-    f = OracleHandle.for_spec(pos)
-    out = maintain_regular_and_balanced(f, base, 0.1, sched, rng_at(0, "m"))
-    assert outcome(out, f) == (
-        "restriction", "*-*******************************", 85792)
 
     f = OracleHandle.for_spec(neg)
     probe = check_weight_positive(f, base, 1, 0.1, 0.1, rng_at(0, "sg"))
