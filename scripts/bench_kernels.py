@@ -25,11 +25,11 @@ Times, on one batch of QUERY_CHUNK points at each n in SIZES:
   are `oracle.PAIR_MIN_BYTES` wide, the evaluator gathers only the lo ends
   of that batch, so SIZES has widths on both sides of that choice,
 * `certify`, in milliseconds per call and only at n in CERTIFY_SIZES:
-  `generators._certify` on a planted-negative-mass instance, which is how
-  `generate` certifies a far instance above n = 20 (best of
-  CERTIFY_REPEATS calls).  Trees from before `generators.MC_RADIUS`, whose
-  `_certify` takes the radius as an argument, need this script's older
-  version.
+  `truth.dist_ltf_to_monotone_dp` on a planted-negative-mass instance,
+  which is how `generate` certifies a far instance above n = 20 (best of
+  CERTIFY_REPEATS calls).  It is timed through the DP itself, whose
+  signature has not changed since it was added, rather than through
+  `generators._certify`, whose signature has.
 
 Each figure is the best of REPEATS runs, timed with time.perf_counter, in
 one process; one process of identical code can land in a slower speed mode
@@ -132,14 +132,16 @@ def kernel_row(n, rows, repeats, gen):
 
 
 def certify_ms(n):
-    """ms per generators._certify call on a planted-negative-mass instance."""
+    """ms per truth.dist_ltf_to_monotone_dp call on a planted-negative-mass
+    instance."""
     from monotest.generators import (
-        PLANTED_NEGATIVE_MASS, InstanceFamily, _certify, generate)
+        PLANTED_NEGATIVE_MASS, InstanceFamily, generate)
     from monotest.rng import SplitRng
+    from monotest.truth import dist_ltf_to_monotone_dp
 
     rng = SplitRng(SEED, ("bench-kernels", "certify", n))
     spec = generate(InstanceFamily(PLANTED_NEGATIVE_MASS, n), rng).spec
-    return 1e-6 * best_ns_per_point(lambda: _certify(spec, rng), 1,
+    return 1e-6 * best_ns_per_point(lambda: dist_ltf_to_monotone_dp(spec), 1,
                                     CERTIFY_REPEATS)
 
 

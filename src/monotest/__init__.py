@@ -12,8 +12,9 @@ Layers, bottom up:
   accuracy and confidence formulas, the eps-dependent round count, the
   regularize-and-balance step, the default edge-first test and the
   adaptive test (initialization phase, then the edge test);
-* truth: exact and Monte-Carlo ground-truth oracles for distance to
-  monotone, with executable structural identities;
+* truth: exact ground-truth oracles for distance to monotone (a
+  Monte-Carlo estimate only as a cross-check), with executable structural
+  identities;
 * generators / harness / cli: certified instance families, seeded benchmark
   suites, and the command-line surface.
 """
@@ -59,13 +60,10 @@ from .tester import (
     staged_test_ltf,
 )
 from .truth import (
-    Classification,
     DistanceReport,
     WeightProfile,
-    check_distance_lower_bound,
     check_negative_mass_lower_bound,
     check_restriction_preserves_distance,
-    classify_non_monotone,
     dist_ltf_to_monotone_exact,
     dist_ltf_to_monotone_mc,
     dist_to_monotone_matching,
@@ -74,7 +72,6 @@ from .truth import (
 
 __all__ = [
     "AntiMonotoneEdgeCertificate",
-    "Classification",
     "DistanceReport",
     "ExactSpectrum",
     "ExperimentRecord",
@@ -93,11 +90,9 @@ __all__ = [
     "WeightProfile",
     "build_schedule",
     "certificate_holds",
-    "check_distance_lower_bound",
     "check_negative_mass_lower_bound",
     "check_restriction_preserves_distance",
     "check_weight_positive",
-    "classify_non_monotone",
     "compose",
     "degree1_square_terms",
     "dist_ltf_to_monotone_exact",

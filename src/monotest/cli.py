@@ -169,8 +169,9 @@ def cmd_validate(args) -> int:
                              "fail": args.count - ok - vac})
     failures += args.count - ok - vac
 
-    # far + regular implies significant negative mass (hypotheses rarely
-    # satisfiable at small n; vacuous outcomes are expected and counted)
+    # far + regular implies significant negative mass; the hypotheses never
+    # hold at n = 16, where regularity >= 1/4 > eps/16, so every outcome is
+    # vacuous
     res = {"pass": 0, "fail": 0, "vacuous": 0}
     for _ in range(args.count):
         spec = grid_spec(gen, 16)

@@ -4,10 +4,10 @@ All families emit integer weights and thresholds that are half-integers or 0,
 so evaluations are exact (oracle.exact_in_float) and w.x - theta is 0 (the
 boundary, +1) or at least 1/2 away.  MAX_WEIGHT keeps instance draws as they
 were; the evaluator does not need it.  Far instances ship with a certified
-distance: exact counting for n <= TABLE_MAX_N; above that, the subset-sum DP
-(truth.dist_ltf_to_monotone_dp, within a proven rounding radius) when the
-pmf of the weights' subset sum fits in bits.CHUNK_BYTES (truth.dp_applies),
-and Monte-Carlo within MC_RADIUS only for a weight sum above that bound.
+distance: exact counting for n <= TABLE_MAX_N, and above that the subset-sum
+DP (truth.dist_ltf_to_monotone_dp, within a proven rounding radius), which
+needs integer weights with sum |w_i| <= truth.DP_MAX_SUM and raises
+otherwise.  No instance is certified by sampling.
 """
 
 from __future__ import annotations
@@ -24,16 +24,13 @@ from .truth import (
     WeightProfile,
     dist_ltf_to_monotone_dp,
     dist_ltf_to_monotone_exact,
-    dist_ltf_to_monotone_mc,
-    dp_applies,
-    ltf_mean,
     ltf_mean_dp,
 )
+# uncalled here; perfbench/tracing.py rebinds this name in its set-up spans
+from .truth import dist_ltf_to_monotone_mc  # noqa: F401
 
 MAX_WEIGHT = 4095.0
 WEIGHT_SCALE = 16.0
-# radius of a Monte-Carlo certified distance (see _certify)
-MC_RADIUS = 0.005
 
 MONOTONE_RANDOM = "monotone-random"
 SIGNED_MAJORITY = "signed-majority"
@@ -82,18 +79,12 @@ def _half_integer(x: float) -> float:
     return math.floor(x) + 0.5
 
 
-def _certify(spec: LTFSpec, rng: SplitRng,
-             mc_delta: float = 0.01) -> DistanceReport:
-    """Exact counting for n <= TABLE_MAX_N; above that the subset-sum DP where
-    dp_applies, else Monte-Carlo with radius MC_RADIUS at confidence
-    1 - mc_delta on the "certify" stream."""
+def _certify(spec: LTFSpec) -> DistanceReport:
+    """Exact counting for n <= TABLE_MAX_N, else the subset-sum DP, whose
+    ValueError names DP_MAX_SUM where it does not apply."""
     if spec.n <= TABLE_MAX_N:
         return dist_ltf_to_monotone_exact(spec)
-    if dp_applies(spec.weights):
-        return dist_ltf_to_monotone_dp(spec)
-    samples = int(math.ceil(math.log(2.0 / mc_delta) / (2.0 * MC_RADIUS ** 2)))
-    return dist_ltf_to_monotone_mc(spec, samples, mc_delta,
-                                   rng.child("certify").generator)
+    return dist_ltf_to_monotone_dp(spec)
 
 
 def grid_spec(gen: np.random.Generator, n: int, scale: int = 8) -> LTFSpec:
@@ -138,7 +129,7 @@ def _make_signed_majority(family, rng):
     flip = gen.choice(n, size=k, replace=False)
     w[flip] = -1.0
     spec = LTFSpec(w, 0.0)
-    return GeneratedInstance(spec, family.kind, _certify(spec, rng),
+    return GeneratedInstance(spec, family.kind, _certify(spec),
                              WeightProfile.from_weights(w), 1)
 
 
@@ -163,14 +154,9 @@ def _make_planted_negative_mass(family, rng):
         if not (0.9 * target <= frac <= 1.1 * target):
             continue
         spec = LTFSpec(w, 0.5)
-        if dp_applies(w):
-            mean = ltf_mean_dp(spec)
-        else:
-            mean = ltf_mean(spec, rng.child("balance", attempt).generator,
-                            50_000)
-        if abs(mean) > max_mean:
+        if abs(ltf_mean_dp(spec)) > max_mean:
             continue
-        return GeneratedInstance(spec, family.kind, _certify(spec, rng),
+        return GeneratedInstance(spec, family.kind, _certify(spec),
                                  WeightProfile.from_weights(w), attempt + 1)
     raise RuntimeError("could not hit the negative-mass target")
 
@@ -184,7 +170,7 @@ def _make_heavy_coordinate(family, rng):
     pos = int(gen.integers(0, n))
     w[pos] = sign * min(abs(heavy), MAX_WEIGHT)
     spec = LTFSpec(w, 0.0)
-    return GeneratedInstance(spec, family.kind, _certify(spec, rng),
+    return GeneratedInstance(spec, family.kind, _certify(spec),
                              WeightProfile.from_weights(w), 1)
 
 
@@ -201,5 +187,5 @@ def _make_adversarial(family, rng):
     w[flip] *= -1.0
     theta = _half_integer(bias * float(np.linalg.norm(w)))
     spec = LTFSpec(w, theta)
-    return GeneratedInstance(spec, family.kind, _certify(spec, rng),
+    return GeneratedInstance(spec, family.kind, _certify(spec),
                              WeightProfile.from_weights(w), 1)

@@ -1,5 +1,5 @@
-"""Exact and Monte-Carlo ground truth: distance to monotone, weight profiles,
-and executable checkers for the structural facts the tester relies on.
+"""Exact ground truth: distance to monotone, weight profiles, and executable
+checkers for the structural facts the tester relies on.
 
 Exact distances are stored as integer counts over 2^n, so equality assertions
 between independent oracles are exact rational comparisons with no float
@@ -14,8 +14,9 @@ Their exact agreement on every tested halfspace is itself one of the
 structural facts under test.  Above n = 20, where neither can enumerate,
 integer weights get the weight-based distance and the mean from a float64
 DP over the pmfs of subset sums (dist_ltf_to_monotone_dp, ltf_mean_dp),
-with a proven rounding radius; Monte-Carlo is left for float weights and
-weight sums too large for that DP.
+with a proven rounding radius.  The Monte-Carlo distance
+(dist_ltf_to_monotone_mc) certifies nothing; it is the sampling cross-check
+that the tests hold the DP to.
 """
 
 from __future__ import annotations
@@ -207,13 +208,6 @@ def dist_ltf_to_monotone_mc(spec: LTFSpec, samples: int, delta: float,
 # the subset-sum DP: distance and mean at any n for integer weights
 
 
-def dp_applies(w: np.ndarray) -> bool:
-    """True iff the subset-sum DP runs on weights w: integer weights (see
-    oracle.exact_in_float) with sum |w_i| <= DP_MAX_SUM, and n <= DP_MAX_SUM."""
-    return (w.size <= DP_MAX_SUM and exact_in_float(w)
-            and float(np.abs(w).sum()) <= DP_MAX_SUM)
-
-
 def subset_sum_pmf(weights: np.ndarray) -> np.ndarray:
     """p[s] = Pr[S = s], s = 0 .. sum(weights), for S the sum of a uniform
     random subset of non-negative integer weights.
@@ -238,9 +232,10 @@ def _subset_sum_tails(spec: LTFSpec):
     """(p, ge, lt, k_p) of the form in dist_ltf_to_monotone_dp: p[s] =
     Pr[S_P = s], ge[s] = Pr[S_N >= K - s], lt[s] = Pr[S_N < K - s]."""
     w = spec.weights
-    if not dp_applies(w):
+    if not (w.size <= DP_MAX_SUM and exact_in_float(w)
+            and float(np.abs(w).sum()) <= DP_MAX_SUM):
         raise ValueError("subset-sum DP needs integer weights with sum |w_i| "
-                         f"<= {DP_MAX_SUM} and n <= {DP_MAX_SUM}")
+                         f"and n at most DP_MAX_SUM = {DP_MAX_SUM}")
     p = subset_sum_pmf(w[w >= 0])
     q = subset_sum_pmf(-w[w < 0])
     w_p, w_all = p.size - 1, p.size + q.size - 2
@@ -270,14 +265,14 @@ def dist_ltf_to_monotone_dp(spec: LTFSpec) -> DistanceReport:
 
     It computes the disagreement with g = drop_negative_weights(spec) that
     dist_ltf_to_monotone_exact counts and dist_ltf_to_monotone_mc samples.
-    It runs when dp_applies(spec.weights): integer weights, n and
+    It runs on integer weights (oracle.exact_in_float) with n and
     W = sum |w_i| at most DP_MAX_SUM, so that the pmf of a subset sum of all
-    |w_i| (W + 1 float64) fits in bits.CHUNK_BYTES; no array it makes holds
-    more than W + 2 entries.  It takes at most n (W + 1) additions and as
-    many halvings: 5 ms at n = 1,024 and 61 ms at n = 4,096 on
-    planted-negative-mass instances, whose W is about 14 n (the best of 15
-    calls on one core of a shared 2-CPU x86-64 host; `certify` in
-    BENCH_kernels.json).
+    |w_i| (W + 1 float64) fits in bits.CHUNK_BYTES, and raises ValueError
+    otherwise; no array it makes holds more than W + 2 entries.  It takes
+    at most n (W + 1) additions and as many halvings: 5 ms at n = 1,024 and
+    61 ms at n = 4,096 on planted-negative-mass instances, whose W is about
+    14 n (the best of 15 calls on one core of a shared 2-CPU x86-64 host;
+    `certify` in BENCH_kernels.json).
 
     Form.  Read x_i = +1 as "w_i >= 0 is in the subset" and x_i = -1 as
     "|w_i| for w_i < 0 is in the subset".  Then w.x = 2 (S_P + S_N) - W and
@@ -362,65 +357,11 @@ def exact_degree1(spec: LTFSpec) -> np.ndarray:
         for i in range(spec.n)])
 
 
-def ltf_mean(spec: LTFSpec, rng: Optional[np.random.Generator],
-             samples: int) -> float:
-    """E[f] over the uniform cube: exact for n <= 20 (see exact_mean), else
-    the mean of f over `samples` uniform points drawn from rng.
-
-    The sample sum is exact, and batches of a multiple of 4 rows draw the
-    bytes of one whole draw (see bits.chunk_rows), so the value does not
-    depend on the batch size.
-    """
-    if spec.n <= TABLE_MAX_N:
-        return exact_mean(spec)
-    if rng is None:
-        raise ValueError("rng required for the Monte-Carlo mean above n=20")
-    ev = LTFEvaluator(spec)
-    chunk = bits.chunk_rows(samples, bits.nbytes(spec.n))
-    total = 0
-    for lo in range(0, samples, chunk):
-        pts = bits.random_packed(rng, min(chunk, samples - lo), spec.n)
-        total += int(ev(pts).astype(np.int64).sum())
-    return total / samples
-
-
 def min_boundary_gap(spec: LTFSpec) -> float:
     """min_x |w.x - theta| over the cube (n <= 20); 0 means a boundary point."""
     if spec.n > TABLE_MAX_N:
         raise ValueError(f"boundary scan limited to n <= {TABLE_MAX_N}")
     return float(np.min(np.abs(cube_margins(spec))))
-
-
-# ---------------------------------------------------------------------------
-# the structural-parameter classifier
-
-
-@dataclass(frozen=True)
-class Classification:
-    is_non_monotone: bool     # all three structural conditions hold
-    profile: WeightProfile
-    mean: float
-    mean_method: str          # "exact" | "mc"
-    weight_regular: bool
-    balanced: bool
-    significant_negative: bool
-
-
-def classify_non_monotone(spec: LTFSpec, tau: float, gamma: float, lam: float,
-                          rng: Optional[np.random.Generator] = None,
-                          mc_samples: int = 200_000) -> Classification:
-    """Check the three structural conditions of a candidate far-from-monotone
-    halfspace: weight regularity <= tau, |E[f]| <= 1 - gamma, and negative
-    squared-weight fraction >= lam.  The mean is exact for n <= 20 and
-    Monte-Carlo above that (rng required)."""
-    profile = WeightProfile.from_weights(spec.weights)
-    mu = ltf_mean(spec, rng, mc_samples)
-    method = "exact" if spec.n <= TABLE_MAX_N else "mc"
-    regular = profile.regularity <= tau
-    balanced = abs(mu) <= 1.0 - gamma
-    significant = profile.neg_fraction >= lam
-    return Classification(regular and balanced and significant, profile,
-                          mu, method, regular, balanced, significant)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +383,13 @@ class StructuralCheck:
 
 def check_negative_mass_lower_bound(spec: LTFSpec, eps: float) -> StructuralCheck:
     """If f is eps-far from monotone (exact) and max|w_i| <= (eps/16)||w||,
-    the negative squared-weight fraction must be >= eps^2 / (16 ln(8/eps))."""
+    the negative squared-weight fraction must be >= eps^2 / (16 ln(8/eps)).
+
+    The check cannot bind where it runs: its exact distance needs
+    n <= TABLE_MAX_N and raises ValueError above, and at n <= 20
+    max|w_i| / ||w|| >= 1/sqrt(n) > 0.22 > eps/16 for any eps <= 1/2, so
+    the result is always vacuous.
+    """
     dist = dist_ltf_to_monotone_exact(spec)
     profile = WeightProfile.from_weights(spec.weights)
     measured = {"distance": dist.value, "regularity": profile.regularity,
@@ -455,32 +402,6 @@ def check_negative_mass_lower_bound(spec: LTFSpec, eps: float) -> StructuralChec
     measured["bound"] = bound
     status = PASS if profile.neg_fraction >= bound else FAIL
     return StructuralCheck("negative-mass-lower-bound", status, measured)
-
-
-def check_distance_lower_bound(spec: LTFSpec, tau: float, gamma: float,
-                               lam: float) -> StructuralCheck:
-    """Regular + balanced + significant negative mass must put the function
-    far from monotone.
-
-    The asymptotic form of the bound hides constants; with all constants set
-    to 1 the expression can go non-positive, in which case the check is
-    vacuous.  A hard failure is only flagged when the bound is positive while
-    the exact distance is zero; otherwise the measured ratio is reported.
-    """
-    cls = classify_non_monotone(spec, tau, gamma, lam)
-    measured = {"tau": tau, "gamma": gamma, "lam": lam,
-                "classified": cls.is_non_monotone}
-    if not cls.is_non_monotone or tau > math.sqrt(lam) / 16.0:
-        return StructuralCheck("distance-lower-bound", VACUOUS, measured)
-    dist = dist_ltf_to_monotone_exact(spec)
-    bound = max(0.0, min(math.sqrt(lam) * gamma * gamma - tau,
-                         gamma ** 3 / math.log(8.0 / gamma) - tau * gamma))
-    measured.update(distance=dist.value, bound=bound,
-                    ratio=(dist.value / bound if bound > 0 else math.inf))
-    if bound <= 0.0:
-        return StructuralCheck("distance-lower-bound", VACUOUS, measured)
-    status = FAIL if dist.value == 0.0 else PASS
-    return StructuralCheck("distance-lower-bound", status, measured)
 
 
 def check_restriction_preserves_distance(spec: LTFSpec, s_vars) -> StructuralCheck:

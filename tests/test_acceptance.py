@@ -19,7 +19,6 @@ from monotest.generators import (
     ADVERSARIAL,
     HEAVY_COORDINATE,
     InstanceFamily,
-    MC_RADIUS,
     MONOTONE_RANDOM,
     PLANTED_NEGATIVE_MASS,
     SIGNED_MAJORITY,
@@ -50,6 +49,12 @@ from monotest.truth import (
     dist_to_monotone_matching,
     exact_degree1,
 )
+
+# margin taken off each certified distance in the planted and near-threshold
+# gates: the radius the Monte-Carlo certifier once had, kept so that the
+# gates' certified sets stay as they were fixed; the DP's own radius is
+# below 1e-10 at these n
+MARGIN = 0.005
 
 # accumulated across the module; the soundness test audits these at the end
 SUITE_RECORDS = []
@@ -363,9 +368,10 @@ def test_end_to_end_detection_planted():
                               {"lambda_target": 0.25}),
         count=50, eps=0.05, master_seed=10_000)
     records, summary = run_and_track(config)
-    # each instance must carry an MC-certified distance of at least eps
+    # each instance must carry a certified distance, less MARGIN, of at
+    # least eps
     weak = [r.trial for r in records
-            if r.distance - MC_RADIUS < 0.05]
+            if r.distance - MARGIN < 0.05]
     rate = summary["detection_rate"]
     elapsed = time.perf_counter() - t0
     ok = rate >= 0.8 and not weak and not summary["hard_invariant_violation"]
@@ -384,8 +390,8 @@ def test_end_to_end_detection_planted():
 def near_threshold_gate(n, eps, ks, seed_base):
     """Run 20 signed-majority instances at n for each k and require that at
     least 80% of the instances whose certified distance (the DP value, less
-    MC_RADIUS as a margin) reaches eps are rejected, and that at least
-    10 of those sit within 0.01 of eps.  Signed-majority coefficients stay below
+    MARGIN) reaches eps are rejected, and that at least 10 of those sit
+    within 0.01 of eps.  Signed-majority coefficients stay below
     INFLUENCE_TAU at these n, so the edge tester does the detecting."""
     t0 = time.perf_counter()
     rows = []
@@ -395,14 +401,14 @@ def near_threshold_gate(n, eps, ks, seed_base):
             family=InstanceFamily(SIGNED_MAJORITY, n, {"k": k}),
             count=20, eps=eps, master_seed=seed_base + k)
         records, summary = run_and_track(config)
-        far = [r for r in records if r.distance - MC_RADIUS >= eps]
+        far = [r for r in records if r.distance - MARGIN >= eps]
         hits = sum(r.verdict == "non-monotone" for r in far)
         certified += far
         rows.append(f"k={k} dist~{np.mean([r.distance for r in records]):.3f}"
                     f" {summary['rejections']}/{len(records)} rejected,"
                     f" {hits}/{len(far)} certified-far detected")
     near = [r for r in certified
-            if r.distance - MC_RADIUS < eps + 0.01]
+            if r.distance - MARGIN < eps + 0.01]
     hits = sum(r.verdict == "non-monotone" for r in certified)
     rate = hits / len(certified) if certified else 0.0
     elapsed = time.perf_counter() - t0

@@ -94,7 +94,7 @@ def test_bench_rejects_threads_flag():
 @pytest.mark.parametrize("command", [["gen"], ["bench", "--epsilon", "0.05"]],
                          ids=["gen", "bench"])
 def test_gen_and_bench_reject_mc_radius_flag(command):
-    # the Monte-Carlo radius is the constant generators.MC_RADIUS, so
+    # no instance is certified by sampling, so there is no radius to set:
     # --mc-radius is an unknown option, a usage error
     with pytest.raises(SystemExit) as exc:
         main(command + ["--family", "signed-majority", "--n", "21", "--k",

@@ -2,11 +2,13 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from monotest import bits
 from monotest.generators import (
     ADVERSARIAL,
     HEAVY_COORDINATE,
+    MAX_WEIGHT,
     MONOTONE_RANDOM,
     PLANTED_NEGATIVE_MASS,
     SIGNED_MAJORITY,
@@ -29,13 +31,12 @@ from monotest.oracle import (
     LTFSpec,
     eval_ltf,
 )
-from monotest.rng import SplitRng, generator_for
+from monotest.rng import SplitRng
 from monotest.tester import mono_test_ltf
 from monotest.truth import (
     WeightProfile,
     dist_ltf_to_monotone_exact,
     dp_radius,
-    ltf_mean,
 )
 
 
@@ -67,8 +68,19 @@ def test_planted_negative_mass_hits_target():
     inst = generate(fam, rng_at(3, "g"))
     frac = WeightProfile.from_weights(inst.spec.weights).neg_fraction
     assert 0.225 <= frac <= 0.275
-    # integer weights: certified by the subset-sum DP, within its proven
-    # rounding radius, not by Monte-Carlo
+
+
+@pytest.mark.parametrize("kind,params", [
+    (SIGNED_MAJORITY, {"k": 2048}),
+    (PLANTED_NEGATIVE_MASS, {"lambda_target": 0.25}),
+    (HEAVY_COORDINATE, {"heavy": MAX_WEIGHT}),
+    (ADVERSARIAL, {}),
+], ids=["signed-majority", "planted", "heavy-coordinate", "adversarial"])
+def test_far_families_certify_by_dp_at_n4096(kind, params):
+    # n = 4096 is the largest far n that a suite, the digest or perfbench
+    # draws; every far family's integer weights there are certified by the
+    # subset-sum DP, within its proven rounding radius
+    inst = generate(InstanceFamily(kind, 4096, params), rng_at(3, "g"))
     w_sum = int(np.abs(inst.spec.weights).sum())
     assert inst.distance.method == "drop-negative-dp"
     assert inst.distance.radius == dp_radius(4096, w_sum) < 1e-10
@@ -86,18 +98,6 @@ def test_adversarial_is_biased_and_mixed_sign():
     inst = generate(InstanceFamily(ADVERSARIAL, 18), rng_at(5, "g"))
     assert np.any(inst.spec.weights < 0)
     assert inst.spec.theta > 0
-
-
-def test_mc_mean_chunked_matches_one_draw():
-    # at n=3000 the 50k-sample draw is split into byte-bounded chunks
-    n, samples = 3000, 50_000
-    assert bits.chunk_rows(samples, bits.nbytes(n)) < samples
-    gen = generator_for(4, "mc-mean")
-    spec = LTFSpec(np.round(np.abs(gen.standard_normal(n)) * 16) + 1, 40.5)
-    one = bits.random_packed(generator_for(5, "mean"), samples, n)
-    expect = float(LTFEvaluator(spec)(one).astype(np.float64).mean())
-    got = ltf_mean(spec, generator_for(5, "mean"), samples)
-    assert got == expect and abs(got) < 1.0
 
 
 def test_generation_deterministic():

@@ -84,6 +84,21 @@ def test_random_packed_golden_bytes(m, n):
         assert a.bytes(13) == b.bytes(13)
 
 
+def test_random_packed_chunked_draws_match_one_draw():
+    # at n=3000 a 50k-row draw exceeds CHUNK_BYTES; consecutive draws of
+    # chunk_rows rows must give the bytes of one whole draw, which every
+    # chunked sampling loop relies on
+    n, rows = 3000, 50_000
+    chunk = bits.chunk_rows(rows, bits.nbytes(n))
+    assert chunk < rows
+    one = bits.random_packed(generator_for(5, "mean"), rows, n)
+    gen = generator_for(5, "mean")
+    parts = [bits.random_packed(gen, min(chunk, rows - lo), n)
+             for lo in range(0, rows, chunk)]
+    assert len(parts) > 1
+    assert np.array_equal(np.concatenate(parts), one)
+
+
 def test_byte_histograms_match_dense_bincount():
     n = 4096
     nb = bits.nbytes(n)

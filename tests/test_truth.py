@@ -7,14 +7,12 @@ import pytest
 
 from monotest.generators import _certify, grid_spec
 from monotest.oracle import LTFSpec, truth_table
-from monotest.rng import SplitRng, generator_for
+from monotest.rng import generator_for
 from monotest.truth import (
     DP_MAX_SUM,
     WeightProfile,
-    check_distance_lower_bound,
     check_negative_mass_lower_bound,
     check_restriction_preserves_distance,
-    classify_non_monotone,
     dist_ltf_to_monotone_dp,
     dist_ltf_to_monotone_exact,
     dist_ltf_to_monotone_mc,
@@ -245,22 +243,21 @@ def test_dp_within_mc_radius_at_large_n(n):
     assert abs(dp.value - mc.value) <= mc.radius + dp.radius
 
 
-def test_certify_takes_mc_only_for_float_or_oversize_weights():
-    rng = SplitRng(26, ("certify",))
+def test_certify_is_exact_or_raises():
+    # above n = 20 the DP is the only certifier: integer weights take it,
+    # and float weights or sum |w_i| above DP_MAX_SUM raise, naming the bound
     w = np.r_[-np.ones(4), np.ones(20)]
-    assert _certify(LTFSpec(w, 0.5), rng, 0.05).method == "drop-negative-dp"
-    floats = _certify(LTFSpec(w + 0.25, 0.5), rng, 0.05)
-    assert floats.method == "drop-negative-mc"
+    assert _certify(LTFSpec(w, 0.5)).method == "drop-negative-dp"
+    with pytest.raises(ValueError, match="DP_MAX_SUM"):
+        _certify(LTFSpec(w + 0.25, 0.5))
     big = w * (DP_MAX_SUM // 20)
     assert np.abs(big).sum() > DP_MAX_SUM
-    oversize = _certify(LTFSpec(big, 0.5), rng, 0.05)
-    assert oversize.method == "drop-negative-mc" and oversize.radius < 0.05
-    with pytest.raises(ValueError):
-        dist_ltf_to_monotone_dp(LTFSpec(big, 0.5))
+    with pytest.raises(ValueError, match="DP_MAX_SUM"):
+        _certify(LTFSpec(big, 0.5))
 
 
 # ---------------------------------------------------------------------------
-# profile and classification
+# weight profile and mean
 
 
 def test_weight_profile_fields():
@@ -273,26 +270,6 @@ def test_weight_profile_fields():
 def test_profile_zero_weights_count_positive():
     p = WeightProfile.from_weights(np.array([0.0, -2.0]))
     assert p.pos == 0.0 and p.neg == 4.0 and p.neg_fraction == 1.0
-
-
-def test_classify_no_negative_weights():
-    cls = classify_non_monotone(spec_of(np.ones(16)), 0.9, 0.5, 1e-6)
-    assert not cls.significant_negative and not cls.is_non_monotone
-
-
-def test_classify_enumerated_example():
-    # sign(-x1 + x2 + x3 + x4): regularity 1/2, neg fraction 1/4, E[f] = 6/16
-    cls = classify_non_monotone(spec_of([-1, 1, 1, 1]), 0.6, 0.5, 0.2)
-    assert cls.profile.regularity == pytest.approx(0.5)
-    assert cls.profile.neg_fraction == pytest.approx(0.25)
-    assert cls.mean == pytest.approx(6 / 16)
-    assert cls.weight_regular and cls.significant_negative and cls.balanced
-    assert cls.is_non_monotone
-
-
-def test_classify_fully_biased_fails_balance():
-    cls = classify_non_monotone(spec_of([1.0], 10.0), 0.9, 0.5, 0.0)
-    assert cls.mean == -1.0 and not cls.balanced and not cls.is_non_monotone
 
 
 def test_exact_mean_matches_table():
@@ -389,13 +366,3 @@ def test_negative_mass_bound_vacuous_when_not_regular():
     chk = check_negative_mass_lower_bound(spec_of([1, 1, -1, 1]), 0.2)
     assert chk.status == "vacuous"
 
-
-def test_distance_lower_bound_modes():
-    spec = spec_of([-1, 1, 1, 1])
-    # hypotheses intentionally not satisfiable at this size: vacuous
-    out = check_distance_lower_bound(spec, tau=0.5, gamma=0.5, lam=0.25)
-    assert out.status == "vacuous"  # tau > sqrt(lam)/16
-    # a satisfied-hypothesis case would need regularity <= sqrt(lam)/16,
-    # impossible for n=4; verify the classifier gate too
-    out2 = check_distance_lower_bound(spec, tau=0.02, gamma=0.5, lam=0.25)
-    assert out2.status == "vacuous"
