@@ -9,9 +9,11 @@ Times, on one batch of QUERY_CHUNK points at each n in SIZES:
 * `eval.<r>rows`, in microseconds per call, not ns per point: the evaluator
   on the integer instance called on a batch of r rows, for r in CALL_ROWS.
   These are the batches of adaptive rounds and certificate checks, where
-  the evaluator's fixed cost per call and per byte position weighs most;
-  they sit on both sides of the choice between its flat gather and its
-  column loop (`oracle.FLAT_ROWS_PER_BYTE`, `oracle.FLAT_MAX_BYTES`),
+  the evaluator's fixed cost per call and per byte position weighs most,
+  and, at 4096 rows, the lo half of an edge batch of 4096 edges.  They sit
+  on both sides of the choice between its flat gather and its column loop
+  (`oracle.FLAT_ROWS_PER_BYTE` rows per byte of width: 4096 rows go flat
+  from n = 2048 up, and a whole 16384-point batch from n = 8192 up),
 * `eval.build`, in microseconds per call: building `LTFEvaluator` for the
   integer instance (BUILDS in a row per run), which every fresh
   `OracleHandle.for_spec` pays,
@@ -67,10 +69,10 @@ import numpy as np  # noqa: E402
 
 
 OUT = Path("BENCH_kernels.json")
-SIZES = (16, 20, 512, 1024, 2048, 4096, 8192)
+SIZES = (16, 20, 512, 1024, 2048, 4096, 8192, 16384)
 CERTIFY_SIZES = (1024, 4096)  # n of the certify column
 CERTIFY_REPEATS = 3
-CALL_ROWS = (2, 8, 128, 256)  # batch rows of the eval.<r>rows columns
+CALL_ROWS = (2, 8, 128, 256, 4096)  # batch rows of the eval.<r>rows columns
 CALLS = 20  # evaluator calls per timed eval.<r>rows run
 REPEATS = 7
 PROCESSES = 5  # fresh processes per tree

@@ -10,13 +10,13 @@ Packing exists purely for throughput: uniform sampling touches 8x less memory
 and halfspace evaluation can run off per-byte lookup tables.  Everything here
 converts losslessly to and from plain +-1 int8 vectors.
 
-The evaluator reads a small batch (at least 3 bytes wide, at most 16 rows
-per byte of width and 256 KiB; see oracle.FLAT_ROWS_PER_BYTE) with flat
-gathers over all the bytes of 8 KiB of rows at a time, which saves the
-column loop's fixed cost per byte position.  It reads any other batch
-column by column, in row blocks of about BLOCK_BYTES packed bytes, so a
-block stays in one core's L2 cache while every byte position is read; a
-whole 16384-row batch at n=4096 is 8 MiB.  Loops that draw fresh batches
+The evaluator reads a batch at least 3 bytes wide, with at most 16 rows
+per byte of width (see oracle.FLAT_ROWS_PER_BYTE), with flat gathers over
+all the bytes of 8 KiB of rows at a time, which save the column loop's
+fixed cost per byte position and its higher cost per byte on wide rows.
+It reads any other batch column by column, in row blocks of about
+BLOCK_BYTES packed bytes, so a block stays in one core's L2 cache while
+every byte position is read.  Loops that draw fresh batches
 keep each batch within CHUNK_BYTES (see chunk_rows).
 """
 

@@ -14,22 +14,22 @@ which maps to +1.
 
 LTFEvaluator, the one path every oracle query takes at every n, keeps one
 256-entry float64 table of set-bit sums per byte of the packed point, and
-gathers a batch one of two ways, chosen from its shape alone.  A small
-batch (at least FLAT_MIN_BYTES wide, at most FLAT_ROWS_PER_BYTE rows per
-byte of width, and at most FLAT_MAX_BYTES packed bytes) takes flat gathers
-on the raveled tables, flat.take(rows + 256 * arange(nb)).sum(axis=1),
-FLAT_BLOCK_BYTES of rows at a time.  Any other batch is read in row blocks
-of min(QUERY_CHUNK, bits.block_rows(nbytes)) rows, and within a block the
-tables are gathered one byte position at a time (table.take(block[:, p]))
-into a running row sum, so the block stays in cache and no index array
-wider than one column is built.  The column loop costs about 1-2 us per byte position per call
-whatever the rows, which dominates a batch of a few hundred rows; the flat
-gather costs per row byte.  An edge batch [lo; hi] at least PAIR_MIN_BYTES
-wide, whose hi rows each differ from their lo rows in one byte, gathers
-only its lo half, either way, and the choice is made on that half; each hi
-row swaps one table entry of its lo row's sum.  truth_table and
-cube_margins enumerate the whole cube; they are the exact reference that
-the ground-truth helpers use and tests compare against.
+gathers a batch one of two ways, chosen from its shape alone.  A batch at
+least FLAT_MIN_BYTES wide, with at most FLAT_ROWS_PER_BYTE rows per byte,
+takes flat gathers on the raveled tables,
+flat.take(rows + 256 * arange(nb)).sum(axis=1), FLAT_BLOCK_BYTES of rows
+at a time, whose cost per packed byte is about the same at every width.
+Any other batch is read in row blocks of min(QUERY_CHUNK,
+bits.block_rows(nbytes)) rows, and within a block the tables are gathered
+one byte position at a time (table.take(block[:, p])) into a running row
+sum; that column loop costs about 1-2 us per byte position per call
+whatever the rows, and more per packed byte the wider the rows.  An edge
+batch [lo; hi] at least PAIR_MIN_BYTES wide, whose hi rows each differ
+from their lo rows in one byte, gathers only its lo half, either way, and
+the choice is made on that half; each hi row swaps one table entry of its
+lo row's sum.  truth_table and cube_margins enumerate the whole cube; they
+are the exact reference that the ground-truth helpers use and tests
+compare against.
 """
 
 from __future__ import annotations
@@ -52,14 +52,13 @@ QUERY_CHUNK = 16384
 # batch of 64; at 256 it breaks even there (README, Performance notes).
 PAIR_MIN_BYTES = 256
 # LTFEvaluator gathers a batch (or the lo half of an edge batch) of r rows
-# and nb bytes with flat takes when nb >= FLAT_MIN_BYTES,
-# r <= FLAT_ROWS_PER_BYTE * nb and r * nb <= FLAT_MAX_BYTES, and one byte
-# position at a time otherwise (measured crossover: README, Performance
-# notes).  At 2 bytes the column loop is two takes, and flat takes were
-# 1-13% slower at 2 to 32 rows; at 3 bytes they were 5-11% faster.
+# and nb bytes with flat takes when nb >= FLAT_MIN_BYTES and
+# r <= FLAT_ROWS_PER_BYTE * nb, and one byte position at a time otherwise
+# (measured crossover: README, Performance notes).  At 2 bytes the column
+# loop is two takes, and flat takes were 1-13% slower at 2 to 32 rows; at 3
+# bytes they were 5-11% faster.
 FLAT_MIN_BYTES = 3
 FLAT_ROWS_PER_BYTE = 16
-FLAT_MAX_BYTES = 256 << 10
 # packed bytes per flat take, so that its intp index and float64 result, 8
 # bytes per packed byte each, stay below glibc's default 128 KiB mmap
 # threshold: one take over a whole 32 KiB batch ran up to twice as slow as
@@ -268,14 +267,14 @@ class LTFEvaluator:
     One path at every n: per-byte tables of set-bit sums, whose padding
     entries are zero, so padding bits never change an answer.  A batch of r
     rows and nb bytes (the lo half of an edge batch, below) is gathered with
-    flat takes when nb >= FLAT_MIN_BYTES, r <= FLAT_ROWS_PER_BYTE * nb and
-    r * nb <= FLAT_MAX_BYTES (the certificate checks, and the edge batches
-    of 128 to 1024 rows at n = 1024), and one byte position at a time
-    otherwise (every batch at n = 16, and the edge batches of 1024 edges and
-    more at n = 4096).  Timed against each other, the flat gather's time
-    over the loop's was 1.03 at 2 rows and 1.31 at 128 rows of 2 bytes,
-    0.72 at 128 rows and 1.56 at 1024 rows of 8 bytes, 0.24 at 128 rows and
-    0.90 at 2048 rows of 128 bytes, and 0.37 at 256 rows of 512 bytes;
+    flat takes when nb >= FLAT_MIN_BYTES and r <= FLAT_ROWS_PER_BYTE * nb
+    (the certificate checks, edge batches of up to 1024 edges at n = 1024,
+    every edge batch from n = 4096 up), and one byte position at a time
+    otherwise (every batch at n = 16).  The flat gather's time over the
+    loop's was 1.03 at 2 rows and 1.30 at 128 rows of 2 bytes, 0.75 at 128
+    rows and 1.51 at 1024 rows of 8 bytes, 0.86 at 2048 rows of 128 bytes,
+    0.72 at 8192 rows of 512 bytes and 0.12 at 4096 rows of 8192 bytes,
+    where the loop takes 9.5 ns per packed byte and the flat gather 1.2;
     README, Performance notes, has the grid.
     The choice never changes an answer.
 
@@ -323,8 +322,8 @@ class LTFEvaluator:
         # the flat gather reads entry 256 p + b of the raveled tables
         self._flat = self._tables.ravel()
         self._base = np.arange(0, 256 * nb, 256, dtype=np.intp)
-        self._flat_rows = (min(FLAT_ROWS_PER_BYTE * nb, FLAT_MAX_BYTES // nb)
-                           if nb >= FLAT_MIN_BYTES else 0)
+        self._flat_rows = (FLAT_ROWS_PER_BYTE * nb if nb >= FLAT_MIN_BYTES
+                           else 0)
         self._flat_block = max(1, FLAT_BLOCK_BYTES // nb)
 
     def __call__(self, packed: np.ndarray) -> np.ndarray:
@@ -332,7 +331,7 @@ class LTFEvaluator:
                else None)
         half = packed.shape[0] if pos is None else packed.shape[0] // 2
         out = np.empty(packed.shape[0], dtype=np.int8)
-        # a small batch (or lo half) is one block, gathered flat
+        # a batch (or lo half) within the row guard is one flat block
         flat = half <= self._flat_rows
         rows = max(1, half) if flat else self._rows
         for lo in range(0, half, rows):

@@ -7,7 +7,10 @@ are asserted; wall-clock targets are printed alongside for inspection.
 Certificate bookkeeping: every suite and every directly-produced rejection
 in this module records whether its certificate re-verified; the final
 soundness test requires a 100% pass rate over everything accumulated here in
-addition to its own dedicated detection suites.
+addition to its own dedicated detection suites.  A directly-produced
+certificate is checked twice, with two queries through the evaluator and
+against the halfspace itself (oracle.certificate_holds), and the two checks
+must agree, so that no evaluator fault can confirm its own false witness.
 """
 
 import math
@@ -29,6 +32,7 @@ from monotest.oracle import (
     LTFSpec,
     OracleHandle,
     Restriction,
+    certificate_holds,
     truth_table,
     verify_certificate,
 )
@@ -58,11 +62,20 @@ MARGIN = 0.005
 
 # accumulated across the module; the soundness test audits these at the end
 SUITE_RECORDS = []
-DIRECT_CERT_CHECKS = []  # (criterion-name, bool)
+# (criterion-name, verify_certificate's bool, certificate_holds's bool)
+DIRECT_CERT_CHECKS = []
 
 
 def report(name, ok, detail):
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'} - {detail}")
+
+
+def check_certificate(name, f, spec, cert):
+    """Re-verify a directly-produced certificate on the handle f and on
+    spec itself, record both results, and return the handle's."""
+    ok_cert = verify_certificate(f, cert)
+    DIRECT_CERT_CHECKS.append((name, ok_cert, certificate_holds(spec, cert)))
+    return ok_cert
 
 
 def run_and_track(config):
@@ -322,9 +335,8 @@ def test_weight_sign_probe_contract():
             if out.decision == "positive":
                 sign_errors += 1
             if out.decision == NEGATIVE:
-                ok_cert = verify_certificate(f, out.certificate)
-                DIRECT_CERT_CHECKS.append(("weight-sign", ok_cert))
-                negatives += ok_cert
+                negatives += check_certificate("weight-sign", f, spec,
+                                               out.certificate)
     ok = negatives >= 90 and sign_errors == 0
     report("weight-sign-probe", ok,
            f"{negatives}/{trials} negative verdicts with valid certificates "
@@ -347,9 +359,8 @@ def test_edge_tester_detection_majority9():
         f = OracleHandle.for_spec(spec)
         verdict = edge_tester(f, eps, 0.1, rng_at(900, "t", trial))
         if not verdict.is_monotone:
-            ok_cert = verify_certificate(f, verdict.certificate)
-            DIRECT_CERT_CHECKS.append(("edge-tester", ok_cert))
-            detections += ok_cert
+            detections += check_certificate("edge-tester", f, spec,
+                                            verdict.certificate)
     ok = detections >= 85
     report("edge-tester-detection", ok,
            f"{detections}/100 rejections at eps=dist/2={eps:.4f} "
@@ -483,10 +494,15 @@ def test_certificate_soundness_everywhere():
     suite_rejections = [r for r in SUITE_RECORDS
                         if r.verdict == "non-monotone"]
     suite_bad = [r.trial for r in suite_rejections if not r.certificate_ok]
-    direct_bad = [name for name, ok_cert in DIRECT_CERT_CHECKS if not ok_cert]
+    direct_bad = [name for name, ok_box, ok_spec in DIRECT_CERT_CHECKS
+                  if not (ok_box and ok_spec)]
+    disagree = [name for name, ok_box, ok_spec in DIRECT_CERT_CHECKS
+                if ok_box != ok_spec]
     checked = len(suite_rejections) + len(DIRECT_CERT_CHECKS)
-    ok = checked > 0 and not suite_bad and not direct_bad
+    ok = checked > 0 and not suite_bad and not direct_bad and not disagree
     report("certificate-soundness", ok,
-           f"{checked} certificates re-verified with 2 fresh queries each, "
-           f"{len(suite_bad) + len(direct_bad)} failures (tolerance 0)")
-    assert ok, (suite_bad, direct_bad)
+           f"{checked} certificates re-verified against the halfspace, "
+           f"{len(DIRECT_CERT_CHECKS)} of them also with 2 fresh queries, "
+           f"{len(suite_bad) + len(direct_bad)} failures and "
+           f"{len(disagree)} disagreements (tolerance 0)")
+    assert ok, (suite_bad, direct_bad, disagree)

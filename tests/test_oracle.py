@@ -32,7 +32,7 @@ from monotest.oracle import (
     verify_certificate,
 )
 from monotest.rng import generator_for
-from monotest.subroutines import _query_edges
+from monotest.subroutines import EDGE_CHUNK, _query_edges
 
 
 def handle(w, theta, **kw):
@@ -363,9 +363,25 @@ def _edge_batch_case(n, wide, restricted, k=40):
     f = OracleHandle(lambda p: seen.append(p) or ev(p), n)
     _, v_lo, v_hi = _query_edges(restrict(f, rho), pts, coords)
     batch = seen[0]
-    assert np.array_equal(np.concatenate([v_lo, v_hi]),
-                          _exact_signs(w, spec.theta, bits.unpack(batch, n)))
+    # both ends of the first 40 edges, which hold every tie, exactly, and
+    # every row against the column loop: checking thousands of wide rows
+    # exactly would cost hundreds of MiB and seconds of fsum
+    c = min(k, 40)
+    ends = np.r_[:c, k: k + c]
+    got = np.concatenate([v_lo, v_hi])
+    assert np.array_equal(got[ends], _exact_signs(
+        w, spec.theta, bits.unpack(batch[ends], n)))
+    assert np.array_equal(got, _column_signs(ev, batch))
     return spec, ev, batch, k
+
+
+def _column_signs(ev, batch):
+    """ev's answers on batch, gathered one byte position at a time."""
+    flat_rows, ev._flat_rows = ev._flat_rows, 0
+    try:
+        return ev(batch)
+    finally:
+        ev._flat_rows = flat_rows
 
 
 @pytest.mark.parametrize("restricted", [False, True], ids=["root", "view"])
@@ -411,18 +427,32 @@ def test_edge_batches_match_exact_reference(n, paired, wide, restricted,
 
 @pytest.mark.parametrize("restricted", [False, True], ids=["root", "view"])
 @pytest.mark.parametrize("wide", [False, True], ids=["int", "float"])
-# the most rows that take the flat gather: none at 2 bytes, 16 per byte of
-# width, and at most 256 KiB
+def test_wide_edge_batch_matches_column_loop(wide, restricted):
+    # a full batch of 4096 edges at n = 16384 (2048 bytes), whose lo half
+    # takes the flat gather: every row as the column loop answers, and the
+    # ties and the rows next to them exactly (in _edge_batch_case)
+    n, k = 16384, 4096
+    assert k == bits.chunk_rows(EDGE_CHUNK, bits.nbytes(n), copies=2)
+    _, ev, batch, _ = _edge_batch_case(n, wide, restricted, k)
+    assert k <= ev._flat_rows and _edge_positions(batch) is not None
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["root", "view"])
+@pytest.mark.parametrize("wide", [False, True], ids=["int", "float"])
+# the most rows that take the flat gather: none at 2 bytes, else 16 per
+# byte of width
 @pytest.mark.parametrize("n,guard", [(16, 0), (24, 48), (1024, 2048),
-                                     (4096, 512)])
+                                     (1032, 2064), (4096, 8192)])
 def test_flat_and_column_gathers_match_exact_reference(n, guard, wide,
                                                        restricted):
     # batches on both sides of the flat gather's guard and exactly at it:
     # at n = 16 (2 bytes, guard 0 rows) every batch takes the column loop,
     # at n = 24 (guard 48) 128 and 256 rows take it, and at n = 1024 (guard
-    # 2048) and 4096 (guard 512) they take the flat gather.  Every row, ties
-    # and their one-flip neighbours included, must get the sign of the
-    # exact reference.
+    # 2048), 1032 (129 bytes, guard 2064, the narrowest guard above
+    # 256 KiB) and 4096 (guard 8192) they take the flat gather.  Every row
+    # must get the column loop's sign, and the first 256 rows, which hold
+    # the ties and their one-flip neighbours, and the middle and last rows
+    # that of the exact reference.
     rng = generator_for(n, "flat-gather", wide, restricted)
     if wide:
         # dyadic weights, three scaled by 2^45 so that float sums round
@@ -445,22 +475,25 @@ def test_flat_and_column_gathers_match_exact_reference(n, guard, wide,
                                        for wi, xi in zip(w, x0))
     assert exact_in_float(w) != wide
     ev = LTFEvaluator(spec)
-    assert ev._flat_rows == guard and guard < ev._rows
+    assert ev._flat_rows == guard
     seen = []
     view = restrict(OracleHandle(lambda p: seen.append(p) or ev(p), n), rho)
     tried = {2, 8, 128, 256, guard - 1, guard, guard + 1} - {-1, 0}
     for rows in sorted(tried):
-        pts = np.repeat(x0[None, :], rows, axis=0)
-        flip = dom[rng.integers(0, dom.size, size=rows)]
-        pts[np.arange(rows), flip] *= -1
-        # x0 and its one-flip neighbours, then random points, with x0 also
-        # in the middle and last rows
-        pts[rows // 2:] = bits.unpack(
-            bits.random_packed(rng, rows - rows // 2, n), n)
-        pts[[0, rows // 2, -1]] = x0
-        got = view.query_pm(pts[:, dom])
-        expect = _exact_signs(w, spec.theta, bits.unpack(seen[-1], n))
-        assert np.array_equal(got, expect), rows
+        # x0 and up to 127 of its one-flip neighbours, then random points,
+        # with x0 also in the middle and last rows: a wide batch of
+        # neighbours would send thousands of rows through math.fsum
+        near = min(rows // 2, 128)
+        flips = np.repeat(x0[None, :], near, axis=0)
+        flips[np.arange(near), dom[rng.integers(0, dom.size, size=near)]] *= -1
+        batch = bits.random_packed(rng, rows, n)
+        batch[:near] = bits.pack(flips)
+        batch[[0, rows // 2, -1]] = bits.pack(x0)
+        got = view.query_packed(batch)
+        assert np.array_equal(got, _column_signs(ev, seen[-1])), rows
+        exact = np.r_[:min(rows, 256), rows // 2, rows - 1]
+        expect = _exact_signs(w, spec.theta, bits.unpack(seen[-1][exact], n))
+        assert np.array_equal(got[exact], expect), rows
         assert got[0] == got[-1] == 1
     # an n = 4096 edge batch whose lo half of `guard` rows takes the flat
     # gather, and one edge more, whose lo half takes the column loop
