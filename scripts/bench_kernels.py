@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Kernel micro-benchmark: ns per point of the packed-batch kernels.
 
-Times, on one batch of QUERY_CHUNK points at each n in SIZES:
+Times, on one batch of POINTS points at each n in SIZES:
 
 * the halfspace evaluator on an integer instance (`eval.int`, the exact
   branch) and a float instance (`eval.float`, the fsum-checked branch),
@@ -9,11 +9,10 @@ Times, on one batch of QUERY_CHUNK points at each n in SIZES:
 * `eval.<r>rows`, in microseconds per call, not ns per point: the evaluator
   on the integer instance called on a batch of r rows, for r in CALL_ROWS.
   These are the batches of adaptive rounds and certificate checks, where
-  the evaluator's fixed cost per call and per byte position weighs most,
-  and, at 4096 rows, the lo half of an edge batch of 4096 edges.  They sit
-  on both sides of the choice between its flat gather and its column loop
-  (`oracle.FLAT_ROWS_PER_BYTE` rows per byte of width: 4096 rows go flat
-  from n = 2048 up, and a whole 16384-point batch from n = 8192 up),
+  the evaluator's fixed cost per call weighs most, and, at 4096 rows, the
+  lo half of an edge batch of 4096 edges.  Every batch takes the same
+  gather, `oracle.FLAT_BLOCK_BYTES` of rows per take, so from 2 to 16384
+  points they show its cost per call and per row at every width,
 * `eval.build`, in microseconds per call: building `LTFEvaluator` for the
   integer instance (BUILDS in a row per run), which every fresh
   `OracleHandle.for_spec` pays,
@@ -70,6 +69,7 @@ import numpy as np  # noqa: E402
 
 OUT = Path("BENCH_kernels.json")
 SIZES = (16, 20, 512, 1024, 2048, 4096, 8192, 16384)
+POINTS = 16384  # rows of the batch behind the ns/point columns
 CERTIFY_SIZES = (1024, 4096)  # n of the certify column
 CERTIFY_REPEATS = 3
 CALL_ROWS = (2, 8, 128, 256, 4096)  # batch rows of the eval.<r>rows columns
@@ -147,12 +147,10 @@ def certify_ms(n):
                                     CERTIFY_REPEATS)
 
 
-def measure() -> dict:
-    """Every kernel at every n in SIZES, timed in this process."""
-    from monotest.oracle import QUERY_CHUNK
-
+def measure(sizes=SIZES, points=POINTS, repeats=REPEATS) -> dict:
+    """Every kernel at every n in sizes, timed in this process."""
     gen = np.random.default_rng(np.random.Philox(SEED))
-    return {str(n): kernel_row(n, QUERY_CHUNK, REPEATS, gen) for n in SIZES}
+    return {str(n): kernel_row(n, points, repeats, gen) for n in sizes}
 
 
 def measure_in_process(tree: Path) -> dict:

@@ -62,7 +62,6 @@ from .tester import (
 from .truth import (
     DistanceReport,
     WeightProfile,
-    check_negative_mass_lower_bound,
     check_restriction_preserves_distance,
     dist_ltf_to_monotone_exact,
     dist_ltf_to_monotone_mc,
@@ -90,7 +89,6 @@ __all__ = [
     "WeightProfile",
     "build_schedule",
     "certificate_holds",
-    "check_negative_mass_lower_bound",
     "check_restriction_preserves_distance",
     "check_weight_positive",
     "compose",

@@ -10,14 +10,9 @@ Packing exists purely for throughput: uniform sampling touches 8x less memory
 and halfspace evaluation can run off per-byte lookup tables.  Everything here
 converts losslessly to and from plain +-1 int8 vectors.
 
-The evaluator reads a batch at least 3 bytes wide, with at most 16 rows
-per byte of width (see oracle.FLAT_ROWS_PER_BYTE), with flat gathers over
-all the bytes of 8 KiB of rows at a time, which save the column loop's
-fixed cost per byte position and its higher cost per byte on wide rows.
-It reads any other batch column by column, in row blocks of about
-BLOCK_BYTES packed bytes, so a block stays in one core's L2 cache while
-every byte position is read.  Loops that draw fresh batches
-keep each batch within CHUNK_BYTES (see chunk_rows).
+The evaluator gathers every batch with flat takes over all the bytes of
+16 KiB of rows at a time (see oracle.FLAT_BLOCK_BYTES).  Loops that draw
+fresh batches keep each batch within CHUNK_BYTES (see chunk_rows).
 """
 
 from __future__ import annotations
@@ -27,8 +22,6 @@ import numpy as np
 # (256, 8) matrix: row b lists the bits of byte value b, LSB first.
 BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1).astype(np.int8)
 
-# packed bytes per row block of the evaluator's column-wise gather
-BLOCK_BYTES = 1 << 20
 # packed bytes per freshly drawn batch
 CHUNK_BYTES = 16 << 20
 
@@ -41,11 +34,6 @@ def tail_mask(n: int) -> int:
     """Byte mask keeping only the valid bits of the final byte."""
     rem = n % 8
     return 0xFF if rem == 0 else (1 << rem) - 1
-
-
-def block_rows(nb: int) -> int:
-    """Rows of an nb-byte batch in one BLOCK_BYTES row block."""
-    return max(1, BLOCK_BYTES // nb)
 
 
 def chunk_rows(rows: int, nb: int, copies: int = 1) -> int:

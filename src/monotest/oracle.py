@@ -14,22 +14,14 @@ which maps to +1.
 
 LTFEvaluator, the one path every oracle query takes at every n, keeps one
 256-entry float64 table of set-bit sums per byte of the packed point, and
-gathers a batch one of two ways, chosen from its shape alone.  A batch at
-least FLAT_MIN_BYTES wide, with at most FLAT_ROWS_PER_BYTE rows per byte,
-takes flat gathers on the raveled tables,
-flat.take(rows + 256 * arange(nb)).sum(axis=1), FLAT_BLOCK_BYTES of rows
-at a time, whose cost per packed byte is about the same at every width.
-Any other batch is read in row blocks of min(QUERY_CHUNK,
-bits.block_rows(nbytes)) rows, and within a block the tables are gathered
-one byte position at a time (table.take(block[:, p])) into a running row
-sum; that column loop costs about 1-2 us per byte position per call
-whatever the rows, and more per packed byte the wider the rows.  An edge
-batch [lo; hi] at least PAIR_MIN_BYTES wide, whose hi rows each differ
-from their lo rows in one byte, gathers only its lo half, either way, and
-the choice is made on that half; each hi row swaps one table entry of its
-lo row's sum.  truth_table and cube_margins enumerate the whole cube; they
-are the exact reference that the ground-truth helpers use and tests
-compare against.
+gathers every batch the same way: flat takes on the raveled tables,
+flat.take(rows + 256 * arange(nb)), FLAT_BLOCK_BYTES of rows at a time,
+each summed by a product with a vector of ones.  An edge batch [lo; hi]
+at least PAIR_MIN_BYTES wide, whose hi rows each differ from their lo rows
+in one byte, gathers only its lo half; each hi row swaps one table entry
+of its lo row's sum.  truth_table and cube_margins enumerate the whole
+cube; they are the exact reference that the ground-truth helpers use and
+tests compare against.
 """
 
 from __future__ import annotations
@@ -45,25 +37,17 @@ import numpy as np
 from . import bits
 
 TABLE_MAX_N = 20  # largest n the exact references enumerate the cube for
-QUERY_CHUNK = 16384
 # narrowest packed width, in bytes, at which LTFEvaluator looks for an edge
 # batch.  At 128 bytes the one-byte check already pays on a full batch of
 # 8192 edges, but it costs more than it saves on the edge tester's first
 # batch of 64; at 256 it breaks even there (README, Performance notes).
 PAIR_MIN_BYTES = 256
-# LTFEvaluator gathers a batch (or the lo half of an edge batch) of r rows
-# and nb bytes with flat takes when nb >= FLAT_MIN_BYTES and
-# r <= FLAT_ROWS_PER_BYTE * nb, and one byte position at a time otherwise
-# (measured crossover: README, Performance notes).  At 2 bytes the column
-# loop is two takes, and flat takes were 1-13% slower at 2 to 32 rows; at 3
-# bytes they were 5-11% faster.
-FLAT_MIN_BYTES = 3
-FLAT_ROWS_PER_BYTE = 16
-# packed bytes per flat take, so that its intp index and float64 result, 8
-# bytes per packed byte each, stay below glibc's default 128 KiB mmap
-# threshold: one take over a whole 32 KiB batch ran up to twice as slow as
-# the column loop, as its 256 KiB temporaries were mapped and faulted in
-FLAT_BLOCK_BYTES = 8 << 10
+# packed bytes per take of LTFEvaluator's gather, whose intp index and
+# float64 result take 8 bytes per packed byte each.  Through the evaluator
+# on perfbench's batch shapes 16 KiB was fastest overall: 8 KiB was 10-18%
+# slower on 4,096 and 8,192 rows of 64 bytes, and 32 or 64 KiB up to 2.9
+# times slower on some shapes (README, Performance notes, has the grid)
+FLAT_BLOCK_BYTES = 16 << 10
 # pairs per XOR in LTFEvaluator's edge-batch check: as fast as a whole row
 # block, whose 1 MiB XOR added 2 MiB to perfbench's mono-4096 peak memory
 # with a fixed mmap threshold, where 256 rows (128 KiB at n = 4096) add
@@ -147,15 +131,16 @@ def _tie_bound(w: np.ndarray, theta: float) -> float:
       then subtracts twice: error <= u ((3n + 1) W + |theta|).
     * byte tables: an entry sums at most 8 weights, so the entries of a
       row are off by at most 7 u W in all.  The evaluator adds the nb
-      entries of a row either one byte position after another (the column
-      loop) or in numpy's pairwise order (the flat gather's sum(axis=1)).
-      Any order of adding nb terms makes nb - 1 roundings, each of a partial
-      sum no larger than the terms' absolute sum, itself below W + 7 u W, so
-      either way the set-bit sum s is off by at most (8 + nb) u W.  The hi
-      row of an edge batch takes s_lo - T[p, lo_byte] + T[p, hi_byte]
-      instead, with s_lo from either gather: two more entries, each off by
-      at most 7 u W, and two more roundings of values below W, so its s is
-      off by at most (8 + nb) u W + 14 u W + 2 u W = (nb + 24) u W.
+      entries of a row by a matrix-vector product with ones, which BLAS may
+      carry out in any tree of additions and with fused multiply-adds.  A
+      product x * 1.0 is exact, and fma(x, 1.0, a) rounds once, as x + a
+      does, so the sum still makes nb - 1 roundings, each of a partial sum
+      no larger than the terms' absolute sum, itself below W + 7 u W: the
+      set-bit sum s is off by at most (8 + nb) u W.  The hi row of an edge
+      batch takes s_lo - T[p, lo_byte] + T[p, hi_byte] instead: two more
+      entries, each off by at most 7 u W, and two more roundings of values
+      below W, so its s is off by at most (8 + nb) u W + 14 u W + 2 u W =
+      (nb + 24) u W.
       The margin 2s - T, with T = fsum(theta, w) within u (W + |theta|) of
       theta + sum(w), is one more rounding of a value below 3W + |theta|:
       error <= u ((2 nb + 20) W + 2 |theta|) for a gathered row and
@@ -265,18 +250,12 @@ class LTFEvaluator:
     """Evaluates a halfspace on packed batches; returns int8 +-1 per row.
 
     One path at every n: per-byte tables of set-bit sums, whose padding
-    entries are zero, so padding bits never change an answer.  A batch of r
-    rows and nb bytes (the lo half of an edge batch, below) is gathered with
-    flat takes when nb >= FLAT_MIN_BYTES and r <= FLAT_ROWS_PER_BYTE * nb
-    (the certificate checks, edge batches of up to 1024 edges at n = 1024,
-    every edge batch from n = 4096 up), and one byte position at a time
-    otherwise (every batch at n = 16).  The flat gather's time over the
-    loop's was 1.03 at 2 rows and 1.30 at 128 rows of 2 bytes, 0.75 at 128
-    rows and 1.51 at 1024 rows of 8 bytes, 0.86 at 2048 rows of 128 bytes,
-    0.72 at 8192 rows of 512 bytes and 0.12 at 4096 rows of 8192 bytes,
-    where the loop takes 9.5 ns per packed byte and the flat gather 1.2;
-    README, Performance notes, has the grid.
-    The choice never changes an answer.
+    entries are zero, so padding bits never change an answer.  Every batch
+    (or the lo half of an edge batch, below) of nb bytes a row is gathered
+    FLAT_BLOCK_BYTES // nb rows at a time: one take of entry 256 p + b of
+    the raveled tables for byte b at position p, summed by a product with
+    ones into the block's set-bit sums.  README, Performance notes, has its
+    cost per batch shape.
 
     With s the set-bit sum of a row, w.x = 2s - sum(w), and a row is decided
     by one subtraction and one comparison:
@@ -318,12 +297,10 @@ class LTFEvaluator:
             self._offset = math.fsum([spec.theta, *w])
             self._threshold = 0.0
             self._tie_bound = _tie_bound(w, spec.theta)
-        self._rows = min(QUERY_CHUNK, bits.block_rows(nb))
-        # the flat gather reads entry 256 p + b of the raveled tables
+        # the gather reads entry 256 p + b of the raveled tables
         self._flat = self._tables.ravel()
         self._base = np.arange(0, 256 * nb, 256, dtype=np.intp)
-        self._flat_rows = (FLAT_ROWS_PER_BYTE * nb if nb >= FLAT_MIN_BYTES
-                           else 0)
+        self._ones = np.ones(nb)
         self._flat_block = max(1, FLAT_BLOCK_BYTES // nb)
 
     def __call__(self, packed: np.ndarray) -> np.ndarray:
@@ -331,37 +308,26 @@ class LTFEvaluator:
                else None)
         half = packed.shape[0] if pos is None else packed.shape[0] // 2
         out = np.empty(packed.shape[0], dtype=np.int8)
-        # a batch (or lo half) within the row guard is one flat block
-        flat = half <= self._flat_rows
-        rows = max(1, half) if flat else self._rows
-        for lo in range(0, half, rows):
-            end = min(lo + rows, half)
-            block = packed[lo: end]
-            if flat:
-                acc = self._flat_sums(block)
-            else:
-                acc = np.zeros(block.shape[0])
-                for p, table in enumerate(self._tables):
-                    acc += table.take(block[:, p])
-            self._decide(acc, block, out[lo: end])
-            if pos is not None:
-                # the hi ends of this block's edges: swap one table entry
-                hi = packed[half + lo: half + end]
-                p = pos[lo: end]
-                r = np.arange(p.size)
-                acc -= self._tables[p, block[r, p]]
-                acc += self._tables[p, hi[r, p]]
-                self._decide(acc, hi, out[half + lo: half + end])
+        lo = packed[:half]
+        acc = self._sums(lo)
+        self._decide(acc, lo, out[:half])
+        if pos is not None:
+            # the hi ends of the edges: swap one table entry of each sum
+            hi = packed[half:]
+            r = np.arange(half)
+            acc -= self._tables[pos, lo[r, pos]]
+            acc += self._tables[pos, hi[r, pos]]
+            self._decide(acc, hi, out[half:])
         return out
 
-    def _flat_sums(self, block: np.ndarray) -> np.ndarray:
-        """Set-bit sums of the rows of block, each FLAT_BLOCK_BYTES of rows
-        gathered with one take on the raveled tables and summed."""
-        acc = np.empty(block.shape[0])
+    def _sums(self, rows: np.ndarray) -> np.ndarray:
+        """Set-bit sums of rows, each FLAT_BLOCK_BYTES of rows gathered with
+        one take on the raveled tables and summed by a product with ones."""
+        acc = np.empty(rows.shape[0])
         step = self._flat_block
-        for i in range(0, block.shape[0], step):
-            self._flat.take(block[i: i + step] + self._base).sum(
-                axis=1, out=acc[i: i + step])
+        for i in range(0, rows.shape[0], step):
+            np.matmul(self._flat.take(rows[i: i + step] + self._base),
+                      self._ones, out=acc[i: i + step])
         return acc
 
     def _decide(self, acc: np.ndarray, block: np.ndarray, out: np.ndarray):

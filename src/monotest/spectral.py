@@ -231,9 +231,6 @@ class ExactSpectrum:
         d1 = self.degree1 if t_set is None else self.degree1[list(t_set)]
         return float((d1 ** 2).sum())
 
-    def max_abs_degree1(self) -> float:
-        return float(np.max(np.abs(self.degree1))) if self.n else 0.0
-
 
 def _fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of a length-2^k vector."""

@@ -367,41 +367,18 @@ def min_boundary_gap(spec: LTFSpec) -> float:
 # ---------------------------------------------------------------------------
 # executable structural checks
 
-PASS, FAIL, VACUOUS = "pass", "fail", "vacuous"
+PASS, FAIL = "pass", "fail"
 
 
 @dataclass(frozen=True)
 class StructuralCheck:
     name: str
-    status: str               # pass | fail | vacuous
+    status: str               # pass | fail
     measured: dict
 
     @property
     def passed(self) -> bool:
-        return self.status in (PASS, VACUOUS)
-
-
-def check_negative_mass_lower_bound(spec: LTFSpec, eps: float) -> StructuralCheck:
-    """If f is eps-far from monotone (exact) and max|w_i| <= (eps/16)||w||,
-    the negative squared-weight fraction must be >= eps^2 / (16 ln(8/eps)).
-
-    The check cannot bind where it runs: its exact distance needs
-    n <= TABLE_MAX_N and raises ValueError above, and at n <= 20
-    max|w_i| / ||w|| >= 1/sqrt(n) > 0.22 > eps/16 for any eps <= 1/2, so
-    the result is always vacuous.
-    """
-    dist = dist_ltf_to_monotone_exact(spec)
-    profile = WeightProfile.from_weights(spec.weights)
-    measured = {"distance": dist.value, "regularity": profile.regularity,
-                "neg_fraction": profile.neg_fraction, "eps": eps}
-    far = dist.value > eps
-    regular_enough = profile.regularity <= eps / 16.0
-    if not (far and regular_enough):
-        return StructuralCheck("negative-mass-lower-bound", VACUOUS, measured)
-    bound = eps * eps / (16.0 * math.log(8.0 / eps))
-    measured["bound"] = bound
-    status = PASS if profile.neg_fraction >= bound else FAIL
-    return StructuralCheck("negative-mass-lower-bound", status, measured)
+        return self.status == PASS
 
 
 def check_restriction_preserves_distance(spec: LTFSpec, s_vars) -> StructuralCheck:

@@ -46,7 +46,6 @@ from monotest.subroutines import (
 )
 from monotest.truth import (
     WeightProfile,
-    check_negative_mass_lower_bound,
     check_restriction_preserves_distance,
     dist_ltf_to_monotone_dp,
     dist_ltf_to_monotone_exact,
@@ -184,30 +183,10 @@ def test_restriction_average_preserves_distance():
 
 
 def test_negative_mass_bound_sweep():
-    gen = np.random.default_rng(np.random.Philox(51))
-    violations = 0
-    vacuous = 0
-    for _ in range(500):
-        spec = grid_spec(gen, 16)
-        if np.all(spec.weights >= 0):
-            spec = LTFSpec(np.concatenate([[-1.0], spec.weights[1:]]),
-                           spec.theta)
-        # the largest admissible eps given the regularity hypothesis
-        profile = WeightProfile.from_weights(spec.weights)
-        eps = min(0.5, 16.0 * profile.regularity)
-        chk = check_negative_mass_lower_bound(spec, eps)
-        if chk.status == "fail":
-            violations += 1
-        elif chk.status == "vacuous":
-            vacuous += 1
-    # at n=16 the regularity hypothesis cannot meet any eps <= 1/2
-    # (max|w|/||w|| >= 1/4 > eps/16), so the sweep certifies vacuity handling
-    ok = violations == 0 and vacuous == 500
-
-    # supplementary non-vacuous exercise of the conclusion: near-uniform
-    # weights at large n are regular enough for the hypothesis once the
-    # distance (DP-certified lower bound) is large, which mostly-negative
-    # instances provide
+    # near-uniform weights at large n are regular enough for the hypothesis
+    # once the distance (DP-certified lower bound) is large, which
+    # mostly-negative instances provide; at n <= 20, where the distance is
+    # exact, regularity >= 1/sqrt(20) exceeds eps/16 for every eps <= 1/2
     informative = 0
     for t in range(10):
         g2 = np.random.default_rng(np.random.Philox(52 + t))
@@ -223,12 +202,10 @@ def test_negative_mass_bound_sweep():
         informative += 1
         bound = eps * eps / (16.0 * math.log(8.0 / eps))
         assert profile.neg_fraction >= bound
-    ok = ok and informative >= 5
+    ok = informative >= 5
     report("negative-mass-lower-bound", ok,
-           f"0 violations over 500 instances at n=16 ({vacuous} vacuous: "
-           f"regularity >= 1/4 exceeds eps/16 for every eps <= 1/2; "
-           f"{informative}/10 non-vacuous DP-certified checks at n=4096 "
-           f"also clean)")
+           f"{informative}/10 non-vacuous DP-certified checks at n=4096, "
+           f"all clean")
     assert ok
 
 

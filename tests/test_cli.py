@@ -64,8 +64,7 @@ def test_validate_command(tmp_path):
     report = json.loads(out.read_text())
     names = {c["name"] for c in report["checks"]}
     assert names == {"distance-oracles-agree",
-                     "restriction-preserves-distance",
-                     "negative-mass-lower-bound"}
+                     "restriction-preserves-distance"}
     for check in report["checks"]:
         assert check.get("fail", 0) == 0
 

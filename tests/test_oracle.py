@@ -280,8 +280,8 @@ def test_float_evaluation_matches_exact_reference(n, seed, wide):
 
 
 def _block_batch(rng, n, ties):
-    # 3 row blocks plus a partial one; the tie point sits in every block
-    rows = 3 * bits.block_rows(bits.nbytes(n)) + 5
+    # 3 gather blocks plus a partial one; the tie point sits in every block
+    rows = 3 * max(1, oracle.FLAT_BLOCK_BYTES // bits.nbytes(n)) + 5
     X = bits.unpack(bits.random_packed(rng, rows, n), n)
     X[np.arange(0, rows, rows // 7)] = ties
     return X
@@ -364,8 +364,8 @@ def _edge_batch_case(n, wide, restricted, k=40):
     _, v_lo, v_hi = _query_edges(restrict(f, rho), pts, coords)
     batch = seen[0]
     # both ends of the first 40 edges, which hold every tie, exactly, and
-    # every row against the column loop: checking thousands of wide rows
-    # exactly would cost hundreds of MiB and seconds of fsum
+    # every row against the column-wise reference: checking thousands of
+    # wide rows exactly would cost hundreds of MiB and seconds of fsum
     c = min(k, 40)
     ends = np.r_[:c, k: k + c]
     got = np.concatenate([v_lo, v_hi])
@@ -376,12 +376,14 @@ def _edge_batch_case(n, wide, restricted, k=40):
 
 
 def _column_signs(ev, batch):
-    """ev's answers on batch, gathered one byte position at a time."""
-    flat_rows, ev._flat_rows = ev._flat_rows, 0
-    try:
-        return ev(batch)
-    finally:
-        ev._flat_rows = flat_rows
+    """ev's answers on batch from a reference gather: ev's byte tables read
+    one byte position at a time into a running row sum, then ev._decide."""
+    acc = np.zeros(batch.shape[0])
+    for p, table in enumerate(ev._tables):
+        acc += table.take(batch[:, p])
+    out = np.empty(batch.shape[0], dtype=np.int8)
+    ev._decide(acc, batch, out)
+    return out
 
 
 @pytest.mark.parametrize("restricted", [False, True], ids=["root", "view"])
@@ -406,22 +408,19 @@ def test_edge_batches_match_exact_reference(n, paired, wide, restricted,
     # an edge batch
     two_bits[k + 20] = batch[20]
     two_bits[k + 20, batch.shape[1] // 2] ^= 0x81
-    # each batch checked and gathered in one block, and in blocks of 7 rows,
-    # whose ends the edges straddle: by the flat gather these small batches
-    # take, and by the column loop
-    one_block, flat_rows = ev._rows, ev._flat_rows
+    # each batch checked in one block and in blocks of 7 rows, and gathered
+    # in takes of the default size and of 7 rows, whose ends the edges
+    # straddle
+    default = ev._flat_block
     for b, is_edge_batch in ((batch, True), (batch[:-1], False),
                              (same, False), (two_bytes, False),
                              (two_bits, True)):
         expect = _exact_signs(spec.weights, spec.theta, bits.unpack(b, n))
-        for rows in (one_block, 7):
+        for rows in (b.shape[0], 7):
             monkeypatch.setattr(oracle, "EDGE_CHECK_ROWS", rows)
             assert (_edge_positions(b) is not None) == is_edge_batch
-            # flat takes of `rows` rows, then the column loop (no batch is
-            # flat) in row blocks of `rows` rows
-            for setting in ((flat_rows, rows, one_block),
-                            (0, one_block, rows)):
-                ev._flat_rows, ev._flat_block, ev._rows = setting
+            for block in (default, 7):
+                ev._flat_block = block
                 assert np.array_equal(ev(b), expect)
 
 
@@ -429,30 +428,31 @@ def test_edge_batches_match_exact_reference(n, paired, wide, restricted,
 @pytest.mark.parametrize("wide", [False, True], ids=["int", "float"])
 def test_wide_edge_batch_matches_column_loop(wide, restricted):
     # a full batch of 4096 edges at n = 16384 (2048 bytes), whose lo half
-    # takes the flat gather: every row as the column loop answers, and the
-    # ties and the rows next to them exactly (in _edge_batch_case)
+    # is gathered 8 rows a take: every row as the column-wise reference
+    # answers, and the ties and the rows next to them exactly (in
+    # _edge_batch_case)
     n, k = 16384, 4096
     assert k == bits.chunk_rows(EDGE_CHUNK, bits.nbytes(n), copies=2)
     _, ev, batch, _ = _edge_batch_case(n, wide, restricted, k)
-    assert k <= ev._flat_rows and _edge_positions(batch) is not None
+    assert _edge_positions(batch) is not None
 
 
 @pytest.mark.parametrize("restricted", [False, True], ids=["root", "view"])
 @pytest.mark.parametrize("wide", [False, True], ids=["int", "float"])
-# the most rows that take the flat gather: none at 2 bytes, else 16 per
-# byte of width
-@pytest.mark.parametrize("n,guard", [(16, 0), (24, 48), (1024, 2048),
-                                     (1032, 2064), (4096, 8192)])
-def test_flat_and_column_gathers_match_exact_reference(n, guard, wide,
+# batches of rows - 1, rows and rows + 1 rows are tried besides the small
+# ones: the empty batch at n = 16, 128 rows of 1 byte, 16 rows per byte of
+# width at 3, 128, 129 and 512 bytes, and 8,192 rows of 64 bytes, the
+# largest batch of the edge tester at n = 512
+@pytest.mark.parametrize("n,rows", [(8, 128), (16, 0), (24, 48), (512, 8192),
+                                    (1024, 2048), (1032, 2064), (4096, 8192)])
+def test_flat_and_column_gathers_match_exact_reference(n, rows, wide,
                                                        restricted):
-    # batches on both sides of the flat gather's guard and exactly at it:
-    # at n = 16 (2 bytes, guard 0 rows) every batch takes the column loop,
-    # at n = 24 (guard 48) 128 and 256 rows take it, and at n = 1024 (guard
-    # 2048), 1032 (129 bytes, guard 2064, the narrowest guard above
-    # 256 KiB) and 4096 (guard 8192) they take the flat gather.  Every row
-    # must get the column loop's sign, and the first 256 rows, which hold
-    # the ties and their one-flip neighbours, and the middle and last rows
-    # that of the exact reference.
+    # the flat gather against the column-wise reference (_column_signs) at
+    # 1, 2, 3, 64, 128, 129 and 512 bytes, on batches of one take, of
+    # several and of 3 takes plus 5 rows.  Every row must get the
+    # reference's sign, and the first 256 rows, which hold the ties and
+    # their one-flip neighbours, and the middle and last rows that of the
+    # exact reference.
     rng = generator_for(n, "flat-gather", wide, restricted)
     if wide:
         # dyadic weights, three scaled by 2^45 so that float sums round
@@ -475,30 +475,33 @@ def test_flat_and_column_gathers_match_exact_reference(n, guard, wide,
                                        for wi, xi in zip(w, x0))
     assert exact_in_float(w) != wide
     ev = LTFEvaluator(spec)
-    assert ev._flat_rows == guard
     seen = []
     view = restrict(OracleHandle(lambda p: seen.append(p) or ev(p), n), rho)
-    tried = {2, 8, 128, 256, guard - 1, guard, guard + 1} - {-1, 0}
-    for rows in sorted(tried):
+    tried = {2, 8, 128, 256, 3 * ev._flat_block + 5,
+             rows - 1, rows, rows + 1} - {-1}
+    for m in sorted(tried):
+        if m == 0:
+            assert view.query_packed(bits.random_packed(rng, 0, n)).size == 0
+            continue
         # x0 and up to 127 of its one-flip neighbours, then random points,
         # with x0 also in the middle and last rows: a wide batch of
         # neighbours would send thousands of rows through math.fsum
-        near = min(rows // 2, 128)
+        near = min(m // 2, 128)
         flips = np.repeat(x0[None, :], near, axis=0)
         flips[np.arange(near), dom[rng.integers(0, dom.size, size=near)]] *= -1
-        batch = bits.random_packed(rng, rows, n)
+        batch = bits.random_packed(rng, m, n)
         batch[:near] = bits.pack(flips)
-        batch[[0, rows // 2, -1]] = bits.pack(x0)
+        batch[[0, m // 2, -1]] = bits.pack(x0)
         got = view.query_packed(batch)
-        assert np.array_equal(got, _column_signs(ev, seen[-1])), rows
-        exact = np.r_[:min(rows, 256), rows // 2, rows - 1]
+        assert np.array_equal(got, _column_signs(ev, seen[-1])), m
+        exact = np.r_[:min(m, 256), m // 2, m - 1]
         expect = _exact_signs(w, spec.theta, bits.unpack(seen[-1][exact], n))
-        assert np.array_equal(got[exact], expect), rows
+        assert np.array_equal(got[exact], expect), m
         assert got[0] == got[-1] == 1
-    # an n = 4096 edge batch whose lo half of `guard` rows takes the flat
-    # gather, and one edge more, whose lo half takes the column loop
+    # n = 4096 edge batches of 8192 edges, the edge tester's largest, and
+    # of one edge more
     if n == 4096:
-        for k in (guard, guard + 1):
+        for k in (rows, rows + 1):
             _, ev, batch, _ = _edge_batch_case(n, wide, restricted, k)
             assert _edge_positions(batch) is not None
             assert ev(batch)[k + 1] == 1

@@ -11,7 +11,6 @@ from monotest.rng import generator_for
 from monotest.truth import (
     DP_MAX_SUM,
     WeightProfile,
-    check_negative_mass_lower_bound,
     check_restriction_preserves_distance,
     dist_ltf_to_monotone_dp,
     dist_ltf_to_monotone_exact,
@@ -359,10 +358,4 @@ def test_restriction_average_random_sweep():
 def test_restriction_rejects_negative_vars():
     with pytest.raises(ValueError):
         check_restriction_preserves_distance(spec_of([-1, 1]), [0])
-
-
-def test_negative_mass_bound_vacuous_when_not_regular():
-    # at n=4 regularity >= 1/2 > eps/16 for any eps <= 1/2
-    chk = check_negative_mass_lower_bound(spec_of([1, 1, -1, 1]), 0.2)
-    assert chk.status == "vacuous"
 
