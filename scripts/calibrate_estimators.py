@@ -2,12 +2,14 @@
 """Calibration sweep for the sampling estimators against exact spectra.
 
 For a grid of (eta, delta) settings, measures the empirical failure rate of
-the degree-1 mass estimate on random integer-grid halfspaces at n=12, where
-the exact Walsh-Hadamard spectrum is the ground truth.  The mean-decision
-rows do the same for the bounded mean check (estimate_mean with a bound)
-against exact means: the rate at which it lands on the wrong side of the
-bound, and its mean queries per call next to the fixed Hoeffding count.
-Rates should sit well below the nominal delta.
+the degree-1 mass estimate (the degree1_square_terms of a 6-coordinate set,
+summed, from squares_sample_count(eta, delta, 6) queries) on random
+integer-grid halfspaces at n=12, where the exact Walsh-Hadamard spectrum is
+the ground truth.  The mean-decision rows do the same for the bounded mean
+check (estimate_mean with a bound) against exact means: the rate at which
+it lands on the wrong side of the bound, and its mean queries per call next
+to the fixed Hoeffding count.  Rates should sit well below the nominal
+delta.
 
 Example:
     python scripts/calibrate_estimators.py --trials 100
@@ -23,20 +25,21 @@ from monotest.generators import grid_spec
 from monotest.oracle import OracleHandle
 from monotest.rng import SplitRng
 from monotest.spectral import (
+    degree1_square_terms,
     estimate_mean,
-    estimate_sum_of_squares,
     exact_spectrum,
+    squares_sample_count,
 )
 from monotest.truth import exact_mean
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instances", type=int, default=10)
     ap.add_argument("--trials", type=int, default=100)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     gen = np.random.default_rng(np.random.Philox(args.seed))
     rows = []
@@ -48,12 +51,12 @@ def main():
             t_set = sorted(int(i) for i in gen.choice(12, 6, replace=False))
             truth = exact_spectrum(spec).degree1_mass(t_set)
             f = OracleHandle.for_spec(spec)
+            m = squares_sample_count(eta, delta, len(t_set))
             for trial in range(args.trials):
                 rng = SplitRng(args.seed, ("sq", eta, inst, trial))
-                est = estimate_sum_of_squares(f, t_set, eta, delta,
-                                              rng.generator)
-                failures += abs(est.value - truth) > eta
-                queries += est.queries_used
+                terms = degree1_square_terms(f, m, rng.generator)
+                failures += abs(terms[t_set].sum() - truth) > eta
+                queries += m
         total = args.instances * args.trials
         rows.append({"estimator": "degree1-mass", "eta": eta, "delta": delta,
                      "trials": total, "failure_rate": failures / total,
@@ -90,6 +93,7 @@ def main():
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
+    return rows
 
 
 if __name__ == "__main__":

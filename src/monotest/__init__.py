@@ -44,7 +44,6 @@ from .spectral import (
     SpectralEstimate,
     degree1_square_terms,
     estimate_mean,
-    estimate_sum_of_squares,
     exact_spectrum,
 )
 from .subroutines import (
@@ -99,7 +98,6 @@ __all__ = [
     "drop_negative_weights",
     "edge_tester",
     "estimate_mean",
-    "estimate_sum_of_squares",
     "eval_ltf",
     "exact_spectrum",
     "find_hi_influence_vars",

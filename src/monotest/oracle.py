@@ -408,11 +408,6 @@ class Restriction:
     def num_stars(self) -> int:
         return int(np.count_nonzero(self.assignment == 0))
 
-    def extends(self, other: "Restriction") -> bool:
-        """True iff self fixes everything other fixes, to the same values."""
-        sup = other.support()
-        return bool(np.all(self.assignment[sup] == other.assignment[sup]))
-
     def _packed_masks(self):
         # (star_mask, fixed_plus_bits), both packed over n coordinates
         if self._packed is None:

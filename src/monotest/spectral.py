@@ -13,15 +13,15 @@ For g_j = f(x_j) * x_j[i] (i.i.d. +-1 with mean c_i = E[f * x_i]),
 Sample sizes follow the variance structure (the linear statistic dominates
 with variance <= 4/m; the degenerate part contributes ~|T|/m^2), with
 multipliers large enough that the calibration suites see failure rates well
-under the nominal delta.  Hard query caps from the coarse worst-case budgets
-bound every sample count.
+under the nominal delta.  A parameter choice whose count would exceed
+MAX_FEASIBLE_QUERIES raises InfeasibleBudgetError instead of sampling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ CHUNK = 16384
 MEAN_CONST = 2.0           # Hoeffding: m = 2 ln(2/delta) / eps^2 exactly
 MEAN_FIRST_LOOK = 64       # the bounded mean check looks at 64 * 2^j samples
 SQUARES_CONST = 6.0
-SQUARES_CAP_CONST = 16.0   # cap: queries <= 16 ln(2/delta) / eta^4
 MAX_FEASIBLE_QUERIES = 1 << 40
 
 SPECTRUM_FULL_MAX_N = 16
@@ -58,15 +57,15 @@ def _check_unit(name: str, value: float):
 
 
 def squares_sample_count(eta: float, delta: float, t_size: int) -> int:
-    """Queries estimate_sum_of_squares spends on a set of t_size
-    coordinates; non-decreasing in t_size."""
+    """Queries for which the degree1_square_terms of a set of t_size
+    coordinates sum to its degree-1 mass within eta with probability
+    >= 1 - delta; non-decreasing in t_size.  Raises InfeasibleBudgetError
+    above MAX_FEASIBLE_QUERIES."""
     log_term = math.log(2.0 / delta)
     # 1/eta^2 covers the linear statistic (variance <= 4/m); the
     # sqrt(|T|)/eta term covers the degenerate part (variance ~ 2|T|/m^2)
-    m_acc = SQUARES_CONST * log_term * max(
-        eta ** -2, math.sqrt(t_size + 1.0) / (2.0 * eta))
-    m_cap = SQUARES_CAP_CONST * log_term / eta ** 4
-    m = int(math.ceil(min(m_acc, m_cap)))
+    m = int(math.ceil(SQUARES_CONST * log_term * max(
+        eta ** -2, math.sqrt(t_size + 1.0) / (2.0 * eta))))
     if m > MAX_FEASIBLE_QUERIES:
         raise InfeasibleBudgetError(
             f"estimator would need {m:.3g} queries; parameters are below "
@@ -151,21 +150,19 @@ def estimate_mean(f: OracleHandle, eps: float, delta: float,
 # degree-1 mass
 
 
-def degree1_square_terms(f: OracleHandle, m: int, rng: np.random.Generator,
-                         n_dummy: int = 0) -> np.ndarray:
+def degree1_square_terms(f: OracleHandle, m: int,
+                         rng: np.random.Generator) -> np.ndarray:
     """Unbiased estimates (s1^2 - m) / (m (m-1)) of fhat(i)^2 for every free
-    coordinate of the handle (positions, ascending domain order), followed
-    by n_dummy appended dummy coordinates whose exact coefficient is zero,
-    all from one batch of m uniform queries.
+    coordinate of the handle (positions, ascending domain order), all from
+    one batch of m uniform queries.
 
-    Summing the entries of a set T estimates the degree-1 mass of T; the
-    sample count that estimate_sum_of_squares picks for |T| gives the
-    accuracy it promises, and more samples only sharpen it.
+    Summing the entries of a set T estimates the degree-1 mass of T, to
+    within eta with probability >= 1 - delta once m is at least
+    squares_sample_count(eta, delta, |T|); more samples only sharpen it.
     """
     dom = f.domain
     byte_positions = np.unique(dom >> 3)
     s1_amb = np.zeros(8 * byte_positions.size)
-    s1_dummy = np.zeros(8 * bits.nbytes(n_dummy))
     chunk = bits.chunk_rows(CHUNK, bits.nbytes(f.ambient_n))
     done = 0
     while done < m:
@@ -173,35 +170,9 @@ def degree1_square_terms(f: OracleHandle, m: int, rng: np.random.Generator,
         pts = bits.random_packed(rng, k, f.ambient_n)
         v = f.query_packed(pts).astype(np.float64)
         s1_amb += bits.signed_bit_sums(pts, v, byte_positions)
-        if n_dummy:
-            dpts = bits.random_packed(rng, k, n_dummy)
-            s1_dummy += bits.signed_bit_sums(dpts, v, range(dpts.shape[1]))
         done += k
-    s1 = np.concatenate([
-        s1_amb[8 * np.searchsorted(byte_positions, dom >> 3) + (dom & 7)],
-        s1_dummy[:n_dummy]])
+    s1 = s1_amb[8 * np.searchsorted(byte_positions, dom >> 3) + (dom & 7)]
     return (s1 * s1 - m) / (m * (m - 1.0))
-
-
-def estimate_sum_of_squares(f: OracleHandle, t_set: Sequence[int], eta: float,
-                            delta: float, rng: np.random.Generator,
-                            n_dummy: int = 0) -> SpectralEstimate:
-    """Estimate the degree-1 mass sum_{i in T} fhat(i)^2 to +-eta w.p. 1-delta.
-
-    T indexes the handle's free coordinates (positions, ascending domain
-    order).  Positions >= domain size refer to appended dummy coordinates
-    (declared via n_dummy) whose exact coefficient is zero.  Query count
-    depends only on |T| and is capped at ceil(16 ln(2/delta) / eta^4); the
-    value is the sum over T of degree1_square_terms from that batch.
-    """
-    _check_unit("eta", eta)
-    _check_unit("delta", delta)
-    t_arr = np.asarray(sorted({int(i) for i in t_set}), dtype=np.int64)
-    if t_arr.size and (t_arr[0] < 0 or t_arr[-1] >= f.domain_size + n_dummy):
-        raise ValueError("T outside the (padded) domain")
-    m = squares_sample_count(eta, delta, t_arr.size)
-    terms = degree1_square_terms(f, m, rng, n_dummy)
-    return SpectralEstimate(float(terms[t_arr].sum()), eta, delta, m)
 
 
 # ---------------------------------------------------------------------------

@@ -16,21 +16,16 @@ from typing import Optional
 import numpy as np
 
 from . import bits
-from .oracle import (
-    AntiMonotoneEdgeCertificate,
-    OracleHandle,
-    Restriction,
-    Verdict,
-    restrict,
-)
+from .oracle import AntiMonotoneEdgeCertificate, OracleHandle, Verdict
 from .rng import SplitRng
 from .spectral import degree1_square_terms, squares_sample_count
-# not called here any more, but perfbench/tracing.py wraps them under these
-# names
-from .spectral import estimate_mean, estimate_sum_of_squares  # noqa: F401
-# bound only because perfbench/tracing.py wraps this name here; spectral has
-# no regularity check, and nothing calls it
+# not called here any more, but perfbench/tracing.py wraps it under this name
+from .spectral import estimate_mean  # noqa: F401
+# bound only because perfbench/tracing.py wraps these names here: spectral
+# has no regularity check, and the degree-1 mass wrapper is deleted (the
+# influence search sums degree1_square_terms itself), so nothing calls them
 check_fourier_regular = None
+estimate_sum_of_squares = None
 
 # the edge tester's batches: the first has EDGE_FIRST_BATCH edges and each
 # later one twice the one before, up to EDGE_CHUNK edges whose lo and hi
@@ -66,47 +61,53 @@ class HiInfluenceResult:
         return self.variables is None
 
 
-def find_hi_influence_vars(f: OracleHandle, rho: Restriction, tau: float,
-                           delta: float, rng: SplitRng,
+def find_hi_influence_vars(f: OracleHandle, tau: float, delta: float,
+                           rng: SplitRng,
                            min_call_delta: Optional[float] = None
                            ) -> HiInfluenceResult:
-    """Find every free variable with |fhat_rho(i)| >= tau, excluding all with
-    |fhat_rho(i)| < tau/2 (each guarantee holding with probability 1-delta).
+    """Find every free variable of f with |fhat(i)| >= tau, excluding all
+    with |fhat(i)| < tau/2 (each guarantee holding with probability
+    1-delta).  To search f under a restriction rho, pass restrict(f, rho).
 
-    Pads the free variables to a power of two, width, with synthetic
-    irrelevant coordinates, then repeatedly halves the heaviest surviving
-    block: a block stays alive while its estimated degree-1 mass exceeds
-    3 tau^2 / 4.  Every block is scored from one shared batch of uniform
+    Halves the k free coordinates [0, k) into [lo, mid) and [mid, hi) with
+    mid = (lo + hi) // 2, and keeps a block alive while its estimated
+    degree-1 mass exceeds 3 tau^2 / 4; every alive block of two or more
+    coordinates is split, and the singletons left, in ascending order, are
+    the result.  Every block is scored from one shared batch of uniform
     queries (degree1_square_terms): its estimate is the sum of the
     per-coordinate terms over the block.  The batch has the sample count of
-    a width/2 block at accuracy eta = tau^2/10 and per-block confidence
+    a ceil(k/2) block at accuracy eta = tau^2/10 and per-block confidence
     call_delta = tau^2 delta / (8 log2 n).  Fails (never silently) if the
     number of blocks scored would exceed call_cap = ceil(8 log2(n) / tau^2).
+    The set of blocks scored does not depend on the order of the splits, so
+    neither do estimator_calls and the cap decision.
 
     Why one batch suffices.  The sample count is non-decreasing in the
-    block size and every scored block has at most width/2 coordinates, so
+    block size and every scored block has at most ceil(k/2) coordinates, so
     for any fixed block the estimate is within eta of the block's true mass
     with probability >= 1 - call_delta.  The blocks that get scored depend
     on the batch, so the union bound runs over a candidate set C fixed in
-    advance: the two halves of the padded domain, and both children of
-    every block whose true mass exceeds 3 tau^2/4 - eta = 0.65 tau^2.  Until
-    the first wrong estimate, every split block was estimated above
-    3 tau^2/4 within eta, so its true mass exceeds 0.65 tau^2 and its
-    children lie in C; hence the first wrong estimate, if any, falls on a
-    block of C.  The blocks of one level are disjoint and by Parseval the
-    degree-1 mass is at most 1, so each of the log2(width) - 1 levels that
-    get split holds fewer than 1/(0.65 tau^2) such blocks, and
-    |C| <= 2 + 2 (log2(width) - 1) / (0.65 tau^2) <= call_cap for tau <= 1,
-    since width < 2n.  So every scored estimate is within eta except with
-    probability at most |C| call_delta <= call_cap call_delta, the same
-    budget as one fresh batch per block.
+    advance: the two halves of [0, k), and both children of every block of
+    two or more coordinates whose true mass exceeds
+    3 tau^2/4 - eta = 0.65 tau^2.  Until the first wrong estimate, every
+    split block was estimated above 3 tau^2/4 within eta, so its true mass
+    exceeds 0.65 tau^2 and its children lie in C; hence the first wrong
+    estimate, if any, falls on a block of C.  A block at depth d has at
+    most ceil(k / 2^d) coordinates, so blocks of two or more lie at depth at
+    most ceil(log2 k) - 1 and scored blocks at depth at most ceil(log2 k).
+    The blocks of one depth are disjoint and by Parseval the degree-1 mass
+    is at most 1, so each of the ceil(log2 k) - 1 depths from 1 on that get
+    split holds fewer than 1/(0.65 tau^2) such blocks, and
+    |C| <= 2 + 2 (ceil(log2 k) - 1) / (0.65 tau^2) <= call_cap for tau <= 1,
+    since ceil(log2 k) - 1 < log2 k <= log2 n.  So every scored estimate is
+    within eta except with probability at most |C| call_delta <=
+    call_cap call_delta, the same budget as one fresh batch per block.
 
     min_call_delta, when given, floors the per-block confidence parameter
     (the tester passes schedule.ESTIMATOR_DELTA; the formula value is used
     whenever it is larger).
     """
-    view = restrict(f, rho)
-    k = view.domain_size
+    k = f.domain_size
     before = f.query_count
     if k == 0:
         return HiInfluenceResult(np.empty(0, dtype=np.int64), 0, 0, 0)
@@ -115,25 +116,20 @@ def find_hi_influence_vars(f: OracleHandle, rho: Restriction, tau: float,
     call_delta = tau ** 2 * delta / (8.0 * log2n)
     if min_call_delta is not None:
         call_delta = max(call_delta, min_call_delta)
-    width = 1 << max(0, (k - 1).bit_length())
     eta = tau ** 2 / 10.0
     threshold = 3.0 * tau ** 2 / 4.0
 
-    if width > 1:  # a single variable is never split, so never scored
-        m = squares_sample_count(eta, call_delta, width // 2)
-        terms = degree1_square_terms(view, m, rng.child("esos").generator,
-                                     n_dummy=width - k)
-    worklist: list[tuple[int, int]] = [(0, width)]  # [lo, hi) blocks
+    if k > 1:  # a single variable is never split, so never scored
+        m = squares_sample_count(eta, call_delta, (k + 1) // 2)
+        terms = degree1_square_terms(f, m, rng.child("esos").generator)
+    stack = [(0, k)]  # alive [lo, hi) blocks
+    survivors = []
     calls = 0
-    while True:
-        pick = None
-        best = 1
-        for idx, (lo, hi) in enumerate(worklist):
-            if hi - lo > best:
-                pick, best = idx, hi - lo
-        if pick is None:
-            break
-        lo, hi = worklist.pop(pick)
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo == 1:
+            survivors.append(lo)
+            continue
         mid = (lo + hi) // 2
         for a, b in ((lo, mid), (mid, hi)):
             if calls + 1 > call_cap:  # the next block would exceed the cap
@@ -141,10 +137,8 @@ def find_hi_influence_vars(f: OracleHandle, rho: Restriction, tau: float,
                                          f.query_count - before)
             calls += 1
             if terms[a:b].sum() > threshold:
-                worklist.append((a, b))
-    survivors = sorted(lo for lo, _hi in worklist if lo < k)
-    labels = view.domain[np.asarray(survivors, dtype=np.int64)] \
-        if survivors else np.empty(0, dtype=np.int64)
+                stack.append((a, b))
+    labels = f.domain[np.sort(np.asarray(survivors, dtype=np.int64))]
     return HiInfluenceResult(labels, calls, call_cap, f.query_count - before)
 
 
@@ -193,30 +187,29 @@ class WeightSignResult:
     queries_used: int
 
 
-def check_weight_positive(f: OracleHandle, rho: Restriction, i: int,
-                          tau: float, delta: float,
+def check_weight_positive(f: OracleHandle, i: int, tau: float, delta: float,
                           rng: SplitRng) -> WeightSignResult:
-    """Probe the sign of weight i by sampling edges in direction i.
+    """Probe the sign of weight i of f by sampling edges in direction i.
 
-    Draws ceil(2 ln(1/delta) / tau) uniform edges consistent with rho (fixed
-    coordinates pinned, other free coordinates uniform, both settings of
+    Draws ceil(2 ln(1/delta) / tau) uniform edges of f (on a view, its fixed
+    coordinates pinned, the other free coordinates uniform, both settings of
     coordinate i queried) and reports the orientation of the first
     bi-chromatic one.  Fails iff no sampled edge is bi-chromatic, which has
-    probability at most delta whenever |fhat_rho(i)| >= tau.  A halfspace is
-    unate, so mixed orientations cannot occur.
+    probability at most delta whenever |fhat(i)| >= tau.  A halfspace is
+    unate, so mixed orientations cannot occur.  Raises ValueError if i is
+    fixed in f's view.
     """
-    if rho.assignment[i] != 0:
+    if f.rho is not None and f.rho.assignment[i] != 0:
         raise ValueError(f"coordinate {i} is fixed by the restriction")
     k_edges = int(math.ceil(2.0 * math.log(1.0 / delta) / tau))
-    view = restrict(f, rho)
     pts = bits.random_packed(rng.generator, k_edges, f.ambient_n)
-    lo, v_lo, v_hi = _query_edges(view, pts, i)
+    lo, v_lo, v_hi = _query_edges(f, pts, i)
     bichromatic = np.flatnonzero(v_lo != v_hi)
     if bichromatic.size == 0:
         return WeightSignResult(FAIL, None, 2 * k_edges)
     first = int(bichromatic[0])
     if v_lo[first] == 1:  # f drops when x_i rises: anti-monotone edge
-        cert = _edge_certificate(view, lo[first], i)
+        cert = _edge_certificate(f, lo[first], i)
         return WeightSignResult(NEGATIVE, cert, 2 * k_edges)
     return WeightSignResult(POSITIVE, None, 2 * k_edges)
 

@@ -81,8 +81,7 @@ def regularize_and_balance(f: OracleHandle, eps: float,
     high there is nothing to fix, so one round is run instead of
     sched.rb_rounds.
     """
-    all_stars = Restriction.all_stars(f.ambient_n)
-    found = find_hi_influence_vars(f, all_stars, INFLUENCE_TAU, DELTA,
+    found = find_hi_influence_vars(f, INFLUENCE_TAU, DELTA,
                                    rng.child("influence"),
                                    min_call_delta=ESTIMATOR_DELTA)
     if found.failed:
@@ -91,8 +90,7 @@ def regularize_and_balance(f: OracleHandle, eps: float,
     if high.size > 4.0 / INFLUENCE_TAU ** 2:
         return Verdict.monotone("rb:h-overflow")
     for i in high:
-        probe = check_weight_positive(f, all_stars, int(i),
-                                      INFLUENCE_TAU / 2.0, DELTA,
+        probe = check_weight_positive(f, int(i), INFLUENCE_TAU / 2.0, DELTA,
                                       rng.child("sign", int(i)))
         if probe.decision == NEGATIVE:
             return Verdict.non_monotone(probe.certificate,

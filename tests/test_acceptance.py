@@ -31,13 +31,16 @@ from monotest.harness import SuiteConfig, run_suite
 from monotest.oracle import (
     LTFSpec,
     OracleHandle,
-    Restriction,
     certificate_holds,
     truth_table,
     verify_certificate,
 )
 from monotest.rng import SplitRng
-from monotest.spectral import estimate_sum_of_squares, exact_spectrum
+from monotest.spectral import (
+    degree1_square_terms,
+    exact_spectrum,
+    squares_sample_count,
+)
 from monotest.subroutines import (
     NEGATIVE,
     check_weight_positive,
@@ -224,12 +227,12 @@ def test_degree1_estimator_calibration():
                  sorted(int(i) for i in gen.choice(12, size=6, replace=False)))
         truth = exact_spectrum(spec).degree1_mass(t_set)
         f = OracleHandle.for_spec(spec)
+        m = squares_sample_count(eta, delta, len(t_set))
         failures = 0
         for trial in range(200):
-            est = estimate_sum_of_squares(
-                f, t_set, eta, delta,
-                rng_at(6000 + inst, "trial", trial).generator)
-            failures += abs(est.value - truth) > eta
+            terms = degree1_square_terms(
+                f, m, rng_at(6000 + inst, "trial", trial).generator)
+            failures += abs(terms[t_set].sum() - truth) > eta
         freq = failures / 200.0
         worst = max(worst, freq)
         if freq > 0.15:
@@ -265,9 +268,8 @@ def test_influence_search_contract():
         for trial in range(50):
             trials += 1
             f = OracleHandle.for_spec(spec)
-            out = find_hi_influence_vars(
-                f, Restriction.all_stars(n), tau, delta,
-                rng_at(700 + n, "trial", trial))
+            out = find_hi_influence_vars(f, tau, delta,
+                                         rng_at(700 + n, "trial", trial))
             assert not out.failed
             assert out.estimator_calls <= out.call_cap, \
                 "estimator-call cap exceeded"
@@ -307,8 +309,8 @@ def test_weight_sign_probe_contract():
         for trial in range(50):
             trials += 1
             f = OracleHandle.for_spec(spec)
-            out = check_weight_positive(f, Restriction.all_stars(n), 0, tau,
-                                        delta, rng_at(800 + n, "t", trial))
+            out = check_weight_positive(f, 0, tau, delta,
+                                        rng_at(800 + n, "t", trial))
             if out.decision == "positive":
                 sign_errors += 1
             if out.decision == NEGATIVE:

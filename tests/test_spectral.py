@@ -20,7 +20,6 @@ from monotest.spectral import (
     InfeasibleBudgetError,
     degree1_square_terms,
     estimate_mean,
-    estimate_sum_of_squares,
     squares_sample_count,
     _fwht,
     exact_influences,
@@ -262,24 +261,31 @@ def test_mean_decision_at_the_cap_is_the_fixed_count_estimate():
 
 
 # ---------------------------------------------------------------------------
-# estimate_sum_of_squares
+# degree-1 mass: degree1_square_terms summed over a set, from
+# squares_sample_count queries
+
+
+def squares(f, t_set, eta, delta, rng):
+    """The degree-1 mass estimate of t_set at accuracy eta, confidence
+    1 - delta, and the queries it drew."""
+    m = squares_sample_count(eta, delta, len(t_set))
+    return float(degree1_square_terms(f, m, rng)[list(t_set)].sum()), m
 
 
 def test_squares_dictator():
     spec = LTFSpec(np.array([1.0] + [0.0] * 7), 0.0)
     f = OracleHandle.for_spec(spec)
-    est = estimate_sum_of_squares(f, [0], 0.1, 0.05, generator_for(5, "sq1"))
-    assert abs(est.value - 1.0) <= 0.1
-    est0 = estimate_sum_of_squares(f, range(1, 8), 0.1, 0.05,
-                                   generator_for(5, "sq0"))
-    assert abs(est0.value) <= 0.1
+    est, _ = squares(f, [0], 0.1, 0.05, generator_for(5, "sq1"))
+    assert abs(est - 1.0) <= 0.1
+    est0, _ = squares(f, range(1, 8), 0.1, 0.05, generator_for(5, "sq0"))
+    assert abs(est0) <= 0.1
 
 
 def test_squares_majority5_pair():
     f = OracleHandle.for_spec(majority_spec(5))
     truth = 2 * (6 / 16) ** 2  # 0.28125
-    est = estimate_sum_of_squares(f, [0, 1], 0.1, 0.05, generator_for(6, "sq5"))
-    assert abs(est.value - truth) <= 0.1
+    est, _ = squares(f, [0, 1], 0.1, 0.05, generator_for(6, "sq5"))
+    assert abs(est - truth) <= 0.1
 
 
 def test_squares_calibration_against_spectrum():
@@ -290,26 +296,16 @@ def test_squares_calibration_against_spectrum():
         t_set = sorted(rng.choice(n, size=max(1, n // 2), replace=False))
         truth = exact_spectrum(spec).degree1_mass(t_set)
         f = OracleHandle.for_spec(spec)
-        est = estimate_sum_of_squares(f, t_set, 0.1, 0.05,
-                                      generator_for(trial, "calib-run"))
-        assert abs(est.value - truth) <= 0.1
+        est, _ = squares(f, t_set, 0.1, 0.05,
+                         generator_for(trial, "calib-run"))
+        assert abs(est - truth) <= 0.1
 
 
-def test_squares_query_accounting_and_cap():
+def test_squares_query_accounting():
     f = OracleHandle.for_spec(majority_spec(9))
     before = f.query_count
-    est = estimate_sum_of_squares(f, range(9), 0.15, 0.1,
-                                  generator_for(8, "cap"))
-    assert est.queries_used == f.query_count - before
-    cap = math.ceil(16 * math.log(2 / 0.1) / 0.15 ** 4)
-    assert est.queries_used <= cap
-
-
-def test_squares_dummy_columns_are_irrelevant():
-    f = OracleHandle.for_spec(majority_spec(5))
-    est = estimate_sum_of_squares(f, [5, 6, 7], 0.1, 0.05,
-                                  generator_for(9, "dummy"), n_dummy=3)
-    assert abs(est.value) <= 0.1
+    _, m = squares(f, range(9), 0.15, 0.1, generator_for(8, "cap"))
+    assert m == f.query_count - before
 
 
 def test_squares_on_restricted_view():
@@ -318,42 +314,32 @@ def test_squares_on_restricted_view():
     f = OracleHandle.for_spec(spec)
     view = restrict(f, Restriction.fixing(4, {0: -1}))
     truth = exact_spectrum(LTFSpec(np.ones(3), 10.5)).degree1_mass()
-    est = estimate_sum_of_squares(view, [0, 1, 2], 0.1, 0.05,
-                                  generator_for(10, "view"))
-    assert abs(est.value - truth) <= 0.1
+    est, _ = squares(view, [0, 1, 2], 0.1, 0.05, generator_for(10, "view"))
+    assert abs(est - truth) <= 0.1
 
 
 def test_squares_is_sum_of_per_coordinate_terms():
-    # the terms come from one draw of the stream: ambient points, then the
-    # dummy columns; checked against dense signed sums of that draw, on the
-    # root and on a view whose free coordinates share bytes with fixed ones
-    # and skip the fully fixed byte 1
-    n_dummy, eta, delta = 5, 0.2, 0.1
-    t_set = [0, 3, 4, 10, 12, 15]
-    m = squares_sample_count(eta, delta, len(t_set))
+    # the terms come from one draw of the stream, checked against dense
+    # signed sums of that draw, on the root and on a view whose free
+    # coordinates share bytes with fixed ones and skip the fully fixed
+    # byte 1
+    m = squares_sample_count(0.2, 0.1, 6)
     byte1 = {i: (-1) ** i for i in range(8, 16)}
     for n, fixed in [(11, {}), (21, {2: 1, 17: -1, **byte1})]:
         spec = grid_spec(generator_for(16, "terms-spec"), n)
         f = OracleHandle.for_spec(spec)
         if fixed:
             f = restrict(f, Restriction.fixing(n, fixed))
-        terms = degree1_square_terms(f, m, generator_for(16, "terms"), n_dummy)
-        gen = generator_for(16, "terms")
-        x = bits.unpack(bits.random_packed(gen, m, n), n)
-        d = bits.unpack(bits.random_packed(gen, m, n_dummy), n_dummy)
+        terms = degree1_square_terms(f, m, generator_for(16, "terms"))
+        x = bits.unpack(
+            bits.random_packed(generator_for(16, "terms"), m, n), n)
         x[:, list(fixed)] = list(fixed.values())
         v = LTFEvaluator(spec)(bits.pack(x)).astype(np.float64)
         free = [i for i in range(n) if i not in fixed]
-        s1 = np.concatenate([x[:, free].T @ v, d.T @ v])
+        s1 = x[:, free].T @ v
         assert np.array_equal(terms, (s1 * s1 - m) / (m * (m - 1.0)))
-        est = estimate_sum_of_squares(f, t_set, eta, delta,
-                                      generator_for(16, "terms"),
-                                      n_dummy=n_dummy)
-        assert est.queries_used == m
-        assert est.value == float(terms[t_set].sum())
 
 
 def test_infeasible_budget_raises():
-    f = OracleHandle.for_spec(majority_spec(5))
     with pytest.raises(InfeasibleBudgetError):
-        estimate_sum_of_squares(f, [0], 1e-6, 1e-6, generator_for(0, "x"))
+        squares_sample_count(1e-6, 1e-6, 1)

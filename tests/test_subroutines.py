@@ -8,6 +8,7 @@ from monotest.oracle import (
     LTFSpec,
     OracleHandle,
     Restriction,
+    restrict,
     verify_certificate,
 )
 from monotest.rng import SplitRng
@@ -43,8 +44,7 @@ def rng_at(seed, *path):
 def test_influence_search_lone_dictator():
     spec = LTFSpec(np.array([1.0] + [0.0] * 7), 0.0)
     f = OracleHandle.for_spec(spec)
-    out = find_hi_influence_vars(f, Restriction.all_stars(8), 0.5, 0.1,
-                                 rng_at(1, "dict"))
+    out = find_hi_influence_vars(f, 0.5, 0.1, rng_at(1, "dict"))
     assert not out.failed
     assert list(out.variables) == [0]
     assert out.estimator_calls <= out.call_cap
@@ -53,8 +53,7 @@ def test_influence_search_lone_dictator():
 def test_influence_search_majority51_empty():
     # every coefficient ~0.112 < tau/2 = 0.25
     f = OracleHandle.for_spec(LTFSpec(np.ones(51), 0.0))
-    out = find_hi_influence_vars(f, Restriction.all_stars(51), 0.5, 0.1,
-                                 rng_at(2, "maj51"))
+    out = find_hi_influence_vars(f, 0.5, 0.1, rng_at(2, "maj51"))
     assert not out.failed and out.variables.size == 0
 
 
@@ -64,8 +63,7 @@ def test_influence_search_planted_gap_n17():
     assert abs(degree1[0]) >= 0.3
     assert np.max(np.abs(degree1[1:])) < 0.15
     f = OracleHandle.for_spec(spec)
-    out = find_hi_influence_vars(f, Restriction.all_stars(17), 0.3, 0.05,
-                                 rng_at(3, "plant17"))
+    out = find_hi_influence_vars(f, 0.3, 0.05, rng_at(3, "plant17"))
     assert list(out.variables) == [0]
     assert out.estimator_calls <= out.call_cap == math.ceil(
         8 * math.log2(17) / 0.3 ** 2)
@@ -76,37 +74,56 @@ def test_influence_search_respects_restriction():
     spec = planted_heavy(17)
     f = OracleHandle.for_spec(spec)
     rho = Restriction.fixing(17, {0: 1})
-    out = find_hi_influence_vars(f, rho, 0.5, 0.05, rng_at(4, "fixed"))
+    out = find_hi_influence_vars(restrict(f, rho), 0.5, 0.05,
+                                 rng_at(4, "fixed"))
     assert out.variables.size == 0
+
+
+def test_influence_search_returns_sorted_ambient_labels():
+    # an OR of coordinates 3 and 12 (|fhat| = 1/2 each) under a view that
+    # fixes two irrelevant coordinates, so positions and labels differ
+    w = np.zeros(16)
+    w[[3, 12]] = 1.0
+    f = OracleHandle.for_spec(LTFSpec(w, -1.0))
+    view = restrict(f, Restriction.fixing(16, {0: 1, 5: -1}))
+    out = find_hi_influence_vars(view, 0.5, 0.1, rng_at(17, "pair"))
+    assert list(out.variables) == [3, 12]
 
 
 def test_influence_search_cap_trips_on_broken_estimator(monkeypatch):
     # force every estimate high so no block is ever pruned
-    def always_heavy(view, m, rng, n_dummy=0):
-        return np.ones(view.domain_size + n_dummy)
+    def always_heavy(view, m, rng):
+        return np.ones(view.domain_size)
 
     monkeypatch.setattr(subroutines, "degree1_square_terms", always_heavy)
     f = OracleHandle.for_spec(LTFSpec(np.ones(64), 0.5))
     # with nothing ever pruned the search needs 2*63 calls, above the cap
-    out = find_hi_influence_vars(f, Restriction.all_stars(64), 0.7, 0.1,
-                                 rng_at(5, "trip"))
+    out = find_hi_influence_vars(f, 0.7, 0.1, rng_at(5, "trip"))
     assert out.failed
     assert out.estimator_calls == out.call_cap  # completed calls only
 
 
-@pytest.mark.parametrize("n", [17, 64, 4096])
-def test_influence_search_scores_blocks_from_one_batch(n):
+@pytest.mark.parametrize("n,pos,calls", [
+    # the left-hand path to coordinate 0 halves floor(log2 n) times
+    pytest.param(17, 0, 8, id="17"),
+    pytest.param(64, 0, 12, id="64"),
+    pytest.param(4096, 0, 24, id="4096"),
+    # the right-hand half gets the extra coordinate of an odd block, so the
+    # path to coordinate n - 1 is the deepest: ceil(log2 n) halvings
+    pytest.param(17, 16, 10, id="17-last"),
+    pytest.param(20, 19, 10, id="20-last"),
+])
+def test_influence_search_scores_blocks_from_one_batch(n, pos, calls):
     # every block is scored from one batch sized for the widest block,
-    # width/2 coordinates, whatever the number of blocks scored
+    # ceil(n/2) coordinates, whatever the number of blocks scored
     tau, delta, floor = 0.5, 0.1, 1e-2
-    f = OracleHandle.for_spec(LTFSpec(np.eye(1, n)[0], 0.0))
-    out = find_hi_influence_vars(f, Restriction.all_stars(n), tau, delta,
-                                 rng_at(16, "batch", n), min_call_delta=floor)
-    width = 1 << (n - 1).bit_length()
+    f = OracleHandle.for_spec(LTFSpec(np.eye(1, n, pos)[0], 0.0))
+    out = find_hi_influence_vars(f, tau, delta, rng_at(16, "batch", n),
+                                 min_call_delta=floor)
     call_delta = max(tau ** 2 * delta / (8 * math.log2(n)), floor)
-    m = squares_sample_count(tau ** 2 / 10, call_delta, width // 2)
-    assert list(out.variables) == [0]
-    assert out.estimator_calls == 2 * math.log2(width)
+    m = squares_sample_count(tau ** 2 / 10, call_delta, (n + 1) // 2)
+    assert list(out.variables) == [pos]
+    assert out.estimator_calls == calls
     assert out.queries_used == f.query_count == m
 
 
@@ -116,7 +133,8 @@ def test_influence_search_single_variable_returned_unconditionally():
     # guard against it being uninfluential
     f = OracleHandle.for_spec(LTFSpec(np.array([1.0, 1.0]), 0.0))
     rho = Restriction.fixing(2, {1: 1})
-    out = find_hi_influence_vars(f, rho, 0.5, 0.1, rng_at(15, "single"))
+    out = find_hi_influence_vars(restrict(f, rho), 0.5, 0.1,
+                                 rng_at(15, "single"))
     assert list(out.variables) == [0]
     assert out.estimator_calls == 0
 
@@ -124,7 +142,8 @@ def test_influence_search_single_variable_returned_unconditionally():
 def test_influence_search_empty_domain():
     f = OracleHandle.for_spec(LTFSpec(np.ones(4), 0.5))
     rho = Restriction(np.ones(4, dtype=np.int8))
-    out = find_hi_influence_vars(f, rho, 0.5, 0.1, rng_at(6, "empty"))
+    out = find_hi_influence_vars(restrict(f, rho), 0.5, 0.1,
+                                 rng_at(6, "empty"))
     assert not out.failed and out.variables.size == 0 and out.queries_used == 0
 
 
@@ -134,8 +153,7 @@ def test_influence_search_empty_domain():
 
 def test_weight_sign_negated_dictator():
     f = OracleHandle.for_spec(LTFSpec(np.array([-1.0]), 0.0))
-    out = check_weight_positive(f, Restriction.all_stars(1), 0, 0.5, 0.1,
-                                rng_at(7, "negdict"))
+    out = check_weight_positive(f, 0, 0.5, 0.1, rng_at(7, "negdict"))
     assert out.decision == NEGATIVE
     assert verify_certificate(f, out.certificate)
 
@@ -145,8 +163,7 @@ def test_weight_sign_positive_rate():
     hits = 0
     for t in range(100):
         f = OracleHandle.for_spec(spec)
-        out = check_weight_positive(f, Restriction.all_stars(2), 0, 0.5, 0.05,
-                                    rng_at(t, "pos"))
+        out = check_weight_positive(f, 0, 0.5, 0.05, rng_at(t, "pos"))
         hits += out.decision == POSITIVE
         assert out.decision != NEGATIVE  # sign errors never happen
     assert hits >= 95
@@ -156,8 +173,7 @@ def test_weight_sign_zero_influence_always_fails():
     spec = LTFSpec(np.array([1.0, 0.0]), 0.0)
     for t in range(20):
         f = OracleHandle.for_spec(spec)
-        out = check_weight_positive(f, Restriction.all_stars(2), 1, 0.5, 0.1,
-                                    rng_at(t, "zero"))
+        out = check_weight_positive(f, 1, 0.5, 0.1, rng_at(t, "zero"))
         assert out.decision == FAIL
 
 
@@ -167,8 +183,8 @@ def test_weight_sign_consistency_across_seeds():
     for t in range(30):
         for i in range(5):
             f = OracleHandle.for_spec(spec)
-            out = check_weight_positive(f, Restriction.all_stars(5), i,
-                                        0.3, 0.1, rng_at(t, "consist", i))
+            out = check_weight_positive(f, i, 0.3, 0.1,
+                                        rng_at(t, "consist", i))
             if out.decision != FAIL:
                 seen[i].add(out.decision)
     for i, decisions in seen.items():
@@ -179,14 +195,16 @@ def test_weight_sign_respects_restriction_and_counts_queries():
     spec = LTFSpec(np.array([2.0, -5.0, 1.0]), 0.5)
     f = OracleHandle.for_spec(spec)
     rho = Restriction.fixing(3, {0: -1})
-    out = check_weight_positive(f, rho, 1, 0.4, 0.1, rng_at(9, "restr"))
+    out = check_weight_positive(restrict(f, rho), 1, 0.4, 0.1,
+                                rng_at(9, "restr"))
     assert out.decision == NEGATIVE
     assert f.query_count == out.queries_used
     base = out.certificate.base_point
     assert base[0] == -1  # consistent with rho
     assert verify_certificate(f, out.certificate)
     with pytest.raises(ValueError):
-        check_weight_positive(f, rho, 0, 0.4, 0.1, rng_at(9, "bad"))
+        check_weight_positive(restrict(f, rho), 0, 0.4, 0.1,
+                              rng_at(9, "bad"))
 
 
 # ---------------------------------------------------------------------------

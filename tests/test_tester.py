@@ -111,8 +111,7 @@ def test_rb_gives_up_after_one_round_without_high_variables():
 
     g = OracleHandle.for_spec(spec)
     found = find_hi_influence_vars(
-        g, Restriction.all_stars(n), INFLUENCE_TAU, DELTA,
-        SplitRng(3).child("rb").child("influence"),
+        g, INFLUENCE_TAU, DELTA, SplitRng(3).child("rb").child("influence"),
         min_call_delta=ESTIMATOR_DELTA)
     assert found.variables.size == 0
     mean_cap = math.ceil(2 * math.log(4 / (DELTA / 2)) / (eps / 6) ** 2)
@@ -277,7 +276,8 @@ def test_phase_step_outcomes_pinned():
         "monotone", "rb:round-exhaustion", 51120, None)
 
     f = OracleHandle.for_spec(neg)
-    probe = check_weight_positive(f, base, 1, 0.1, 0.1, rng_at(0, "sg"))
+    probe = check_weight_positive(restrict(f, base), 1, 0.1, 0.1,
+                                  rng_at(0, "sg"))
     assert (probe.decision, probe.queries_used, f.query_count) == (
         "negative", 94, 94)
     assert probe.certificate.to_dict() == {
