@@ -17,8 +17,9 @@ Times, on one batch of POINTS points at each n in SIZES:
   integer instance (BUILDS in a row per run), which every fresh
   `OracleHandle.for_spec` pays,
 * the sampler `bits.random_packed`,
-* the byte-histogram kernel `bits.byte_histograms` over every byte position,
-  with +-1 weights,
+* `bisect`, in microseconds per call, not ns per point: one call of
+  `subroutines.bisect_edges` with `schedule.BISECT_SAMPLES` samples on the
+  integer instance, Phase 1's search for the high-influence variables,
 * one edge-tester batch (`edge`, in ns per edge, not per point): the
   coordinate draw, the sampler and both endpoint evaluations of
   `subroutines.EDGE_CHUNK` edges (fewer where the batch would exceed
@@ -92,7 +93,9 @@ def best_ns_per_point(fn, rows, repeats):
 def kernel_row(n, rows, repeats, gen):
     from monotest import bits
     from monotest.oracle import LTFEvaluator, LTFSpec, OracleHandle
-    from monotest.subroutines import EDGE_CHUNK, _query_edges
+    from monotest.rng import SplitRng
+    from monotest.schedule import BISECT_SAMPLES
+    from monotest.subroutines import EDGE_CHUNK, _query_edges, bisect_edges
 
     w = np.round(np.abs(gen.standard_normal(n)) * 20.0) + 1.0
     theta = float(np.floor(0.1 * w.sum())) + 0.5
@@ -117,11 +120,9 @@ def kernel_row(n, rows, repeats, gen):
         out[f"eval.{r}rows"] = 1e-3 * best_ns_per_point(calls, CALLS, repeats)
     out["sampler"] = best_ns_per_point(
         lambda: bits.random_packed(gen, rows, n), rows, repeats)
-    v = gen.integers(0, 2, size=rows).astype(np.float64) * 2.0 - 1.0
-    positions = np.arange(batch.shape[1])
-    out["byte_histograms"] = best_ns_per_point(
-        lambda: bits.byte_histograms(batch, v, positions), rows, repeats)
     f = OracleHandle.for_spec(specs["int"])
+    out["bisect"] = 1e-3 * best_ns_per_point(
+        lambda: bisect_edges(f, BISECT_SAMPLES, SplitRng(SEED)), 1, repeats)
     edges = bits.chunk_rows(EDGE_CHUNK, bits.nbytes(n), copies=2)
 
     def edge_batch():

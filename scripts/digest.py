@@ -11,7 +11,9 @@ certificates, query counts and certified distances.
 The suite runs the default tester only, so the same cells are then run
 through staged_test_ltf, on the same instances and test streams, and get
 one sha256 each (and one over all of them) over its verdict, diagnostic,
-certificate and total queries.  Run it on two trees and compare:
+certificate and total queries.  Those cover Phase 1's bisection
+rejections (rb:negative-weight) as well as its edge tests.  Run it on two
+trees and compare:
 
     PYTHONPATH=src python scripts/digest.py
 
@@ -33,8 +35,9 @@ SEED = 20240
 TRIALS = 8
 # (family, n, params, eps): monotone passes and edge-tester rejections, the
 # default tester's only way to reject, through the byte-table evaluator at
-# small (n <= 20) and large n; on the staged path also Phase-1 sign-probe
-# rejections and edge tests on restricted views
+# small (n <= 20) and large n; on the staged path also Phase-1 rejections,
+# where a bisection sample ends on an anti-monotone edge, and edge tests on
+# restricted views
 CELLS = [
     ("monotone-random", 512, {}, 0.1),
     ("monotone-random", 1024, {}, 0.05),

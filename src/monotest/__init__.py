@@ -4,14 +4,15 @@ Layers, bottom up:
 
 * oracle: points, halfspaces, restrictions, query-counted black-box access,
   and anti-monotone-edge certificates;
-* spectral: sampling estimators for means and degree-1 Fourier mass, plus
-  exact spectra for validation;
-* subroutines: influence discovery, weight-sign probing, and the edge
+* spectral: the sampling estimator of means, and exact spectra;
+* subroutines: bisection between antipodal points, which finds Phase 1's
+  high-influence variables and the signs of their weights, and the edge
   tester;
 * schedule / tester: the desk-scale constants that replace the paper's
   accuracy and confidence formulas, the eps-dependent round count, the
   regularize-and-balance step, the default edge-first test and the
-  adaptive test (initialization phase, then the edge test);
+  adaptive test (initialization phase, then the edge test), whose Phase 1
+  rests on a measurement, not a proof (see schedule);
 * truth: exact ground-truth oracles for distance to monotone (a
   Monte-Carlo estimate only as a cross-check), with executable structural
   identities;
@@ -42,16 +43,10 @@ from .schedule import ParameterSchedule, build_schedule
 from .spectral import (
     ExactSpectrum,
     SpectralEstimate,
-    degree1_square_terms,
     estimate_mean,
     exact_spectrum,
 )
-from .subroutines import (
-    HiInfluenceResult,
-    check_weight_positive,
-    edge_tester,
-    find_hi_influence_vars,
-)
+from .subroutines import bisect_edges, edge_tester
 from .tester import (
     main_procedure,
     mono_test_ltf,
@@ -74,7 +69,6 @@ __all__ = [
     "ExactSpectrum",
     "ExperimentRecord",
     "GeneratedInstance",
-    "HiInfluenceResult",
     "InstanceFamily",
     "LTFSpec",
     "OracleHandle",
@@ -86,12 +80,11 @@ __all__ = [
     "SuiteConfig",
     "Verdict",
     "WeightProfile",
+    "bisect_edges",
     "build_schedule",
     "certificate_holds",
     "check_restriction_preserves_distance",
-    "check_weight_positive",
     "compose",
-    "degree1_square_terms",
     "dist_ltf_to_monotone_exact",
     "dist_ltf_to_monotone_mc",
     "dist_to_monotone_matching",
@@ -100,7 +93,6 @@ __all__ = [
     "estimate_mean",
     "eval_ltf",
     "exact_spectrum",
-    "find_hi_influence_vars",
     "generate",
     "main_procedure",
     "mono_test_ltf",

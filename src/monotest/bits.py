@@ -89,35 +89,6 @@ def unpack(packed: np.ndarray, n: int) -> np.ndarray:
     return (2 * bits.astype(np.int8) - 1)
 
 
-def byte_histograms(packed: np.ndarray, v: np.ndarray,
-                    positions) -> np.ndarray:
-    """(len(positions), 256) float64 array: row j, column b sums v over the
-    rows of the batch whose byte at position positions[j] equals b.
-
-    The sums are exact for integer-valued v (such as +-1 oracle answers)
-    below 2^53.
-    """
-    out = np.zeros((len(positions), 256), dtype=np.float64)
-    for j, p in enumerate(positions):
-        out[j] = np.bincount(packed[:, p], weights=v, minlength=256)
-    return out
-
-
-def signed_bit_sums(packed: np.ndarray, v: np.ndarray,
-                    positions) -> np.ndarray:
-    """sum_j v[j] * x[j, i] with x in {-1,+1}, for the 8 coordinates i of
-    each listed byte position: entry 8 k + b is bit b of positions[k].
-
-    v must be float64; the sums are exact for integer-valued v below 2^53.
-    Runs off per-byte histograms, so cost is O(m * len(positions)) rather
-    than O(m * n).  Padding bits read as -1.
-    """
-    hist = byte_histograms(packed, v, positions)
-    out = (hist @ BYTE_BITS.astype(np.float64)).ravel()
-    # sum v*bit -> sum v*(2 bit - 1)
-    return 2.0 * out - float(v.sum())
-
-
 def point_to_string(point_pm: np.ndarray) -> str:
     """Render a +-1 vector as a '+-...' string."""
     return "".join("+" if b > 0 else "-" for b in np.asarray(point_pm).ravel())

@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 2 on any hard-invariant violation (a rejection of
 a known-monotone instance, or a certificate that fails re-verification),
-1 on operational errors such as an exhausted query budget or a command-line
-usage error.
+1 on operational errors: an exhausted query budget, a usage error, or a
+family that gen or bench cannot build (one line on stderr).
 """
 
 from __future__ import annotations
@@ -68,11 +68,11 @@ def _add_family_args(p):
 
 def cmd_gen(args) -> int:
     family = _family_from_args(args)
+    instances = [generate(family, SplitRng(args.seed, ("gen", idx)))
+                 for idx in range(args.count)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for idx in range(args.count):
-        rng = SplitRng(args.seed, ("gen", idx))
-        inst = generate(family, rng)
+    for idx, inst in enumerate(instances):
         stem = f"{family.kind}-n{family.n}-{idx:04d}"
         inst.spec.dump(out_dir / f"{stem}.json")
         meta = {
@@ -227,7 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # gen or bench: a family it cannot build
+        if args.func not in (cmd_gen, cmd_bench):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,13 +1,15 @@
 """Instance generation with certified distances.
 
-All families emit integer weights and thresholds that are half-integers or 0,
-so evaluations are exact (oracle.exact_in_float) and w.x - theta is 0 (the
-boundary, +1) or at least 1/2 away.  MAX_WEIGHT keeps instance draws as they
-were; the evaluator does not need it.  Far instances ship with a certified
-distance: exact counting for n <= TABLE_MAX_N, and above that the subset-sum
-DP (truth.dist_ltf_to_monotone_dp, within a proven rounding radius), which
-needs integer weights with sum |w_i| <= truth.DP_MAX_SUM and raises
-otherwise.  No instance is certified by sampling.
+All families emit integer weights (InstanceFamily rejects a non-integer
+heavy-coordinate weight at every n) and thresholds that are half-integers
+or 0, so evaluations are exact (oracle.exact_in_float) and w.x - theta is
+0 (the boundary, +1) or at least 1/2 away.  MAX_WEIGHT keeps instance
+draws as they were; the evaluator does not need it.  Far instances ship
+with a certified distance: exact counting for n <= TABLE_MAX_N, and above
+that the subset-sum DP (truth.dist_ltf_to_monotone_dp, within a proven
+rounding radius), which needs integer weights with sum |w_i| <=
+truth.DP_MAX_SUM and raises otherwise.  No instance is certified by
+sampling.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from .truth import dist_ltf_to_monotone_mc  # noqa: F401
 
 MAX_WEIGHT = 4095.0
 WEIGHT_SCALE = 16.0
+PLANTED_MAX_ABS_MEAN = 0.9  # planted draws with a larger |E f| are redrawn
+# adversarial: the share of negated coordinates, and theta over ||w||_2
+ADVERSARIAL_NEG_FRAC = 0.3
+ADVERSARIAL_BIAS = 0.6
 
 MONOTONE_RANDOM = "monotone-random"
 SIGNED_MAJORITY = "signed-majority"
@@ -53,6 +59,10 @@ class InstanceFamily:
             raise ValueError(f"unknown family {self.kind!r}")
         if self.n < 2:
             raise ValueError("need n >= 2")
+        if (self.kind == HEAVY_COORDINATE
+                and not float(self.params.get("heavy", 8.0)).is_integer()):
+            raise ValueError("heavy-coordinate needs an integer heavy "
+                             f"weight, got {self.params['heavy']}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +146,6 @@ def _make_signed_majority(family, rng):
 def _make_planted_negative_mass(family, rng):
     n = family.n
     target = float(family.params.get("lambda_target", 0.25))
-    max_mean = float(family.params.get("max_abs_mean", 0.9))
     for attempt in range(64):
         gen = rng.child("draw", attempt).generator
         w = _grid_magnitudes(gen, n)
@@ -154,7 +163,7 @@ def _make_planted_negative_mass(family, rng):
         if not (0.9 * target <= frac <= 1.1 * target):
             continue
         spec = LTFSpec(w, 0.5)
-        if abs(ltf_mean_dp(spec)) > max_mean:
+        if abs(ltf_mean_dp(spec)) > PLANTED_MAX_ABS_MEAN:
             continue
         return GeneratedInstance(spec, family.kind, _certify(spec),
                                  WeightProfile.from_weights(w), attempt + 1)
@@ -179,13 +188,12 @@ def _make_adversarial(family, rng):
     pushed toward one tail so the function is noticeably biased."""
     gen = rng.child("draw").generator
     n = family.n
-    neg_frac = float(family.params.get("neg_coordinate_frac", 0.3))
-    bias = float(family.params.get("bias", 0.6))
     w = np.minimum(np.round(np.exp(gen.normal(1.0, 1.2, size=n))) + 1.0,
                    MAX_WEIGHT)
-    flip = gen.choice(n, size=max(1, int(neg_frac * n)), replace=False)
+    flip = gen.choice(n, size=max(1, int(ADVERSARIAL_NEG_FRAC * n)),
+                      replace=False)
     w[flip] *= -1.0
-    theta = _half_integer(bias * float(np.linalg.norm(w)))
+    theta = _half_integer(ADVERSARIAL_BIAS * float(np.linalg.norm(w)))
     spec = LTFSpec(w, theta)
     return GeneratedInstance(spec, family.kind, _certify(spec),
                              WeightProfile.from_weights(w), 1)

@@ -3,18 +3,22 @@
 The paper drives the tester with parameters such as tau' = tau^2 eps^3 / C
 and eps' = eps^3 / (C ln(1/eps)).  Those call for sample sizes far beyond
 any executable budget, so the tester runs with the constants below instead.
-Each constant replaces a paper formula (written with C = 2) that it beats
-at every n >= 2 and eps in (0, 1/2]; tests/test_schedule.py checks each one
-on a grid.  Below, lam = eps^2 / (36 ln(12/eps)), tau_p = lam eps /
-log2(n)^2 is the paper's tau, and lam <= 1/(144 ln 24) < 0.0022 and
-tau_p < 0.0011 since eps <= 1/2.
+Each constant but the two bisection sizes replaces a paper formula (written
+with C = 2) that it beats at every n >= 2 and eps in (0, 1/2];
+tests/test_schedule.py checks each one on a grid.  Below,
+lam = eps^2 / (36 ln(12/eps)), tau_p = lam eps / log2(n)^2 is the paper's
+tau, and lam <= 1/(144 ln 24) < 0.0022 and tau_p < 0.0011 since
+eps <= 1/2.
 
 * INFLUENCE_TAU = 0.5 replaces the initialization step's influence
   threshold tau_p^2 eps^3 / C, below 1e-6.
 * DELTA = 1e-3 replaces that step's confidence tau'^2 / C, below 1e-12
-  with the tau' above.
-* ESTIMATOR_DELTA = 1e-2 floors the influence search's per-block confidence
-  INFLUENCE_TAU^2 DELTA / (8 log2 n) <= 3.2e-5.
+  with the tau' above; it sizes the step's mean check.
+* BISECT_SAMPLES = 30 and BISECT_HITS = 2 (provisional, measured): the
+  step keeps the coordinates that end at least BISECT_HITS of
+  BISECT_SAMPLES bisections (subroutines.bisect_edges).  That they include
+  every |fhat(i)| >= INFLUENCE_TAU rests on a measurement, not a proof
+  (tests/test_acceptance.py::test_influence_search_contract).
 * EDGE_EPS = 0.2 replaces the final edge test's eps^3 / (C ln(1/eps)),
   which grows with eps and is below 0.091 at eps = 1/2.  It sizes the
   edge test only when Phase 1 leaves fixed coordinates: the test then runs
@@ -31,8 +35,8 @@ tau_p < 0.0011 since eps <= 1/2.
 With tau' = INFLUENCE_TAU, the paper's regularity check in the
 initialization step uses the threshold sqrt(12 tau' / eps) >= sqrt(12).
 It exceeds 1, no degree-1 coefficient does, so no function fails it and
-the step skips it: regularity up to INFLUENCE_TAU comes from the influence
-search alone.
+the step skips it: regularity up to INFLUENCE_TAU comes from the search for
+the high variables alone, as measured above.
 
 What still depends on (n, eps) lives in ParameterSchedule.  Throughout, log
 means log base 2, except the ln(...) factors written explicitly.
@@ -46,7 +50,8 @@ from dataclasses import asdict, dataclass
 
 INFLUENCE_TAU = 0.5
 DELTA = 1e-3
-ESTIMATOR_DELTA = 1e-2
+BISECT_SAMPLES = 30  # provisional, measured
+BISECT_HITS = 2  # provisional, measured
 EDGE_EPS = 0.2
 EDGE_DELTA = 0.1
 
@@ -62,8 +67,9 @@ class ParameterSchedule:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "influence_tau": INFLUENCE_TAU,
-                "delta": DELTA, "estimator_delta": ESTIMATOR_DELTA,
-                "edge_eps": EDGE_EPS, "edge_delta": EDGE_DELTA}
+                "delta": DELTA, "bisect_samples": BISECT_SAMPLES,
+                "bisect_hits": BISECT_HITS, "edge_eps": EDGE_EPS,
+                "edge_delta": EDGE_DELTA}
 
 
 def build_schedule(n: int, eps: float) -> ParameterSchedule:

@@ -1,20 +1,11 @@
-"""Sampling estimators for means and degree-1 Fourier mass, and exact
-spectra for validation.
+"""The sampling estimator of means, and exact spectra for validation.
 
-The degree-1 estimators share one design: draw m uniform points, keep the
-per-coordinate signed sums s1[i] = sum_j f(x_j) * x_j[i], and form unbiased
-product statistics from them.  A single batch serves every coordinate at
-once, which is what makes the subroutines affordable; the per-coordinate
-power sums cost O(m * n / 8) via byte histograms.
-
-For g_j = f(x_j) * x_j[i] (i.i.d. +-1 with mean c_i = E[f * x_i]),
-(s1^2 - m) / (m (m-1)) is unbiased for c_i^2.
-
-Sample sizes follow the variance structure (the linear statistic dominates
-with variance <= 4/m; the degenerate part contributes ~|T|/m^2), with
-multipliers large enough that the calibration suites see failure rates well
-under the nominal delta.  A parameter choice whose count would exceed
-MAX_FEASIBLE_QUERIES raises InfeasibleBudgetError instead of sampling.
+estimate_mean takes a fixed Hoeffding count, or, given a bound, stops once
+it has decided on which side of the bound |E[f]| lies; a count above
+MAX_FEASIBLE_QUERIES raises InfeasibleBudgetError instead of sampling.  No
+degree-1 coefficient is estimated: Phase 1 finds its variables by
+bisection, which rests on a measurement against truth.exact_degree1, not
+on a proof (see schedule).
 """
 
 from __future__ import annotations
@@ -30,10 +21,8 @@ from .oracle import LTFSpec, OracleHandle, truth_table
 
 # rows per drawn batch, within bits.CHUNK_BYTES (see bits.chunk_rows)
 CHUNK = 16384
-# sample-count multipliers; the calibration tests are the authority on these
 MEAN_CONST = 2.0           # Hoeffding: m = 2 ln(2/delta) / eps^2 exactly
 MEAN_FIRST_LOOK = 64       # the bounded mean check looks at 64 * 2^j samples
-SQUARES_CONST = 6.0
 MAX_FEASIBLE_QUERIES = 1 << 40
 
 SPECTRUM_FULL_MAX_N = 16
@@ -54,23 +43,6 @@ class SpectralEstimate:
 def _check_unit(name: str, value: float):
     if not (0.0 < value < 1.0):
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
-
-
-def squares_sample_count(eta: float, delta: float, t_size: int) -> int:
-    """Queries for which the degree1_square_terms of a set of t_size
-    coordinates sum to its degree-1 mass within eta with probability
-    >= 1 - delta; non-decreasing in t_size.  Raises InfeasibleBudgetError
-    above MAX_FEASIBLE_QUERIES."""
-    log_term = math.log(2.0 / delta)
-    # 1/eta^2 covers the linear statistic (variance <= 4/m); the
-    # sqrt(|T|)/eta term covers the degenerate part (variance ~ 2|T|/m^2)
-    m = int(math.ceil(SQUARES_CONST * log_term * max(
-        eta ** -2, math.sqrt(t_size + 1.0) / (2.0 * eta))))
-    if m > MAX_FEASIBLE_QUERIES:
-        raise InfeasibleBudgetError(
-            f"estimator would need {m:.3g} queries; parameters are below "
-            "any executable scale")
-    return max(m, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -147,35 +119,6 @@ def estimate_mean(f: OracleHandle, eps: float, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# degree-1 mass
-
-
-def degree1_square_terms(f: OracleHandle, m: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Unbiased estimates (s1^2 - m) / (m (m-1)) of fhat(i)^2 for every free
-    coordinate of the handle (positions, ascending domain order), all from
-    one batch of m uniform queries.
-
-    Summing the entries of a set T estimates the degree-1 mass of T, to
-    within eta with probability >= 1 - delta once m is at least
-    squares_sample_count(eta, delta, |T|); more samples only sharpen it.
-    """
-    dom = f.domain
-    byte_positions = np.unique(dom >> 3)
-    s1_amb = np.zeros(8 * byte_positions.size)
-    chunk = bits.chunk_rows(CHUNK, bits.nbytes(f.ambient_n))
-    done = 0
-    while done < m:
-        k = min(chunk, m - done)
-        pts = bits.random_packed(rng, k, f.ambient_n)
-        v = f.query_packed(pts).astype(np.float64)
-        s1_amb += bits.signed_bit_sums(pts, v, byte_positions)
-        done += k
-    s1 = s1_amb[8 * np.searchsorted(byte_positions, dom >> 3) + (dom & 7)]
-    return (s1 * s1 - m) / (m * (m - 1.0))
-
-
-# ---------------------------------------------------------------------------
 # exact spectra
 
 
@@ -197,10 +140,6 @@ class ExactSpectrum:
 
     def total_mass(self) -> float:
         return float((self.full ** 2).sum())
-
-    def degree1_mass(self, t_set=None) -> float:
-        d1 = self.degree1 if t_set is None else self.degree1[list(t_set)]
-        return float((d1 ** 2).sum())
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:

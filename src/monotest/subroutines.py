@@ -1,5 +1,6 @@
-"""Mid-level probes: high-influence variable discovery, weight-sign checks,
-and the uniform edge tester.
+"""Mid-level probes: bisection between antipodal points, which finds the
+high-influence variables of Phase 1 and the signs of their weights, and the
+uniform edge tester.
 
 Everything here returns a certificate whenever it claims non-monotonicity;
 there is no rejection path without a witnessed anti-monotone edge.  All
@@ -18,132 +19,29 @@ import numpy as np
 from . import bits
 from .oracle import AntiMonotoneEdgeCertificate, OracleHandle, Verdict
 from .rng import SplitRng
-from .spectral import degree1_square_terms, squares_sample_count
 # not called here any more, but perfbench/tracing.py wraps it under this name
 from .spectral import estimate_mean  # noqa: F401
-# bound only because perfbench/tracing.py wraps these names here: spectral
-# has no regularity check, and the degree-1 mass wrapper is deleted (the
-# influence search sums degree1_square_terms itself), so nothing calls them
+# bound only because perfbench/tracing.py wraps these names here; the code
+# they named is deleted, so nothing calls them
 check_fourier_regular = None
 estimate_sum_of_squares = None
+find_hi_influence_vars = None
+check_weight_positive = None
 
 # the edge tester's batches: the first has EDGE_FIRST_BATCH edges and each
 # later one twice the one before, up to EDGE_CHUNK edges whose lo and hi
 # endpoints stay within bits.CHUNK_BYTES (see bits.chunk_rows)
 EDGE_FIRST_BATCH = 64
 EDGE_CHUNK = 8192
+# rounds a bisect_edges sample may take beyond 2 ceil(log2 k)
+BISECT_ROUND_SLACK = 16
 
-POSITIVE = "positive"
+# perfbench/tracing.py reads this name
 NEGATIVE = "negative"
-FAIL = "fail"
 
 
 # ---------------------------------------------------------------------------
-# high-influence variable discovery
-
-
-@dataclass(frozen=True)
-class HiInfluenceResult:
-    """Output of the split-and-prune influence search.
-
-    variables is None exactly when the escape cap tripped (an upstream signal
-    that the estimator misbehaved); otherwise it lists free coordinates, in
-    ambient labels, whose degree-1 coefficient cleared the pruning threshold.
-    """
-
-    variables: Optional[np.ndarray]
-    estimator_calls: int
-    call_cap: int
-    queries_used: int
-
-    @property
-    def failed(self) -> bool:
-        return self.variables is None
-
-
-def find_hi_influence_vars(f: OracleHandle, tau: float, delta: float,
-                           rng: SplitRng,
-                           min_call_delta: Optional[float] = None
-                           ) -> HiInfluenceResult:
-    """Find every free variable of f with |fhat(i)| >= tau, excluding all
-    with |fhat(i)| < tau/2 (each guarantee holding with probability
-    1-delta).  To search f under a restriction rho, pass restrict(f, rho).
-
-    Halves the k free coordinates [0, k) into [lo, mid) and [mid, hi) with
-    mid = (lo + hi) // 2, and keeps a block alive while its estimated
-    degree-1 mass exceeds 3 tau^2 / 4; every alive block of two or more
-    coordinates is split, and the singletons left, in ascending order, are
-    the result.  Every block is scored from one shared batch of uniform
-    queries (degree1_square_terms): its estimate is the sum of the
-    per-coordinate terms over the block.  The batch has the sample count of
-    a ceil(k/2) block at accuracy eta = tau^2/10 and per-block confidence
-    call_delta = tau^2 delta / (8 log2 n).  Fails (never silently) if the
-    number of blocks scored would exceed call_cap = ceil(8 log2(n) / tau^2).
-    The set of blocks scored does not depend on the order of the splits, so
-    neither do estimator_calls and the cap decision.
-
-    Why one batch suffices.  The sample count is non-decreasing in the
-    block size and every scored block has at most ceil(k/2) coordinates, so
-    for any fixed block the estimate is within eta of the block's true mass
-    with probability >= 1 - call_delta.  The blocks that get scored depend
-    on the batch, so the union bound runs over a candidate set C fixed in
-    advance: the two halves of [0, k), and both children of every block of
-    two or more coordinates whose true mass exceeds
-    3 tau^2/4 - eta = 0.65 tau^2.  Until the first wrong estimate, every
-    split block was estimated above 3 tau^2/4 within eta, so its true mass
-    exceeds 0.65 tau^2 and its children lie in C; hence the first wrong
-    estimate, if any, falls on a block of C.  A block at depth d has at
-    most ceil(k / 2^d) coordinates, so blocks of two or more lie at depth at
-    most ceil(log2 k) - 1 and scored blocks at depth at most ceil(log2 k).
-    The blocks of one depth are disjoint and by Parseval the degree-1 mass
-    is at most 1, so each of the ceil(log2 k) - 1 depths from 1 on that get
-    split holds fewer than 1/(0.65 tau^2) such blocks, and
-    |C| <= 2 + 2 (ceil(log2 k) - 1) / (0.65 tau^2) <= call_cap for tau <= 1,
-    since ceil(log2 k) - 1 < log2 k <= log2 n.  So every scored estimate is
-    within eta except with probability at most |C| call_delta <=
-    call_cap call_delta, the same budget as one fresh batch per block.
-
-    min_call_delta, when given, floors the per-block confidence parameter
-    (the tester passes schedule.ESTIMATOR_DELTA; the formula value is used
-    whenever it is larger).
-    """
-    k = f.domain_size
-    before = f.query_count
-    if k == 0:
-        return HiInfluenceResult(np.empty(0, dtype=np.int64), 0, 0, 0)
-    log2n = max(1.0, math.log2(f.ambient_n))
-    call_cap = int(math.ceil(8.0 * log2n / tau ** 2))
-    call_delta = tau ** 2 * delta / (8.0 * log2n)
-    if min_call_delta is not None:
-        call_delta = max(call_delta, min_call_delta)
-    eta = tau ** 2 / 10.0
-    threshold = 3.0 * tau ** 2 / 4.0
-
-    if k > 1:  # a single variable is never split, so never scored
-        m = squares_sample_count(eta, call_delta, (k + 1) // 2)
-        terms = degree1_square_terms(f, m, rng.child("esos").generator)
-    stack = [(0, k)]  # alive [lo, hi) blocks
-    survivors = []
-    calls = 0
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo == 1:
-            survivors.append(lo)
-            continue
-        mid = (lo + hi) // 2
-        for a, b in ((lo, mid), (mid, hi)):
-            if calls + 1 > call_cap:  # the next block would exceed the cap
-                return HiInfluenceResult(None, calls, call_cap,
-                                         f.query_count - before)
-            calls += 1
-            if terms[a:b].sum() > threshold:
-                stack.append((a, b))
-    labels = f.domain[np.sort(np.asarray(survivors, dtype=np.int64))]
-    return HiInfluenceResult(labels, calls, call_cap, f.query_count - before)
-
-
-# ---------------------------------------------------------------------------
-# edge queries, shared by the weight-sign probe and the edge tester
+# edge queries and certificates
 
 
 def _query_edges(view: OracleHandle, pts: np.ndarray, coords):
@@ -177,41 +75,94 @@ def _edge_certificate(view: OracleHandle, lo_row: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# weight-sign probing
+# bisection between antipodal points
+
+
+def bisect_round_cap(k: int) -> int:
+    """Rounds a bisect_edges sample on k >= 1 free coordinates may take."""
+    return 2 * math.ceil(math.log2(k)) + BISECT_ROUND_SLACK
 
 
 @dataclass(frozen=True)
-class WeightSignResult:
-    decision: str  # positive | negative | fail
+class BisectionEdges:
+    """coords[j]: ambient label of the edge sample j ended on, -1 if none;
+    lo[j]: that edge's x_i = -1 end, lifted to ambient width; queried[j]:
+    the sample's queried rounds, after its 2 first queries.  certificate is
+    set exactly when a sample ended on an anti-monotone edge."""
+
+    coords: np.ndarray
+    lo: np.ndarray
+    queried: np.ndarray
     certificate: Optional[AntiMonotoneEdgeCertificate]
-    queries_used: int
 
 
-def check_weight_positive(f: OracleHandle, i: int, tau: float, delta: float,
-                          rng: SplitRng) -> WeightSignResult:
-    """Probe the sign of weight i of f by sampling edges in direction i.
+def bisect_edges(f: OracleHandle, samples: int,
+                 rng: SplitRng) -> BisectionEdges:
+    """Run `samples` bisections between antipodal points of f's free
+    domain in lockstep; each ends on a bichromatic edge or on none.
 
-    Draws ceil(2 ln(1/delta) / tau) uniform edges of f (on a view, its fixed
-    coordinates pinned, the other free coordinates uniform, both settings of
-    coordinate i queried) and reports the orientation of the first
-    bi-chromatic one.  Fails iff no sampled edge is bi-chromatic, which has
-    probability at most delta whenever |fhat(i)| >= tau.  A halfspace is
-    unate, so mixed orientations cannot occur.  Raises ValueError if i is
-    fixed in f's view.
+    A sample queries a uniform x and x ^ D0, D0 the packed mask of the k
+    free coordinates, and ends on no edge if f agrees on them.  Otherwise
+    it keeps a point a and a mask d with f(a) != f(a ^ d), from (x, D0).
+    Each round splits d with fresh random bytes r and, if d & r and d & ~r
+    are both non-empty, queries c = a ^ (d & r), keeping (c, d & ~r) if
+    f(c) = f(a) and (a, d & r) otherwise.  When d has one set bit i, a and
+    a ^ d form an edge in direction i.  The first queries of all samples go
+    in one batch, then each round's in one batch over the samples still
+    open.  The sampler stops after the round in which a sample first ends
+    on an anti-monotone edge and returns its certificate, so it rejects
+    only on a witnessed edge, for any f.  A halfspace is unate: the
+    orientation of an edge in direction i is the sign of w_i.
+
+    Round cap.  A sample ends on no edge after bisect_round_cap(k) =
+    2 ceil(log2 k) + BISECT_ROUND_SLACK rounds.  Two coordinates stay in d
+    together only while every round gives them equal bits of r, so d holds
+    two or more after t rounds with probability at most C(k, 2) 2^-t,
+    below 2^-17 at the cap.  A queried round shrinks d, so a call queries
+    at most samples (2 + min(bisect_round_cap(k), k - 1)) times (1,260 for
+    30 samples at k = 4,096), and about samples (2 + log2 k) in practice.
     """
-    if f.rho is not None and f.rho.assignment[i] != 0:
-        raise ValueError(f"coordinate {i} is fixed by the restriction")
-    k_edges = int(math.ceil(2.0 * math.log(1.0 / delta) / tau))
-    pts = bits.random_packed(rng.generator, k_edges, f.ambient_n)
-    lo, v_lo, v_hi = _query_edges(f, pts, i)
-    bichromatic = np.flatnonzero(v_lo != v_hi)
-    if bichromatic.size == 0:
-        return WeightSignResult(FAIL, None, 2 * k_edges)
-    first = int(bichromatic[0])
-    if v_lo[first] == 1:  # f drops when x_i rises: anti-monotone edge
-        cert = _edge_certificate(f, lo[first], i)
-        return WeightSignResult(NEGATIVE, cert, 2 * k_edges)
-    return WeightSignResult(POSITIVE, None, 2 * k_edges)
+    k, nb = f.domain_size, bits.nbytes(f.ambient_n)
+    coords = np.full(samples, -1, dtype=np.int64)
+    lo = np.zeros((samples, nb), dtype=np.uint8)
+    queried = np.zeros(samples, dtype=np.int64)
+    if k == 0:
+        return BisectionEdges(coords, lo, queried, None)
+    gen = rng.generator
+    free = np.isin(np.arange(f.ambient_n), f.domain)
+    d0 = bits.pack(np.where(free, 1, -1))[0]
+    x = bits.random_packed(gen, samples, f.ambient_n)
+    v = f.query_packed(np.concatenate([x, x ^ d0]))
+    rows = np.flatnonzero(v[:samples] != v[samples:])  # the open samples
+    a, fa, d = x[rows], v[rows], np.tile(d0, (rows.size, 1))
+    cap = bisect_round_cap(k)
+    for rnd in range(cap + 1):
+        ends = bits.BYTE_BITS.sum(axis=1)[d].sum(axis=1) == 1  # popcounts
+        if ends.any():
+            pos = (d[ends] != 0).argmax(axis=1)
+            byte = d[ends, pos]
+            coords[rows[ends]] = 8 * pos + bits.BYTE_BITS[byte].argmax(axis=1)
+            lo[rows[ends]] = f.lift(a[ends] & ~d[ends])
+            # f at the x_i = +1 end is f(a) if a has bit i set
+            hi_value = np.where(a[ends, pos] & byte, fa[ends], -fa[ends])
+            anti = np.flatnonzero(hi_value == -1)
+            if anti.size:
+                j = rows[ends][anti[0]]
+                return BisectionEdges(coords, lo, queried,
+                                      _edge_certificate(f, lo[j], coords[j]))
+            rows, a, fa, d = rows[~ends], a[~ends], fa[~ends], d[~ends]
+        if rows.size == 0 or rnd == cap:
+            break
+        r = bits.random_packed(gen, rows.size, f.ambient_n)
+        left, right = d & r, d & ~r
+        split = np.flatnonzero(left.any(axis=1) & right.any(axis=1))
+        if split.size:
+            c = a[split] ^ left[split]
+            same = f.query_packed(c) == fa[split]
+            queried[rows[split]] += 1
+            a[split[same]] = c[same]
+            d[split] = np.where(same[:, None], right[split], left[split])
+    return BisectionEdges(coords, lo, queried, None)
 
 
 # ---------------------------------------------------------------------------

@@ -4,22 +4,20 @@ The default, mono_test_ltf, is the uniform edge tester of Goldreich,
 Goldwasser, Lehman, Ron and Samorodnitsky run on f itself: ceil(n ln(1/delta)
 / eps) uniform edges with delta = EDGE_DELTA, which finds a violated edge with
 probability at least 1 - delta when f is eps-far from monotone (see
-subroutines.edge_tester).  It draws its edges in batches of 64, 128, 256, ...
-up to a byte-bounded chunk.  Every edge is still uniform and independent of
-the others, so the batches change when the tester stops, not what it samples,
-and the bound holds as before.  A pass costs exactly 2 ceil(n ln(1/delta) /
-eps) queries; a rejection whose first violated edge is the j-th drawn,
-counting from 0, costs at most 2 (2j + 64) queries.
+subroutines.edge_tester, which also gives its batches and their costs).
+A pass costs exactly 2 ceil(n ln(1/delta) / eps) queries.
 
 staged_test_ltf is Phase 1 of the paper's adaptive search followed by the
-same edge test.  Phase 1 (initialization) strips out high-influence
-variables after checking their weight signs, then fixes them under an
-assignment that leaves the remainder balanced; with every coefficient of
-size INFLUENCE_TAU or more fixed, the remainder is regular up to
-INFLUENCE_TAU.  The paper's Phase 2 would then repeatedly halve the free
-set down to 1/tau^2 free variables, above 8e5 at every n and eps for the
-paper's tau (below 0.0011, see schedule), so it is not implemented: the
-edge test runs on the Phase-1 restriction directly.  Phase 1 only adds
+same edge test.  Phase 1 (initialization) finds the high-influence
+variables by bisection, whose edges also show their weights' signs, then
+fixes them under an assignment that leaves the remainder balanced; with
+every coefficient of size INFLUENCE_TAU or more fixed, the remainder is
+regular up to INFLUENCE_TAU.  That the bisection finds every such
+coefficient rests on a measurement, not a proof (see schedule).  The
+paper's Phase 2 would then halve the free set down to 1/tau^2 variables,
+above 8e5 at every n and eps for the paper's tau (below 0.0011, see
+schedule), so it is not implemented: the edge test runs on the Phase-1
+restriction directly.  Phase 1 only adds
 queries to the guarantee that edge test already gives; the path stays for
 measuring the adaptive mechanism.
 
@@ -32,6 +30,8 @@ from __future__ import annotations
 
 from typing import Union
 
+import numpy as np
+
 from .oracle import (
     OracleHandle,
     Restriction,
@@ -41,35 +41,46 @@ from .oracle import (
 )
 from .rng import SplitRng
 from .schedule import (
+    BISECT_HITS,
+    BISECT_SAMPLES,
     DELTA,
     EDGE_DELTA,
     EDGE_EPS,
-    ESTIMATOR_DELTA,
     INFLUENCE_TAU,
     ParameterSchedule,
 )
 from .spectral import estimate_mean
-from .subroutines import (
-    FAIL,
-    NEGATIVE,
-    check_weight_positive,
-    edge_tester,
-    find_hi_influence_vars,
-)
-# bound only because perfbench/tracing.py wraps these names here: spectral
-# has no regularity check, and the balance search and maintenance step are
-# deleted, so nothing calls them
+from .subroutines import bisect_edges, edge_tester
+# bound only because perfbench/tracing.py wraps these names here; the code
+# they named is deleted, so nothing calls them
 check_fourier_regular = None
 find_balanced_restriction = None
 maintain_regular_and_balanced = None
+find_hi_influence_vars = None
+check_weight_positive = None
+
+
+def high_variables(f: OracleHandle, rng: SplitRng
+                   ) -> Union[Verdict, np.ndarray]:
+    """Phase 1's search: the free coordinates of f (ambient labels,
+    ascending) that end at least BISECT_HITS of BISECT_SAMPLES bisect_edges
+    samples, or a non-monotone verdict if one ends on an anti-monotone
+    edge.  That they include every |fhat(i)| >= INFLUENCE_TAU is measured,
+    not proven (see schedule)."""
+    found = bisect_edges(f, BISECT_SAMPLES, rng)
+    if found.certificate is not None:
+        return Verdict.non_monotone(found.certificate, "rb:negative-weight")
+    labels, hits = np.unique(found.coords[found.coords >= 0],
+                             return_counts=True)
+    return labels[hits >= BISECT_HITS]
 
 
 def regularize_and_balance(f: OracleHandle, eps: float,
                            sched: ParameterSchedule, rng: SplitRng
                            ) -> Union[Verdict, Restriction]:
     """Initialization phase.  Pull out the variables of f whose degree-1
-    coefficient reaches INFLUENCE_TAU, certify that their weights are
-    positive (rejecting on any witnessed negative), then fix them under an
+    coefficient reaches INFLUENCE_TAU with high_variables, rejecting on any
+    anti-monotone edge its bisections end on, then fix them under an
     assignment that leaves the remainder balanced.
 
     Returns the fixing restriction, whose support is exactly the discovered
@@ -81,22 +92,11 @@ def regularize_and_balance(f: OracleHandle, eps: float,
     high there is nothing to fix, so one round is run instead of
     sched.rb_rounds.
     """
-    found = find_hi_influence_vars(f, INFLUENCE_TAU, DELTA,
-                                   rng.child("influence"),
-                                   min_call_delta=ESTIMATOR_DELTA)
-    if found.failed:
-        return Verdict.monotone("rb:influence-cap")
-    high = found.variables
+    high = high_variables(f, rng.child("influence"))
+    if isinstance(high, Verdict):
+        return high
     if high.size > 4.0 / INFLUENCE_TAU ** 2:
         return Verdict.monotone("rb:h-overflow")
-    for i in high:
-        probe = check_weight_positive(f, int(i), INFLUENCE_TAU / 2.0, DELTA,
-                                      rng.child("sign", int(i)))
-        if probe.decision == NEGATIVE:
-            return Verdict.non_monotone(probe.certificate,
-                                        "rb:negative-weight")
-        if probe.decision == FAIL:
-            return Verdict.monotone("rb:check-fail")
     bound = 1.0 - 7.0 * eps / 6.0
     # with nothing to fix, every round would re-test the same function
     for r in range(sched.rb_rounds if high.size else 1):

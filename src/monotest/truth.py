@@ -14,7 +14,8 @@ Their exact agreement on every tested halfspace is itself one of the
 structural facts under test.  Above n = 20, where neither can enumerate,
 integer weights get the weight-based distance and the mean from a float64
 DP over the pmfs of subset sums (dist_ltf_to_monotone_dp, ltf_mean_dp),
-with a proven rounding radius.  The Monte-Carlo distance
+with a proven rounding radius, and the degree-1 coefficients from
+leave-one-out means of that DP (degree1_dp).  The Monte-Carlo distance
 (dist_ltf_to_monotone_mc) certifies nothing; it is the sampling cross-check
 that the tests hold the DP to.
 """
@@ -347,14 +348,40 @@ def exact_mean(spec: LTFSpec) -> float:
 
 
 def exact_degree1(spec: LTFSpec) -> np.ndarray:
-    """E[f(x) x_i] for every i (n <= 21): half the gap between the exact
-    means of f with x_i fixed to +1 and to -1.  Above n = 16, where
-    spectral.exact_spectrum stops, this is the degree-1 reference."""
+    """E[f(x) x_i] for every i, half the gap between the means of f with
+    x_i = +1 and -1: enumerated for n <= 21, above that by degree1_dp
+    (integer weights); the degree-1 reference where exact_spectrum stops."""
+    if spec.n > TABLE_MAX_N + 1:
+        return degree1_dp(spec)
     w, theta = spec.weights, spec.theta
     return np.array([
         (exact_mean(LTFSpec(np.delete(w, i), theta - w[i]))
          - exact_mean(LTFSpec(np.delete(w, i), theta + w[i]))) / 2
         for i in range(spec.n)])
+
+
+def degree1_dp(spec: LTFSpec) -> np.ndarray:
+    """E[f(x) x_i] for every i, for integer weights (n >= 2, under
+    ltf_mean_dp's conditions): half the gap between the ltf_mean_dp means
+    of f with x_i fixed to +1 and to -1, once per distinct weight value,
+    since equal weights have equal coefficients.
+
+    Error radius.  A zero weight gives two identical DPs: exactly 0.
+    Otherwise |w_i| >= 1, so each mean is within 2 dp_radius(n - 1,
+    W - |w_i|) <= 2 (n + W + 1) u of its true value (u = 2^-53,
+    W = sum |w_i|), their difference rounds by at most 2u and halving it by
+    at most 2^-1075: each value is within 2 dp_radius(n, W).  For n <= 53
+    every step is exact, and so is the value.
+    """
+    w, theta = spec.weights, spec.theta
+    values, first, inverse = np.unique(w, return_index=True,
+                                       return_inverse=True)
+    coef = np.empty(values.size)
+    for j, i in enumerate(first):
+        rest = np.delete(w, i)
+        coef[j] = (ltf_mean_dp(LTFSpec(rest, theta - w[i]))
+                   - ltf_mean_dp(LTFSpec(rest, theta + w[i]))) / 2
+    return coef[inverse]
 
 
 def min_boundary_gap(spec: LTFSpec) -> float:

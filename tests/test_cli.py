@@ -99,3 +99,19 @@ def test_gen_and_bench_reject_mc_radius_flag(command):
         main(command + ["--family", "signed-majority", "--n", "21", "--k",
                         "5", "--count", "1", "--mc-radius", "0.01"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("command", [["gen"], ["bench", "--epsilon", "0.05"]],
+                         ids=["gen", "bench"])
+def test_gen_and_bench_report_family_errors_in_one_line(command, tmp_path,
+                                                       capsys):
+    # a family parameter the generators refuse is a one-line error, exit 1,
+    # at n <= 20 (exact certification) and above (the DP)
+    for n in ("16", "64"):
+        rc = main(command + ["--family", "heavy-coordinate", "--n", n,
+                             "--heavy", "8.5", "--count", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines() == [
+            "error: heavy-coordinate needs an integer heavy weight, "
+            "got 8.5"]

@@ -11,7 +11,7 @@ DIGEST = Path(__file__).resolve().parents[1] / "scripts" / "digest.py"
 MONO_TEST_TOTAL = (
     "8285f64c0188d08b1e172dcd1544eb58f241551cad1d80c2a264cf42e000adb1")
 STAGED_TEST_TOTAL = (
-    "e611947d2e541871eddfd33a3734ada11098594561492b810d6b95cf43655817")
+    "c84496a0bd555536386b608aed1a1b7eb1df1430a8da871eab9c15082c0dd134")
 
 
 def test_digest_totals_pinned():

@@ -94,6 +94,15 @@ def test_heavy_coordinate_has_one_negative():
     assert np.min(w) == -8.0
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_heavy_coordinate_rejects_a_non_integer_heavy_weight(n):
+    # every family emits integer weights: a fractional heavy weight is
+    # refused when the family is built, at every n
+    with pytest.raises(ValueError, match="integer heavy"):
+        InstanceFamily(HEAVY_COORDINATE, n, {"heavy": 8.5})
+    InstanceFamily(HEAVY_COORDINATE, n, {"heavy": 8.0})
+
+
 def test_adversarial_is_biased_and_mixed_sign():
     inst = generate(InstanceFamily(ADVERSARIAL, 18), rng_at(5, "g"))
     assert np.any(inst.spec.weights < 0)

@@ -99,34 +99,6 @@ def test_random_packed_chunked_draws_match_one_draw():
     assert np.array_equal(np.concatenate(parts), one)
 
 
-def test_byte_histograms_match_dense_bincount():
-    n = 4096
-    nb = bits.nbytes(n)
-    rows = 3000
-    rng = generator_for(8, "hist")
-    X = bits.random_packed(rng, rows, n)
-    v = rng.integers(0, 2, size=rows).astype(np.float64) * 2 - 1
-    positions = np.array([0, 3, 200, nb - 1])
-    got = bits.byte_histograms(X, v, positions)
-    dense = np.stack([np.bincount(X[:, p], weights=v, minlength=256)
-                      for p in positions])
-    assert np.array_equal(got, dense)
-
-
-def test_signed_bit_sums_matches_dense():
-    rng = generator_for(3, "sbs")
-    n = 37
-    X = bits.random_packed(rng, 500, n)
-    v = rng.integers(0, 2, size=500).astype(np.float64) * 2 - 1
-    dense = bits.unpack(X, n).astype(np.float64).T @ v
-    nb = bits.nbytes(n)
-    assert np.array_equal(bits.signed_bit_sums(X, v, range(nb))[:n], dense)
-    # a subset of byte positions gives the 8 sums of each, in listed order
-    got = bits.signed_bit_sums(X, v, [3, 1]).reshape(2, 8)
-    assert np.array_equal(got[0], dense[24:32])
-    assert np.array_equal(got[1], dense[8:16])
-
-
 def test_point_string_roundtrip():
     p = np.array([1, -1, -1, 1, 1], dtype=np.int8)
     assert bits.point_to_string(p) == "+--++"

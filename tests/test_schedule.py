@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from monotest.schedule import (
+    BISECT_HITS,
+    BISECT_SAMPLES,
     DELTA,
     EDGE_DELTA,
     EDGE_EPS,
-    ESTIMATOR_DELTA,
     INFLUENCE_TAU,
     build_schedule,
 )
@@ -40,8 +41,8 @@ def test_golden_values(n, eps):
     assert sched.rb_rounds == GOLDEN[(n, eps)]
     assert sched.eps == min(eps, 0.5)
     # the values every phase step and the edge test read as constants
-    assert (INFLUENCE_TAU, DELTA, ESTIMATOR_DELTA, EDGE_EPS, EDGE_DELTA) == (
-        0.5, 1e-3, 1e-2, 0.2, 0.1)
+    assert (INFLUENCE_TAU, DELTA, BISECT_SAMPLES, BISECT_HITS, EDGE_EPS,
+            EDGE_DELTA) == (0.5, 1e-3, 30, 2, 0.2, 0.1)
 
 
 def test_paper_formulas_stay_beyond_their_constants():
@@ -55,8 +56,6 @@ def test_paper_formulas_stay_beyond_their_constants():
         rb_tau_p = tau ** 2 * eps ** 3 / c
         assert rb_tau_p.max() < INFLUENCE_TAU
         assert (rb_tau_p ** 2 / c).max() < DELTA
-        assert (INFLUENCE_TAU ** 2 * DELTA / (8.0 * log2n)).max() \
-            < ESTIMATOR_DELTA
         assert eps ** 3 / (c * math.log(1.0 / eps)) < EDGE_EPS
         # a regularity threshold above 1 passes every function, so the
         # phase step runs no regularity check
@@ -85,9 +84,9 @@ def test_derived_relations():
 def test_schedule_serializable():
     d = build_schedule(128, 0.1).to_dict()
     # the exact keys `cli test` reports under "schedule"
-    assert sorted(d) == ["delta", "edge_delta", "edge_eps", "eps",
-                         "eps_requested", "estimator_delta", "influence_tau",
-                         "n", "rb_rounds"]
+    assert sorted(d) == ["bisect_hits", "bisect_samples", "delta",
+                         "edge_delta", "edge_eps", "eps", "eps_requested",
+                         "influence_tau", "n", "rb_rounds"]
     assert d["n"] == 128
     assert d["edge_eps"] == EDGE_EPS
     json.dumps(d)  # must be plain data

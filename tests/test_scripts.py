@@ -28,7 +28,7 @@ def test_bench_kernels_rows_run():
     assert list(rows) == ["16", str(n)]
     for row in rows.values():
         assert {"eval.build", "eval.int", "eval.float", "sampler",
-                "byte_histograms", "edge"} <= set(row)
+                "bisect", "edge"} <= set(row)
         assert all(f"eval.{r}rows" in row for r in bench.CALL_ROWS)
         assert all(np.isfinite(v) and v > 0 for v in row.values())
     assert "certify" in rows[str(n)]
@@ -38,6 +38,5 @@ def test_calibrate_estimators_runs(capsys):
     calibrate = load_script("calibrate_estimators")
     rows = calibrate.main(["--instances", "1", "--trials", "2"])
     assert capsys.readouterr().out.strip()
-    assert [r["estimator"] for r in rows] == ["degree1-mass"] * 3 + [
-        "mean-decision"] * 2
+    assert [r["estimator"] for r in rows] == ["mean-decision"] * 2
     assert all(r["queries_per_call"] > 0 for r in rows)

@@ -4,23 +4,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from monotest import bits
 from monotest.generators import grid_spec
-from monotest.oracle import (
-    LTFEvaluator,
-    LTFSpec,
-    OracleHandle,
-    Restriction,
-    restrict,
-    truth_table,
-)
+from monotest.oracle import LTFSpec, OracleHandle, truth_table
 from monotest.rng import generator_for
 from monotest.truth import exact_degree1, exact_mean
 from monotest.spectral import (
     InfeasibleBudgetError,
-    degree1_square_terms,
     estimate_mean,
-    squares_sample_count,
     _fwht,
     exact_influences,
     exact_spectrum,
@@ -260,86 +250,10 @@ def test_mean_decision_at_the_cap_is_the_fixed_count_estimate():
     assert capped >= 5
 
 
-# ---------------------------------------------------------------------------
-# degree-1 mass: degree1_square_terms summed over a set, from
-# squares_sample_count queries
-
-
-def squares(f, t_set, eta, delta, rng):
-    """The degree-1 mass estimate of t_set at accuracy eta, confidence
-    1 - delta, and the queries it drew."""
-    m = squares_sample_count(eta, delta, len(t_set))
-    return float(degree1_square_terms(f, m, rng)[list(t_set)].sum()), m
-
-
-def test_squares_dictator():
-    spec = LTFSpec(np.array([1.0] + [0.0] * 7), 0.0)
-    f = OracleHandle.for_spec(spec)
-    est, _ = squares(f, [0], 0.1, 0.05, generator_for(5, "sq1"))
-    assert abs(est - 1.0) <= 0.1
-    est0, _ = squares(f, range(1, 8), 0.1, 0.05, generator_for(5, "sq0"))
-    assert abs(est0) <= 0.1
-
-
-def test_squares_majority5_pair():
-    f = OracleHandle.for_spec(majority_spec(5))
-    truth = 2 * (6 / 16) ** 2  # 0.28125
-    est, _ = squares(f, [0, 1], 0.1, 0.05, generator_for(6, "sq5"))
-    assert abs(est - truth) <= 0.1
-
-
-def test_squares_calibration_against_spectrum():
-    rng = generator_for(7, "calib")
-    for trial in range(10):
-        n = int(rng.integers(4, 13))
-        spec = grid_spec(rng, n)
-        t_set = sorted(rng.choice(n, size=max(1, n // 2), replace=False))
-        truth = exact_spectrum(spec).degree1_mass(t_set)
-        f = OracleHandle.for_spec(spec)
-        est, _ = squares(f, t_set, 0.1, 0.05,
-                         generator_for(trial, "calib-run"))
-        assert abs(est - truth) <= 0.1
-
-
-def test_squares_query_accounting():
-    f = OracleHandle.for_spec(majority_spec(9))
-    before = f.query_count
-    _, m = squares(f, range(9), 0.15, 0.1, generator_for(8, "cap"))
-    assert m == f.query_count - before
-
-
-def test_squares_on_restricted_view():
-    # fixing the heavy coordinate leaves a majority over the rest
-    spec = LTFSpec(np.array([10.0, 1.0, 1.0, 1.0]), 0.5)
-    f = OracleHandle.for_spec(spec)
-    view = restrict(f, Restriction.fixing(4, {0: -1}))
-    truth = exact_spectrum(LTFSpec(np.ones(3), 10.5)).degree1_mass()
-    est, _ = squares(view, [0, 1, 2], 0.1, 0.05, generator_for(10, "view"))
-    assert abs(est - truth) <= 0.1
-
-
-def test_squares_is_sum_of_per_coordinate_terms():
-    # the terms come from one draw of the stream, checked against dense
-    # signed sums of that draw, on the root and on a view whose free
-    # coordinates share bytes with fixed ones and skip the fully fixed
-    # byte 1
-    m = squares_sample_count(0.2, 0.1, 6)
-    byte1 = {i: (-1) ** i for i in range(8, 16)}
-    for n, fixed in [(11, {}), (21, {2: 1, 17: -1, **byte1})]:
-        spec = grid_spec(generator_for(16, "terms-spec"), n)
-        f = OracleHandle.for_spec(spec)
-        if fixed:
-            f = restrict(f, Restriction.fixing(n, fixed))
-        terms = degree1_square_terms(f, m, generator_for(16, "terms"))
-        x = bits.unpack(
-            bits.random_packed(generator_for(16, "terms"), m, n), n)
-        x[:, list(fixed)] = list(fixed.values())
-        v = LTFEvaluator(spec)(bits.pack(x)).astype(np.float64)
-        free = [i for i in range(n) if i not in fixed]
-        s1 = x[:, free].T @ v
-        assert np.array_equal(terms, (s1 * s1 - m) / (m * (m - 1.0)))
-
-
 def test_infeasible_budget_raises():
+    # 2 ln(2/delta) / eps^2 is about 2.9e15 queries, above 2^40; raised
+    # before a single query is charged
+    f = OracleHandle.for_spec(majority_spec(3))
     with pytest.raises(InfeasibleBudgetError):
-        squares_sample_count(1e-6, 1e-6, 1)
+        estimate_mean(f, 1e-7, 1e-6, generator_for(11, "infeasible"))
+    assert f.query_count == 0

@@ -3,27 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from monotest import subroutines
+from monotest import bits, subroutines
 from monotest.oracle import (
     LTFSpec,
     OracleHandle,
     Restriction,
+    certificate_holds,
+    eval_ltf,
     restrict,
     verify_certificate,
 )
 from monotest.rng import SplitRng
-from monotest.schedule import EDGE_DELTA, EDGE_EPS
-from monotest.spectral import squares_sample_count
-from monotest.subroutines import (
-    FAIL,
-    NEGATIVE,
-    POSITIVE,
-    check_weight_positive,
-    edge_tester,
-    find_hi_influence_vars,
-)
-from monotest.tester import main_procedure
+from monotest.schedule import BISECT_SAMPLES, EDGE_DELTA, EDGE_EPS
+from monotest.subroutines import bisect_edges, bisect_round_cap, edge_tester
+from monotest.tester import high_variables, main_procedure
 from monotest.truth import exact_degree1
+
+S = BISECT_SAMPLES
 
 
 def planted_heavy(n, heavy=8.0, sign=1.0):
@@ -37,24 +33,86 @@ def rng_at(seed, *path):
     return SplitRng(seed, path)
 
 
+def ended(out):
+    """Indices of the samples that ended on an edge."""
+    return np.flatnonzero(out.coords >= 0)
+
+
+def edge_values(spec, out, j):
+    """f at the x_i = -1 and x_i = +1 ends of sample j's edge, by eval_ltf."""
+    i = int(out.coords[j])
+    lo = bits.unpack(out.lo[j], spec.n)[0]
+    hi = lo.copy()
+    hi[i] = 1
+    assert lo[i] == -1
+    return eval_ltf(spec, lo), eval_ltf(spec, hi)
+
+
 # ---------------------------------------------------------------------------
-# find_hi_influence_vars
+# bisect_edges
+
+
+def worst_case_queries(k):
+    """The bound in bisect_edges's docstring for S samples on k free
+    coordinates."""
+    return S * (2 + min(bisect_round_cap(k), k - 1))
+
+
+def test_bisect_worst_case_query_bound_pinned():
+    assert BISECT_SAMPLES == 30
+    assert [bisect_round_cap(k) for k in (1, 2, 8, 17, 4096)] == [
+        16, 18, 22, 26, 40]
+    assert [worst_case_queries(k) for k in (1, 8, 64, 4096)] == [
+        60, 270, 900, 1260]
+
+
+@pytest.mark.parametrize("weights", [
+    pytest.param([3.0, 1.0, 2.0, 1.0, 5.0, 1.0, 1.0, 2.0, 1.0, 4.0, 1.0],
+                 id="monotone"),
+    pytest.param([3.0, 1.0, 2.0, 1.0, -2.0, 1.0, 1.0, 2.0, 1.0, 4.0, 1.0],
+                 id="single-negative"),
+])
+def test_bisect_edges_contract(weights):
+    # on n = 11: every edge a sample ends on is bichromatic under eval_ltf,
+    # and its orientation is the sign of its weight (anti-monotone exactly
+    # in the negative direction, never on the monotone instance); the
+    # queries are the 2S endpoint queries plus the queried rounds, each
+    # sample within the pinned cap; equal seeds give equal edges
+    spec = LTFSpec(np.array(weights), 1.5)
+    n = spec.n
+    negative = spec.weights < 0
+    edges = certificates = 0
+    for t in range(40):
+        f = OracleHandle.for_spec(spec)
+        out = bisect_edges(f, S, rng_at(t, "contract"))
+        assert f.query_count == 2 * S + out.queried.sum()
+        assert out.queried.max() <= min(bisect_round_cap(n), n - 1)
+        for j in ended(out):
+            lo_value, hi_value = edge_values(spec, out, j)
+            assert lo_value != hi_value
+            assert (hi_value == -1) == negative[out.coords[j]]
+            edges += 1
+        if out.certificate is not None:
+            certificates += 1
+            assert negative[out.certificate.coordinate]
+            assert certificate_holds(spec, out.certificate)
+        again = bisect_edges(OracleHandle.for_spec(spec), S,
+                             rng_at(t, "contract"))
+        assert np.array_equal(again.coords, out.coords)
+        assert np.array_equal(again.lo, out.lo)
+        assert repr(again.certificate) == repr(out.certificate)
+    assert edges >= 40
+    assert (certificates > 0) == negative.any()
+
+
+# ---------------------------------------------------------------------------
+# Phase 1's influence search: tester.high_variables on bisect_edges
 
 
 def test_influence_search_lone_dictator():
     spec = LTFSpec(np.array([1.0] + [0.0] * 7), 0.0)
     f = OracleHandle.for_spec(spec)
-    out = find_hi_influence_vars(f, 0.5, 0.1, rng_at(1, "dict"))
-    assert not out.failed
-    assert list(out.variables) == [0]
-    assert out.estimator_calls <= out.call_cap
-
-
-def test_influence_search_majority51_empty():
-    # every coefficient ~0.112 < tau/2 = 0.25
-    f = OracleHandle.for_spec(LTFSpec(np.ones(51), 0.0))
-    out = find_hi_influence_vars(f, 0.5, 0.1, rng_at(2, "maj51"))
-    assert not out.failed and out.variables.size == 0
+    assert list(high_variables(f, rng_at(1, "dict"))) == [0]
 
 
 def test_influence_search_planted_gap_n17():
@@ -62,21 +120,20 @@ def test_influence_search_planted_gap_n17():
     degree1 = exact_degree1(spec)
     assert abs(degree1[0]) >= 0.3
     assert np.max(np.abs(degree1[1:])) < 0.15
-    f = OracleHandle.for_spec(spec)
-    out = find_hi_influence_vars(f, 0.3, 0.05, rng_at(3, "plant17"))
-    assert list(out.variables) == [0]
-    assert out.estimator_calls <= out.call_cap == math.ceil(
-        8 * math.log2(17) / 0.3 ** 2)
+    for t in range(20):
+        f = OracleHandle.for_spec(spec)
+        high = high_variables(f, rng_at(3, "plant17", t))
+        assert 0 in high
 
 
 def test_influence_search_respects_restriction():
-    # under rho fixing the heavy coordinate, nothing clears the threshold
+    # under rho fixing the heavy coordinate, it is never returned
     spec = planted_heavy(17)
     f = OracleHandle.for_spec(spec)
     rho = Restriction.fixing(17, {0: 1})
-    out = find_hi_influence_vars(restrict(f, rho), 0.5, 0.05,
-                                 rng_at(4, "fixed"))
-    assert out.variables.size == 0
+    for t in range(10):
+        high = high_variables(restrict(f, rho), rng_at(4, "fixed", t))
+        assert 0 not in high
 
 
 def test_influence_search_returns_sorted_ambient_labels():
@@ -86,125 +143,122 @@ def test_influence_search_returns_sorted_ambient_labels():
     w[[3, 12]] = 1.0
     f = OracleHandle.for_spec(LTFSpec(w, -1.0))
     view = restrict(f, Restriction.fixing(16, {0: 1, 5: -1}))
-    out = find_hi_influence_vars(view, 0.5, 0.1, rng_at(17, "pair"))
-    assert list(out.variables) == [3, 12]
+    assert list(high_variables(view, rng_at(17, "pair"))) == [3, 12]
 
 
 def test_influence_search_cap_trips_on_broken_estimator(monkeypatch):
-    # force every estimate high so no block is ever pruned
-    def always_heavy(view, m, rng):
-        return np.ones(view.domain_size)
+    # split bytes that are all ones never split d, so no round queries and
+    # every sample stops at the round cap, ending on no edge: one draw of
+    # the points, then one draw of split bytes per round
+    draws = []
+    real = bits.random_packed
 
-    monkeypatch.setattr(subroutines, "degree1_square_terms", always_heavy)
-    f = OracleHandle.for_spec(LTFSpec(np.ones(64), 0.5))
-    # with nothing ever pruned the search needs 2*63 calls, above the cap
-    out = find_hi_influence_vars(f, 0.7, 0.1, rng_at(5, "trip"))
-    assert out.failed
-    assert out.estimator_calls == out.call_cap  # completed calls only
+    def all_ones_after_first(gen, m, n):
+        draws.append(m)
+        out = real(gen, m, n)
+        if len(draws) > 1:
+            out[:] = 0xFF
+            out[:, -1] &= bits.tail_mask(n)
+        return out
+
+    monkeypatch.setattr(bits, "random_packed", all_ones_after_first)
+    n = 64
+    f = OracleHandle.for_spec(LTFSpec(np.ones(n), 0.5))
+    out = subroutines.bisect_edges(f, S, rng_at(5, "trip"))
+    assert (out.coords == -1).all() and out.certificate is None
+    assert (out.queried == 0).all()
+    open_samples = draws[1]
+    assert draws[1:] == [open_samples] * bisect_round_cap(n)
+    assert f.query_count == 2 * S
 
 
-@pytest.mark.parametrize("n,pos,calls", [
-    # the left-hand path to coordinate 0 halves floor(log2 n) times
-    pytest.param(17, 0, 8, id="17"),
-    pytest.param(64, 0, 12, id="64"),
-    pytest.param(4096, 0, 24, id="4096"),
-    # the right-hand half gets the extra coordinate of an odd block, so the
-    # path to coordinate n - 1 is the deepest: ceil(log2 n) halvings
-    pytest.param(17, 16, 10, id="17-last"),
-    pytest.param(20, 19, 10, id="20-last"),
+@pytest.mark.parametrize("n,pos,queries", [
+    pytest.param(17, 0, 193, id="17"),
+    pytest.param(64, 0, 248, id="64"),
+    pytest.param(4096, 0, 429, id="4096"),
+    pytest.param(17, 16, 189, id="17-last"),
+    pytest.param(20, 19, 204, id="20-last"),
 ])
-def test_influence_search_scores_blocks_from_one_batch(n, pos, calls):
-    # every block is scored from one batch sized for the widest block,
-    # ceil(n/2) coordinates, whatever the number of blocks scored
-    tau, delta, floor = 0.5, 0.1, 1e-2
-    f = OracleHandle.for_spec(LTFSpec(np.eye(1, n, pos)[0], 0.0))
-    out = find_hi_influence_vars(f, tau, delta, rng_at(16, "batch", n),
-                                 min_call_delta=floor)
-    call_delta = max(tau ** 2 * delta / (8 * math.log2(n)), floor)
-    m = squares_sample_count(tau ** 2 / 10, call_delta, (n + 1) // 2)
-    assert list(out.variables) == [pos]
-    assert out.estimator_calls == calls
-    assert out.queries_used == f.query_count == m
+def test_influence_search_scores_blocks_from_one_batch(n, pos, queries):
+    # every sample on a dictator starts bichromatic and ends on it; the
+    # endpoints of all samples go in one batch, then each round's blocks
+    # d & r in one batch over the samples still open
+    spec = LTFSpec(np.eye(1, n, pos)[0], 0.0)
+    inner = OracleHandle.for_spec(spec)
+    batches = []
 
+    def target(packed):
+        batches.append(packed.shape[0])
+        return inner.query_packed(packed)
 
-def test_influence_search_single_variable_returned_unconditionally():
-    # a single free variable is never split, hence never estimated: the
-    # procedure returns it as-is and the weight-sign check downstream is the
-    # guard against it being uninfluential
-    f = OracleHandle.for_spec(LTFSpec(np.array([1.0, 1.0]), 0.0))
-    rho = Restriction.fixing(2, {1: 1})
-    out = find_hi_influence_vars(restrict(f, rho), 0.5, 0.1,
-                                 rng_at(15, "single"))
-    assert list(out.variables) == [0]
-    assert out.estimator_calls == 0
+    f = OracleHandle(target, n)
+    out = bisect_edges(f, S, rng_at(16, "batch", n))
+    assert (out.coords == pos).all()
+    assert batches[0] == 2 * S and max(batches[1:]) <= S
+    assert len(batches) <= 1 + bisect_round_cap(n)
+    assert sum(batches) == f.query_count == queries
 
 
 def test_influence_search_empty_domain():
     f = OracleHandle.for_spec(LTFSpec(np.ones(4), 0.5))
     rho = Restriction(np.ones(4, dtype=np.int8))
-    out = find_hi_influence_vars(restrict(f, rho), 0.5, 0.1,
-                                 rng_at(6, "empty"))
-    assert not out.failed and out.variables.size == 0 and out.queries_used == 0
+    out = bisect_edges(restrict(f, rho), S, rng_at(6, "empty"))
+    assert (out.coords == -1).all() and f.query_count == 0
+    assert high_variables(restrict(f, rho), rng_at(6, "empty")).size == 0
+    assert f.query_count == 0
 
 
 # ---------------------------------------------------------------------------
-# check_weight_positive
+# weight signs: the orientation of the edges bisect_edges ends on
 
 
 def test_weight_sign_negated_dictator():
     f = OracleHandle.for_spec(LTFSpec(np.array([-1.0]), 0.0))
-    out = check_weight_positive(f, 0, 0.5, 0.1, rng_at(7, "negdict"))
-    assert out.decision == NEGATIVE
+    out = bisect_edges(f, S, rng_at(7, "negdict"))
+    assert out.certificate.coordinate == 0
     assert verify_certificate(f, out.certificate)
 
 
 def test_weight_sign_positive_rate():
     spec = LTFSpec(np.array([1.0, 0.1]), 0.0)
-    hits = 0
     for t in range(100):
         f = OracleHandle.for_spec(spec)
-        out = check_weight_positive(f, 0, 0.5, 0.05, rng_at(t, "pos"))
-        hits += out.decision == POSITIVE
-        assert out.decision != NEGATIVE  # sign errors never happen
-    assert hits >= 95
+        out = bisect_edges(f, S, rng_at(t, "pos"))
+        assert out.certificate is None  # sign errors never happen
+        assert (out.coords == 0).all()
 
 
 def test_weight_sign_zero_influence_always_fails():
     spec = LTFSpec(np.array([1.0, 0.0]), 0.0)
     for t in range(20):
         f = OracleHandle.for_spec(spec)
-        out = check_weight_positive(f, 1, 0.5, 0.1, rng_at(t, "zero"))
-        assert out.decision == FAIL
+        out = bisect_edges(f, S, rng_at(t, "zero"))
+        assert 1 not in out.coords
 
 
 def test_weight_sign_consistency_across_seeds():
     spec = LTFSpec(np.array([3.0, -2.0, 1.0, 1.0, -1.0]), 0.5)
     seen = {i: set() for i in range(5)}
     for t in range(30):
-        for i in range(5):
-            f = OracleHandle.for_spec(spec)
-            out = check_weight_positive(f, i, 0.3, 0.1,
-                                        rng_at(t, "consist", i))
-            if out.decision != FAIL:
-                seen[i].add(out.decision)
-    for i, decisions in seen.items():
-        assert len(decisions) <= 1  # unate: orientations never mix
+        f = OracleHandle.for_spec(spec)
+        out = bisect_edges(f, S, rng_at(t, "consist"))
+        for j in ended(out):
+            seen[int(out.coords[j])].add(edge_values(spec, out, j))
+    for i, orientations in seen.items():
+        assert len(orientations) <= 1  # unate: orientations never mix
+    assert seen[0] == {(-1, 1)} and seen[1] == {(1, -1)}
 
 
 def test_weight_sign_respects_restriction_and_counts_queries():
     spec = LTFSpec(np.array([2.0, -5.0, 1.0]), 0.5)
     f = OracleHandle.for_spec(spec)
     rho = Restriction.fixing(3, {0: -1})
-    out = check_weight_positive(restrict(f, rho), 1, 0.4, 0.1,
-                                rng_at(9, "restr"))
-    assert out.decision == NEGATIVE
-    assert f.query_count == out.queries_used
+    out = bisect_edges(restrict(f, rho), S, rng_at(9, "restr"))
+    assert out.certificate.coordinate == 1
+    assert f.query_count == 2 * S + out.queried.sum()
     base = out.certificate.base_point
     assert base[0] == -1  # consistent with rho
     assert verify_certificate(f, out.certificate)
-    with pytest.raises(ValueError):
-        check_weight_positive(restrict(f, rho), 0, 0.4, 0.1,
-                              rng_at(9, "bad"))
 
 
 # ---------------------------------------------------------------------------

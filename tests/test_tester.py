@@ -14,18 +14,10 @@ from monotest.oracle import (
     verify_certificate,
 )
 from monotest.rng import SplitRng
-from monotest.schedule import (
-    DELTA,
-    ESTIMATOR_DELTA,
-    INFLUENCE_TAU,
-    build_schedule,
-)
-from monotest.subroutines import (
-    check_weight_positive,
-    edge_tester,
-    find_hi_influence_vars,
-)
+from monotest.schedule import BISECT_SAMPLES, DELTA, build_schedule
+from monotest.subroutines import bisect_edges, edge_tester
 from monotest.tester import (
+    high_variables,
     main_procedure,
     mono_test_ltf,
     regularize_and_balance,
@@ -85,8 +77,12 @@ def test_rb_returns_restriction_on_balanced_regular_input():
     f = OracleHandle.for_spec(spec)
     out = regularize_and_balance(f, 0.1, sched, rng_at(7, "rb-pass"))
     assert isinstance(out, Restriction)
-    # no high-influence variables here, so the restriction is empty
-    assert out.num_stars == 64
+    # no coefficient is high here (each is about 0.1), but 30 samples over
+    # 64 coordinates end twice on a few: those are fixed, and nothing else
+    high = high_variables(OracleHandle.for_spec(spec),
+                          rng_at(7, "rb-pass").child("influence"))
+    assert list(out.support()) == list(high)
+    assert 0 < high.size <= 16
 
 
 def test_rb_gives_up_on_constant():
@@ -107,15 +103,13 @@ def test_rb_gives_up_after_one_round_without_high_variables():
     verdict = staged_test_ltf(f, eps, build_schedule(n, eps), SplitRng(3))
     assert verdict.is_monotone
     assert verdict.diagnostic == "rb:round-exhaustion"
-    assert f.query_count == 59056  # 1,245,224 when every round ran
+    assert f.query_count == 8265
 
     g = OracleHandle.for_spec(spec)
-    found = find_hi_influence_vars(
-        g, INFLUENCE_TAU, DELTA, SplitRng(3).child("rb").child("influence"),
-        min_call_delta=ESTIMATOR_DELTA)
-    assert found.variables.size == 0
+    stream = SplitRng(3).child("rb").child("influence")
+    assert high_variables(g, stream).size == 0
     mean_cap = math.ceil(2 * math.log(4 / (DELTA / 2)) / (eps / 6) ** 2)
-    assert f.query_count <= found.queries_used + mean_cap
+    assert f.query_count <= g.query_count + mean_cap
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +227,7 @@ def test_full_tester_runs_with_the_clamped_eps():
 
 
 # ---------------------------------------------------------------------------
-# pinned outcomes of the phase step, the sign probe and the edge tester
+# pinned outcomes of the phase step, the bisection and the edge tester
 
 
 def heavy_second(n, weight):
@@ -262,26 +256,24 @@ def test_phase_step_outcomes_pinned():
     f = OracleHandle.for_spec(neg)
     out = regularize_and_balance(f, 0.1, sched, rng_at(0, "rb"))
     assert outcome(out, f) == (
-        "non-monotone", "rb:negative-weight", 50976,
-        {"point": "+--+++-----++-+++-+-+-+-++----+--", "coordinate": 1})
+        "non-monotone", "rb:negative-weight", 163,
+        {"point": "+--+-++----+-+++-++-+-----+--+++-", "coordinate": 1})
     f = OracleHandle.for_spec(pos)
     out = regularize_and_balance(f, 0.1, sched, rng_at(0, "rb"))
     assert outcome(out, f) == (
-        "restriction", "*-*******************************", 117732)
+        "restriction", "*-**********************-********", 24776)
     const = OracleHandle.for_function(
         lambda pm: np.ones(pm.shape[0], dtype=np.int8), 32)
     out = regularize_and_balance(const, 0.3, build_schedule(32, 0.3),
                                  rng_at(0, "c"))
     assert outcome(out, const) == (
-        "monotone", "rb:round-exhaustion", 51120, None)
+        "monotone", "rb:round-exhaustion", 316, None)
 
     f = OracleHandle.for_spec(neg)
-    probe = check_weight_positive(restrict(f, base), 1, 0.1, 0.1,
-                                  rng_at(0, "sg"))
-    assert (probe.decision, probe.queries_used, f.query_count) == (
-        "negative", 94, 94)
+    probe = bisect_edges(restrict(f, base), BISECT_SAMPLES, rng_at(0, "sg"))
+    assert f.query_count == 2 * BISECT_SAMPLES + probe.queried.sum() == 146
     assert probe.certificate.to_dict() == {
-        "point": "+-+-------+---+------+-+-++++-+-+", "coordinate": 1}
+        "point": "--+++++-+-++--++-+-+--++-++-+-+-+", "coordinate": 1}
 
     f = OracleHandle.for_spec(neg)
     out = edge_tester(restrict(f, base), 0.05, 0.1, rng_at(0, "e"))
@@ -292,24 +284,25 @@ def test_phase_step_outcomes_pinned():
 
 def test_staged_tester_outcomes_pinned():
     # staged_test_ltf end to end at the shipped schedule: Phase 1 fixes the
-    # heavy positive coordinate, so the edge test runs on the 32 free
-    # variables at distance min(0.1, EDGE_EPS/4) = 0.05 (2 ceil(32 ln10 /
-    # 0.05) = 2,948 queries); with the heavy weight negated the sign probe
-    # rejects in Phase 1 and no edge is queried
+    # heavy positive coordinate and one more that ends two samples, so the
+    # edge test runs on the 31 free variables at distance
+    # min(0.1, EDGE_EPS/4) = 0.05 (2 ceil(31 ln10 / 0.05) = 2,856 queries);
+    # with the heavy weight negated a bisection sample ends on an
+    # anti-monotone edge in Phase 1 and no edge test runs
     n, eps = 33, 0.1
     sched = build_schedule(n, eps)
     f = OracleHandle.for_spec(heavy_second(n, 8.0))
     out = staged_test_ltf(f, eps, sched, rng_at(0, "stf"))
-    assert outcome(out, f) == ("monotone", "edge:pass", 58020, None)
+    assert outcome(out, f) == ("monotone", "edge:pass", 19457, None)
     rb = phase1_queries(heavy_second(n, 8.0), sched, rng_at(0, "stf"))
-    assert (rb, f.query_count - rb) == (55072, 2948)
+    assert (rb, f.query_count - rb) == (16601, 2856)
 
     f = OracleHandle.for_spec(heavy_second(n, -8.0))
     out = staged_test_ltf(f, eps, sched, rng_at(0, "stf"))
     assert outcome(out, f) == (
-        "non-monotone", "rb:negative-weight", 50976,
-        {"point": "--+-+---++--+++----+++-----++++--", "coordinate": 1})
+        "non-monotone", "rb:negative-weight", 174,
+        {"point": "+-+---++++++-++++--+-+-+-+++-----", "coordinate": 1})
     rb = phase1_queries(heavy_second(n, -8.0), sched, rng_at(0, "stf"))
-    assert (rb, f.query_count - rb) == (50976, 0)
+    assert (rb, f.query_count - rb) == (174, 0)
     assert verify_certificate(OracleHandle.for_spec(heavy_second(n, -8.0)),
                               out.certificate)

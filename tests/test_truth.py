@@ -11,6 +11,7 @@ from monotest.rng import generator_for
 from monotest.truth import (
     DP_MAX_SUM,
     WeightProfile,
+    degree1_dp,
     check_restriction_preserves_distance,
     dist_ltf_to_monotone_dp,
     dist_ltf_to_monotone_exact,
@@ -18,6 +19,7 @@ from monotest.truth import (
     dist_to_monotone_matching,
     dp_radius,
     drop_negative_weights,
+    exact_degree1,
     exact_mean,
     ltf_mean_dp,
     min_boundary_gap,
@@ -228,6 +230,23 @@ def test_dp_counts_boundary_ties_as_plus():
     strict = spec_of([1.0, 1.0, -1.0], 1.5)
     assert dist_ltf_to_monotone_dp(strict).value * 8 == 1
     assert ltf_mean_dp(strict) == -0.75
+
+
+def test_degree1_dp_equals_enumeration_on_grid_specs():
+    # below n = 54 the leave-one-out DP means are exact, so the DP branch
+    # equals enumeration as floats, zero weights and repeated values
+    # included; above n = 21 exact_degree1 takes the DP branch
+    gen = generator_for(26, "degree1-dp")
+    for n in (2, 3, 7, 12, 16, 21):
+        for _ in range(3):
+            spec = grid_spec(gen, n)
+            w = spec.weights.copy()
+            w[gen.choice(n, size=n // 3, replace=False)] = 0.0
+            for s in (spec, LTFSpec(w, spec.theta - 0.5)):
+                assert np.array_equal(degree1_dp(s), exact_degree1(s))
+    big = LTFSpec(np.r_[[-8.0, 3.0], np.ones(30)], 0.5)
+    assert np.array_equal(exact_degree1(big), degree1_dp(big))
+    assert exact_degree1(big)[0] < 0 < exact_degree1(big)[1]
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
