@@ -18,8 +18,13 @@ Times, on one batch of POINTS points at each n in SIZES:
   `OracleHandle.for_spec` pays,
 * the sampler `bits.random_packed`,
 * `bisect`, in microseconds per call, not ns per point: one call of
-  `subroutines.bisect_edges` with `schedule.BISECT_SAMPLES` samples on the
-  integer instance, Phase 1's search for the high-influence variables,
+  `subroutines.bisect_edges` with `schedule.BISECT_SAMPLES` samples,
+  Phase 1's search for the high-influence variables, on the integer
+  instance's weights with threshold BISECT_THETA.  The integer instance's
+  own threshold is about two standard deviations of w.x out from n = 1024,
+  where f(x) = f(-x) on every sample and a call would be its first batch
+  alone; at BISECT_THETA, f(x) = f(-x) only where w.x = 0, so nearly every
+  sample bisects down to an edge,
 * one edge-tester batch (`edge`, in ns per edge, not per point): the
   coordinate draw, the sampler and both endpoint evaluations of
   `subroutines.EDGE_CHUNK` edges (fewer where the batch would exceed
@@ -78,6 +83,7 @@ CALLS = 20  # evaluator calls per timed eval.<r>rows run
 REPEATS = 7
 PROCESSES = 5  # fresh processes per tree
 BUILDS = 20  # evaluator constructions per timed eval.build run
+BISECT_THETA = 0.5  # threshold of the bisect column's instance
 SEED = 0
 
 
@@ -90,6 +96,19 @@ def best_ns_per_point(fn, rows, repeats):
     return 1e9 * best / rows
 
 
+def int_weights(n, gen):
+    """The integer instance's weights: |N(0, 1)| scaled by 20, rounded, plus
+    1."""
+    return np.round(np.abs(gen.standard_normal(n)) * 20.0) + 1.0
+
+
+def bisect_handle(w):
+    """The bisect column's oracle: weights w, threshold BISECT_THETA."""
+    from monotest.oracle import LTFSpec, OracleHandle
+
+    return OracleHandle.for_spec(LTFSpec(w, BISECT_THETA))
+
+
 def kernel_row(n, rows, repeats, gen):
     from monotest import bits
     from monotest.oracle import LTFEvaluator, LTFSpec, OracleHandle
@@ -97,7 +116,7 @@ def kernel_row(n, rows, repeats, gen):
     from monotest.schedule import BISECT_SAMPLES
     from monotest.subroutines import EDGE_CHUNK, _query_edges, bisect_edges
 
-    w = np.round(np.abs(gen.standard_normal(n)) * 20.0) + 1.0
+    w = int_weights(n, gen)
     theta = float(np.floor(0.1 * w.sum())) + 0.5
     specs = {"int": LTFSpec(w, theta),
              "float": LTFSpec(w + gen.uniform(0.0, 1e-3, size=n), theta)}
@@ -120,9 +139,10 @@ def kernel_row(n, rows, repeats, gen):
         out[f"eval.{r}rows"] = 1e-3 * best_ns_per_point(calls, CALLS, repeats)
     out["sampler"] = best_ns_per_point(
         lambda: bits.random_packed(gen, rows, n), rows, repeats)
-    f = OracleHandle.for_spec(specs["int"])
+    g = bisect_handle(w)
     out["bisect"] = 1e-3 * best_ns_per_point(
-        lambda: bisect_edges(f, BISECT_SAMPLES, SplitRng(SEED)), 1, repeats)
+        lambda: bisect_edges(g, BISECT_SAMPLES, SplitRng(SEED)), 1, repeats)
+    f = OracleHandle.for_spec(specs["int"])
     edges = bits.chunk_rows(EDGE_CHUNK, bits.nbytes(n), copies=2)
 
     def edge_batch():

@@ -21,7 +21,7 @@ import numpy as np
 from monotest.generators import grid_spec
 from monotest.oracle import OracleHandle
 from monotest.rng import SplitRng
-from monotest.spectral import estimate_mean
+from monotest.subroutines import estimate_mean
 from monotest.truth import exact_mean
 
 

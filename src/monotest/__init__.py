@@ -4,18 +4,17 @@ Layers, bottom up:
 
 * oracle: points, halfspaces, restrictions, query-counted black-box access,
   and anti-monotone-edge certificates;
-* spectral: the sampling estimator of means, and exact spectra;
 * subroutines: bisection between antipodal points, which finds Phase 1's
-  high-influence variables and the signs of their weights, and the edge
-  tester;
+  high-influence variables and the signs of their weights, the sampling
+  mean check of Phase 1's balanced assignment, and the edge tester;
 * schedule / tester: the desk-scale constants that replace the paper's
   accuracy and confidence formulas, the eps-dependent round count, the
   regularize-and-balance step, the default edge-first test and the
   adaptive test (initialization phase, then the edge test), whose Phase 1
   rests on a measurement, not a proof (see schedule);
 * truth: exact ground-truth oracles for distance to monotone (a
-  Monte-Carlo estimate only as a cross-check), with executable structural
-  identities;
+  Monte-Carlo estimate only as a cross-check), means, degree-1 coefficients
+  and influences, with executable structural identities;
 * generators / harness / cli: certified instance families, seeded benchmark
   suites, and the command-line surface.
 """
@@ -40,13 +39,12 @@ from .oracle import (
 )
 from .rng import SplitRng
 from .schedule import ParameterSchedule, build_schedule
-from .spectral import (
-    ExactSpectrum,
+from .subroutines import (
     SpectralEstimate,
+    bisect_edges,
+    edge_tester,
     estimate_mean,
-    exact_spectrum,
 )
-from .subroutines import bisect_edges, edge_tester
 from .tester import (
     main_procedure,
     mono_test_ltf,
@@ -66,7 +64,6 @@ from .truth import (
 __all__ = [
     "AntiMonotoneEdgeCertificate",
     "DistanceReport",
-    "ExactSpectrum",
     "ExperimentRecord",
     "GeneratedInstance",
     "InstanceFamily",
@@ -92,7 +89,6 @@ __all__ = [
     "edge_tester",
     "estimate_mean",
     "eval_ltf",
-    "exact_spectrum",
     "generate",
     "main_procedure",
     "mono_test_ltf",

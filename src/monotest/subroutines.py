@@ -1,6 +1,11 @@
 """Mid-level probes: bisection between antipodal points, which finds the
-high-influence variables of Phase 1 and the signs of their weights, and the
-uniform edge tester.
+high-influence variables of Phase 1 and the signs of their weights, the
+mean check that Phase 1's balanced assignment must pass, and the uniform
+edge tester.
+
+estimate_mean takes a fixed Hoeffding count, or, given a bound, stops once
+it has decided on which side of the bound |E[f]| lies; a count above
+MAX_FEASIBLE_QUERIES raises InfeasibleBudgetError instead of sampling.
 
 Everything here returns a certificate whenever it claims non-monotonicity;
 there is no rejection path without a witnessed anti-monotone edge.  All
@@ -19,8 +24,6 @@ import numpy as np
 from . import bits
 from .oracle import AntiMonotoneEdgeCertificate, OracleHandle, Verdict
 from .rng import SplitRng
-# not called here any more, but perfbench/tracing.py wraps it under this name
-from .spectral import estimate_mean  # noqa: F401
 # bound only because perfbench/tracing.py wraps these names here; the code
 # they named is deleted, so nothing calls them
 check_fourier_regular = None
@@ -35,6 +38,12 @@ EDGE_FIRST_BATCH = 64
 EDGE_CHUNK = 8192
 # rounds a bisect_edges sample may take beyond 2 ceil(log2 k)
 BISECT_ROUND_SLACK = 16
+# estimate_mean's rows per drawn batch, within bits.CHUNK_BYTES (see
+# bits.chunk_rows)
+MEAN_CHUNK = 16384
+MEAN_CONST = 2.0           # Hoeffding: m = 2 ln(2/delta) / eps^2 exactly
+MEAN_FIRST_LOOK = 64       # the bounded mean check looks at 64 * 2^j samples
+MAX_FEASIBLE_QUERIES = 1 << 40
 
 # perfbench/tracing.py reads this name
 NEGATIVE = "negative"
@@ -163,6 +172,96 @@ def bisect_edges(f: OracleHandle, samples: int,
             a[split[same]] = c[same]
             d[split] = np.where(same[:, None], right[split], left[split])
     return BisectionEdges(coords, lo, queried, None)
+
+
+# ---------------------------------------------------------------------------
+# the mean check
+
+
+class InfeasibleBudgetError(RuntimeError):
+    """Raised when a parameter choice implies an unrunnable sample size."""
+
+
+@dataclass(frozen=True)
+class SpectralEstimate:
+    value: float
+    target_accuracy: float
+    confidence: float
+    queries_used: int
+
+
+def _check_unit(name: str, value: float):
+    if not (0.0 < value < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+
+
+def estimate_mean(f: OracleHandle, eps: float, delta: float,
+                  rng: np.random.Generator,
+                  bound: Optional[float] = None) -> SpectralEstimate:
+    """Estimate E[f] to within +-eps with probability >= 1-delta, or, given
+    a bound, decide on which side of it |E[f]| lies.
+
+    Without a bound: ceil(2 ln(2/delta) / eps^2) uniform queries, the exact
+    Hoeffding count for +-1 outputs.
+
+    With a bound, the caller's test `abs(value) <= bound` is right with
+    probability >= 1-delta whenever |E[f]| <= bound - eps (it passes) or
+    |E[f]| > bound + eps (it fails), as with the fixed-count estimate, but
+    the sample stops as soon as the side is proven.  The cap is
+    m = ceil(2 ln(4/delta) / eps^2).  The running mean is looked at after
+    m_j = MEAN_FIRST_LOOK * 2^j samples, for each of the K values m_j < m,
+    with radius r_j = sqrt(2 ln(4K/delta) / m_j).  It stops "inside" when
+    |mean_j| + r_j <= bound + eps and "outside" when
+    |mean_j| - r_j > bound - eps; otherwise it goes on to the cap and
+    returns the mean of all m samples.  queries_used counts the samples
+    actually drawn, and target_accuracy is r_j after an early stop.
+
+    Why this keeps the contract.  By Hoeffding, a look at m_j samples is
+    off by more than r_j with probability at most
+    2 exp(-m_j r_j^2 / 2) = delta / (2K), and the final look is off by more
+    than eps with probability at most 2 exp(-m eps^2 / 2) <= delta / 2.  By
+    the union bound, with probability >= 1-delta no look is off.  On that
+    event an inside stop gives |E[f]| <= |mean_j| + r_j <= bound + eps, so
+    E[f] is not on the failing side, and an outside stop gives
+    |E[f]| >= |mean_j| - r_j > bound - eps, so it is not on the passing
+    side; at the cap the value is within eps.  And since m_j <= m - 1 <
+    2 ln(4/delta) / eps^2, every early radius exceeds eps: an inside stop
+    leaves |mean_j| <= bound + eps - r_j < bound and an outside stop
+    |mean_j| > bound - eps + r_j > bound, so `abs(value) <= bound` picks
+    the side the interval proved, and the two stops never both hold.
+
+    Batches are drawn in multiples of 4 rows, so the first k samples are
+    the same whether or not the check stopped early (see bits.chunk_rows).
+    """
+    _check_unit("eps", eps)
+    _check_unit("delta", delta)
+    sequential = bound is not None
+    log_term = math.log((4.0 if sequential else 2.0) / delta)
+    m = int(math.ceil(MEAN_CONST * log_term / eps ** 2))
+    if m > MAX_FEASIBLE_QUERIES:
+        raise InfeasibleBudgetError(f"mean estimate would need {m} queries")
+    looks = []
+    if sequential:
+        while MEAN_FIRST_LOOK << len(looks) < m:
+            looks.append(MEAN_FIRST_LOOK << len(looks))
+    # r_j^2 * m_j, the K early looks sharing delta / 2
+    look_log = MEAN_CONST * math.log(4.0 * max(1, len(looks)) / delta)
+    total = 0.0
+    chunk = bits.chunk_rows(MEAN_CHUNK, bits.nbytes(f.ambient_n))
+    done = 0
+    for target in looks + [m]:
+        while done < target:
+            k = min(chunk, target - done)
+            pts = bits.random_packed(rng, k, f.ambient_n)
+            total += float(f.query_packed(pts).astype(np.float64).sum())
+            done += k
+        if done < m:
+            value = total / done
+            radius = math.sqrt(look_log / done)
+            if (abs(value) + radius <= bound + eps
+                    or abs(value) - radius > bound - eps):
+                return SpectralEstimate(value, radius, delta, done)
+    return SpectralEstimate(total / m, eps, delta, m)
 
 
 # ---------------------------------------------------------------------------

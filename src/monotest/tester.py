@@ -46,11 +46,9 @@ from .schedule import (
     DELTA,
     EDGE_DELTA,
     EDGE_EPS,
-    INFLUENCE_TAU,
     ParameterSchedule,
 )
-from .spectral import estimate_mean
-from .subroutines import bisect_edges, edge_tester
+from .subroutines import bisect_edges, edge_tester, estimate_mean
 # bound only because perfbench/tracing.py wraps these names here; the code
 # they named is deleted, so nothing calls them
 check_fourier_regular = None
@@ -65,8 +63,10 @@ def high_variables(f: OracleHandle, rng: SplitRng
     """Phase 1's search: the free coordinates of f (ambient labels,
     ascending) that end at least BISECT_HITS of BISECT_SAMPLES bisect_edges
     samples, or a non-monotone verdict if one ends on an anti-monotone
-    edge.  That they include every |fhat(i)| >= INFLUENCE_TAU is measured,
-    not proven (see schedule)."""
+    edge.  A sample ends on at most one coordinate, so the set holds at
+    most BISECT_SAMPLES // BISECT_HITS coordinates (15).  That it includes
+    every |fhat(i)| >= INFLUENCE_TAU is measured, not proven (see
+    schedule)."""
     found = bisect_edges(f, BISECT_SAMPLES, rng)
     if found.certificate is not None:
         return Verdict.non_monotone(found.certificate, "rb:negative-weight")
@@ -95,8 +95,6 @@ def regularize_and_balance(f: OracleHandle, eps: float,
     high = high_variables(f, rng.child("influence"))
     if isinstance(high, Verdict):
         return high
-    if high.size > 4.0 / INFLUENCE_TAU ** 2:
-        return Verdict.monotone("rb:h-overflow")
     bound = 1.0 - 7.0 * eps / 6.0
     # with nothing to fix, every round would re-test the same function
     for r in range(sched.rb_rounds if high.size else 1):

@@ -1,5 +1,6 @@
-"""Exact ground truth: distance to monotone, weight profiles, and executable
-checkers for the structural facts the tester relies on.
+"""Exact ground truth: distance to monotone, means, degree-1 coefficients
+and influences, weight profiles, and executable checkers for the
+structural facts the tester relies on.
 
 Exact distances are stored as integer counts over 2^n, so equality assertions
 between independent oracles are exact rational comparisons with no float
@@ -11,7 +12,10 @@ tolerance.  Two independent distance oracles exist on purpose:
   negative weights), vectorized over subset sums.
 
 Their exact agreement on every tested halfspace is itself one of the
-structural facts under test.  Above n = 20, where neither can enumerate,
+structural facts under test.  So is |fhat(i)| = Inf_i, which holds since a
+halfspace is unate: up to n = 20 the degree-1 coefficients come from
+leave-one-out means (exact_degree1) and the influences from the truth table
+(exact_influences).  Above n = 20, where neither can enumerate,
 integer weights get the weight-based distance and the mean from a float64
 DP over the pmfs of subset sums (dist_ltf_to_monotone_dp, ltf_mean_dp),
 with a proven rounding radius, and the degree-1 coefficients from
@@ -350,14 +354,31 @@ def exact_mean(spec: LTFSpec) -> float:
 def exact_degree1(spec: LTFSpec) -> np.ndarray:
     """E[f(x) x_i] for every i, half the gap between the means of f with
     x_i = +1 and -1: enumerated for n <= 21, above that by degree1_dp
-    (integer weights); the degree-1 reference where exact_spectrum stops."""
+    (integer weights); the degree-1 reference that Phase 1's search is
+    measured against (see schedule).  At n = 1 it is (f(+1) - f(-1)) / 2,
+    since the leave-one-out halfspace would have no variables."""
     if spec.n > TABLE_MAX_N + 1:
         return degree1_dp(spec)
     w, theta = spec.weights, spec.theta
+    if spec.n == 1:
+        table = truth_table(spec)  # indexed by x_1 = -1, +1
+        return np.array([(int(table[1]) - int(table[0])) / 2])
     return np.array([
         (exact_mean(LTFSpec(np.delete(w, i), theta - w[i]))
          - exact_mean(LTFSpec(np.delete(w, i), theta + w[i]))) / 2
         for i in range(spec.n)])
+
+
+def exact_influences(spec: LTFSpec) -> np.ndarray:
+    """Inf_i(f) = Pr[f(x) != f(x with bit i flipped)], exactly (n <= 20),
+    from the truth table.  A halfspace is unate, so Inf_i = |fhat(i)|, the
+    identity that exact_degree1 is tested against."""
+    table = truth_table(spec)
+    idx = np.arange(table.size)
+    out = np.empty(spec.n, dtype=np.float64)
+    for i in range(spec.n):
+        out[i] = np.count_nonzero(table != table[idx ^ (1 << i)]) / table.size
+    return out
 
 
 def degree1_dp(spec: LTFSpec) -> np.ndarray:

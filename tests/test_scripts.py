@@ -10,6 +10,10 @@ from pathlib import Path
 
 import numpy as np
 
+from monotest.rng import SplitRng
+from monotest.schedule import BISECT_SAMPLES
+from monotest.subroutines import bisect_edges
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -32,6 +36,16 @@ def test_bench_kernels_rows_run():
         assert all(f"eval.{r}rows" in row for r in bench.CALL_ROWS)
         assert all(np.isfinite(v) and v > 0 for v in row.values())
     assert "certify" in rows[str(n)]
+
+
+def test_bench_kernels_bisect_column_runs_bisection_rounds():
+    # a call that charged only its 2 * BISECT_SAMPLES first queries would
+    # time the endpoint batch and no bisection round
+    bench = load_script("bench_kernels")
+    gen = np.random.default_rng(np.random.Philox(bench.SEED))
+    f = bench.bisect_handle(bench.int_weights(1024, gen))
+    bisect_edges(f, BISECT_SAMPLES, SplitRng(bench.SEED))
+    assert f.query_count > 2 * BISECT_SAMPLES
 
 
 def test_calibrate_estimators_runs(capsys):

@@ -13,11 +13,17 @@ from monotest.oracle import (
     restrict,
     verify_certificate,
 )
-from monotest.rng import SplitRng
+from monotest.rng import SplitRng, generator_for
 from monotest.schedule import BISECT_SAMPLES, EDGE_DELTA, EDGE_EPS
-from monotest.subroutines import bisect_edges, bisect_round_cap, edge_tester
+from monotest.subroutines import (
+    InfeasibleBudgetError,
+    bisect_edges,
+    bisect_round_cap,
+    edge_tester,
+    estimate_mean,
+)
 from monotest.tester import high_variables, main_procedure
-from monotest.truth import exact_degree1
+from monotest.truth import exact_degree1, exact_mean
 
 S = BISECT_SAMPLES
 
@@ -27,6 +33,10 @@ def planted_heavy(n, heavy=8.0, sign=1.0):
     w = np.ones(n)
     w[0] = sign * heavy
     return LTFSpec(w, 0.0)
+
+
+def majority_spec(k):
+    return LTFSpec(np.ones(k), 0.0)
 
 
 def rng_at(seed, *path):
@@ -259,6 +269,150 @@ def test_weight_sign_respects_restriction_and_counts_queries():
     base = out.certificate.base_point
     assert base[0] == -1  # consistent with rho
     assert verify_certificate(f, out.certificate)
+
+
+# ---------------------------------------------------------------------------
+# estimate_mean
+
+
+def test_mean_constant_function():
+    f = OracleHandle.for_function(lambda pm: np.ones(pm.shape[0], dtype=np.int8), 6)
+    est = estimate_mean(f, 0.3, 0.1, generator_for(4, "m1"))
+    assert est.value == 1.0
+    assert est.queries_used == f.query_count
+
+
+def test_mean_dictator_hit_rate():
+    spec = LTFSpec(np.array([1.0] + [0.0] * 5), 0.0)
+    f = OracleHandle.for_spec(spec)
+    hits = 0
+    for t in range(200):
+        est = estimate_mean(f, 0.1, 0.05, generator_for(t, "mean-dict"))
+        hits += abs(est.value) <= 0.1
+    assert hits >= 190  # nominal rate 1 - delta = 0.95
+
+
+def test_mean_majority3():
+    f = OracleHandle.for_spec(majority_spec(3))
+    est = estimate_mean(f, 0.1, 0.05, generator_for(9, "maj3"))
+    assert abs(est.value) <= 0.1
+
+
+def test_mean_query_count_formula():
+    f = OracleHandle.for_spec(majority_spec(3))
+    before = f.query_count
+    est = estimate_mean(f, 0.2, 0.1, generator_for(10, "qc"))
+    assert est.queries_used == f.query_count - before
+    assert est.queries_used == math.ceil(2 * math.log(2 / 0.1) / 0.2 ** 2)
+
+
+# the bounded (sequential) mean check: (bound, eps, delta) settings
+MEAN_DECISIONS = [(0.5, 0.1, 0.1), (0.3, 0.05, 0.05)]
+
+
+def mean_cap(eps, delta):
+    return math.ceil(2 * math.log(4 / delta) / eps ** 2)
+
+
+def near_bound_specs(bound, eps):
+    """Halfspaces on 12 variables whose exact means lie just inside
+    bound - eps and just outside bound + eps, each with both signs:
+    returns [(spec, exact mean, |mean| <= bound - eps)]."""
+    w = np.arange(1.0, 13.0)
+    means = {t + 0.5: exact_mean(LTFSpec(w, t + 0.5)) for t in range(-79, 79)}
+    inside = max((m, t) for t, m in means.items() if 0 <= m <= bound - eps)
+    outside = min((m, t) for t, m in means.items() if m > bound + eps)
+    out = []
+    for (m, t), is_inside in ((inside, True), (outside, False)):
+        for sign in (1, -1):
+            spec = LTFSpec(w, sign * t)
+            assert exact_mean(spec) == sign * m
+            out.append((spec, sign * m, is_inside))
+    return out
+
+
+@pytest.mark.parametrize("bound,eps,delta", MEAN_DECISIONS)
+def test_mean_decision_wrong_side_rate(bound, eps, delta):
+    streams = 200
+    for idx, (spec, mean, inside) in enumerate(near_bound_specs(bound, eps)):
+        assert bound - eps - 0.05 < abs(mean) < bound + eps + 0.05
+        f = OracleHandle.for_spec(spec)
+        wrong = 0
+        for t in range(streams):
+            before = f.query_count
+            est = estimate_mean(f, eps, delta, generator_for(t, "md", idx),
+                                bound=bound)
+            assert est.queries_used == f.query_count - before
+            assert est.queries_used <= mean_cap(eps, delta)
+            wrong += (abs(est.value) <= bound) != inside
+        assert wrong / streams <= delta, (mean, wrong)
+
+
+def test_mean_decision_balanced_majority_stops_at_first_look():
+    # the initialization-phase check at eps = 0.1: accuracy eps/6, bound
+    # 1 - 7eps/6; a mean-zero input is proven inside after 64 samples
+    f = OracleHandle.for_spec(majority_spec(15))
+    for t in range(5):
+        est = estimate_mean(f, 0.1 / 6, 5e-4, generator_for(t, "maj-look"),
+                            bound=1 - 0.7 / 6)
+        assert est.queries_used == 64
+        assert abs(est.value) <= 1 - 0.7 / 6
+    assert f.query_count == 5 * 64
+
+
+@pytest.mark.parametrize("bound,eps,delta", MEAN_DECISIONS)
+def test_mean_decision_early_stops_pick_the_proven_side(bound, eps, delta):
+    cap = mean_cap(eps, delta)
+    looks = [64 << j for j in range(20) if 64 << j < cap]
+    log_term = 2 * math.log(4 * len(looks) / delta)
+    rng = generator_for(5, "md-side")
+    early = 0
+    for idx in range(40):
+        spec = LTFSpec(np.arange(1.0, 13.0), float(rng.integers(-40, 40)) + 0.5)
+        f = OracleHandle.for_spec(spec)
+        for t in range(10):
+            est = estimate_mean(f, eps, delta, generator_for(t, "side", idx),
+                                bound=bound)
+            if est.queries_used == cap:
+                continue
+            early += 1
+            assert est.queries_used in looks
+            radius = math.sqrt(log_term / est.queries_used)
+            assert est.target_accuracy == pytest.approx(radius, rel=1e-12)
+            assert radius > eps
+            proved_inside = abs(est.value) + radius <= bound + eps
+            proved_outside = abs(est.value) - radius > bound - eps
+            assert proved_inside != proved_outside
+            assert (abs(est.value) <= bound) == proved_inside
+    assert early >= 300
+
+
+def test_mean_decision_at_the_cap_is_the_fixed_count_estimate():
+    # mean 0.5 sits on the bound, so some streams never resolve early; those
+    # return the mean of the first cap samples, which is the fixed-count
+    # estimate at delta / 2 from the same stream
+    bound, eps, delta = 0.5, 0.1, 0.1
+    f = OracleHandle.for_spec(LTFSpec(np.ones(2), -0.5))
+    capped = 0
+    for t in range(40):
+        est = estimate_mean(f, eps, delta, generator_for(t, "cap"),
+                            bound=bound)
+        if est.queries_used < mean_cap(eps, delta):
+            continue
+        capped += 1
+        fixed = estimate_mean(f, eps, delta / 2, generator_for(t, "cap"))
+        assert fixed.queries_used == est.queries_used
+        assert (est.value, est.target_accuracy) == (fixed.value, eps)
+    assert capped >= 5
+
+
+def test_infeasible_budget_raises():
+    # 2 ln(2/delta) / eps^2 is about 2.9e15 queries, above 2^40; raised
+    # before a single query is charged
+    f = OracleHandle.for_spec(majority_spec(3))
+    with pytest.raises(InfeasibleBudgetError):
+        estimate_mean(f, 1e-7, 1e-6, generator_for(11, "infeasible"))
+    assert f.query_count == 0
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from monotest.truth import (
     dp_radius,
     drop_negative_weights,
     exact_degree1,
+    exact_influences,
     exact_mean,
     ltf_mean_dp,
     min_boundary_gap,
@@ -272,6 +273,64 @@ def test_certify_is_exact_or_raises():
     assert np.abs(big).sum() > DP_MAX_SUM
     with pytest.raises(ValueError, match="DP_MAX_SUM"):
         _certify(LTFSpec(big, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# degree-1 references
+
+
+def majority_spec(k):
+    return LTFSpec(np.ones(k), 0.0)
+
+
+def majority_degree1(k):
+    # degree-1 coefficient of majority on k (odd) variables
+    return math.comb(k - 1, (k - 1) // 2) / 2 ** (k - 1)
+
+
+def brute_force_coefficient(table, n, s):
+    """fhat(S) = E[f(x) prod_{i in S} x_i], summed point by point."""
+    total = 0.0
+    for mask in range(1 << n):
+        x = [1 if (mask >> i) & 1 else -1 for i in range(n)]
+        chi = 1
+        for i in s:
+            chi *= x[i]
+        total += table[mask] * chi
+    return total / (1 << n)
+
+
+def test_degree1_equals_influence():
+    # a halfspace is unate, so |fhat(i)| = Inf_i; n = 1, where the
+    # leave-one-out halfspace has no variables, is among the draws
+    rng = generator_for(3, "inf")
+    seen = set()
+    for _ in range(20):
+        n = int(rng.integers(1, 13))
+        spec = grid_spec(rng, n)
+        seen.add(n)
+        assert np.allclose(np.abs(exact_degree1(spec)),
+                           exact_influences(spec), atol=1e-12)
+    assert 1 in seen
+
+
+def test_degree1_slice_large_n_matches_formula():
+    # majority on 17 variables, from the x_i = +1 and x_i = -1 slices
+    spec = majority_spec(17)
+    assert np.allclose(exact_degree1(spec), majority_degree1(17), atol=1e-12)
+    assert exact_mean(spec) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_degree1_slice_agrees_with_full_path():
+    # at n = 1 the leave-one-out halfspace has no variables
+    for spec in (LTFSpec(np.concatenate([[4.0], np.ones(4)]), 0.5),
+                 spec_of([-1.0]), spec_of([3.0], 2.0), spec_of([1.0], 2.0)):
+        n = spec.n
+        table = truth_table(spec)
+        brute = [brute_force_coefficient(table, n, (i,)) for i in range(n)]
+        assert np.allclose(exact_degree1(spec), brute, atol=1e-12)
+        assert exact_mean(spec) == pytest.approx(
+            brute_force_coefficient(table, n, ()), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
