@@ -32,6 +32,7 @@ from .oracle import (
     LTFSpec,
     OracleHandle,
     QueryBudgetExceededError,
+    certificate_holds,
     truth_table,
 )
 from .rng import SplitRng
@@ -103,11 +104,15 @@ def cmd_test(args) -> int:
     except QueryBudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    cert = verdict.certificate
+    # checked on the halfspace itself, not through the evaluator queried;
+    # null without a certificate, as in the bench records
+    cert_ok = None if cert is None else certificate_holds(spec, cert)
     result = {
         "verdict": verdict.outcome,
         "diagnostic": verdict.diagnostic,
-        "certificate": (None if verdict.certificate is None
-                        else verdict.certificate.to_dict()),
+        "certificate": None if cert is None else cert.to_dict(),
+        "certificate_ok": cert_ok,
         "queries": {"total": handle.query_count},
         "wall_ms": int(round((time.perf_counter() - t0) * 1000)),
         "schedule": sched.to_dict(),
@@ -117,7 +122,7 @@ def cmd_test(args) -> int:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
-    return 0
+    return 2 if cert_ok is False else 0
 
 
 def cmd_bench(args) -> int:

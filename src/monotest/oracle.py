@@ -15,8 +15,10 @@ which maps to +1.
 LTFEvaluator, the one path every oracle query takes at every n, keeps one
 256-entry float64 table of set-bit sums per byte of the packed point, and
 gathers every batch the same way: flat takes on the raveled tables,
-flat.take(rows + 256 * arange(nb)), FLAT_BLOCK_BYTES of rows at a time,
-each summed by a product with a vector of ones.  An edge batch [lo; hi]
+FLAT_BLOCK_BYTES of rows at a time, each summed by a product with a vector
+of ones.  The take's index is built once a call, preset to 256 p in column
+p, and each block writes its bytes into the low byte of those entries, so
+it reads entry 256 p + b with no widening add.  An edge batch [lo; hi]
 at least PAIR_MIN_BYTES wide, whose hi rows each differ from their lo rows
 in one byte, gathers only its lo half; each hi row swaps one table entry
 of its lo row's sum.  truth_table and cube_margins enumerate the whole
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -38,9 +41,10 @@ from . import bits
 
 TABLE_MAX_N = 20  # largest n the exact references enumerate the cube for
 # narrowest packed width, in bytes, at which LTFEvaluator looks for an edge
-# batch.  At 128 bytes the one-byte check already pays on a full batch of
-# 8192 edges, but it costs more than it saves on the edge tester's first
-# batch of 64; at 256 it breaks even there (README, Performance notes).
+# batch.  At 128 bytes the one-byte check costs more than it saves even on
+# a full batch of 8192 edges; at 256 it pays from the edge tester's second
+# batch, of 128 edges, and costs 5-7% on its first, of 64 (README,
+# Performance notes).
 PAIR_MIN_BYTES = 256
 # packed bytes per take of LTFEvaluator's gather, whose intp index and
 # float64 result take 8 bytes per packed byte each.  Through the evaluator
@@ -53,6 +57,8 @@ FLAT_BLOCK_BYTES = 16 << 10
 # with a fixed mmap threshold, where 256 rows (128 KiB at n = 4096) add
 # about 0.3 MiB
 EDGE_CHECK_ROWS = 256
+# offset, within an intp, of its least significant byte
+_LOW_BYTE = 0 if sys.byteorder == "little" else np.dtype(np.intp).itemsize - 1
 
 
 # (8, 256): column b holds the bits of byte value b, converted once here
@@ -254,8 +260,10 @@ class LTFEvaluator:
     (or the lo half of an edge batch, below) of nb bytes a row is gathered
     FLAT_BLOCK_BYTES // nb rows at a time: one take of entry 256 p + b of
     the raveled tables for byte b at position p, summed by a product with
-    ones into the block's set-bit sums.  README, Performance notes, has its
-    cost per batch shape.
+    ones into the block's set-bit sums.  The index of that take is an intp
+    block made once a call and preset to 256 p; a block's bytes b are
+    copied into the low byte of its entries, which is zero in 256 p.
+    README, Performance notes, has its cost per batch shape.
 
     With s the set-bit sum of a row, w.x = 2s - sum(w), and a row is decided
     by one subtraction and one comparison:
@@ -297,9 +305,10 @@ class LTFEvaluator:
             self._offset = math.fsum([spec.theta, *w])
             self._threshold = 0.0
             self._tie_bound = _tie_bound(w, spec.theta)
-        # the gather reads entry 256 p + b of the raveled tables
+        # the gather reads entry 256 p + b of the raveled tables; _base is
+        # the (1, nb) row of 256 p that each call's index repeats
         self._flat = self._tables.ravel()
-        self._base = np.arange(0, 256 * nb, 256, dtype=np.intp)
+        self._base = np.arange(0, 256 * nb, 256, dtype=np.intp)[None, :]
         self._ones = np.ones(nb)
         self._flat_block = max(1, FLAT_BLOCK_BYTES // nb)
 
@@ -322,12 +331,26 @@ class LTFEvaluator:
 
     def _sums(self, rows: np.ndarray) -> np.ndarray:
         """Set-bit sums of rows, each FLAT_BLOCK_BYTES of rows gathered with
-        one take on the raveled tables and summed by a product with ones."""
-        acc = np.empty(rows.shape[0])
-        step = self._flat_block
-        for i in range(0, rows.shape[0], step):
-            np.matmul(self._flat.take(rows[i: i + step] + self._base),
-                      self._ones, out=acc[i: i + step])
+        one take on the raveled tables and summed by a product with ones.
+
+        The take's index is built once a call, preset to 256 p in every
+        entry of column p; each block writes its bytes b into the low byte
+        of those entries, which is zero in 256 p, so the index reads
+        256 p + b without a widening add.  The index belongs to the call,
+        so concurrent callers share no buffer."""
+        m = len(rows)
+        acc = np.empty(m)
+        step = min(self._flat_block, m) or 1
+        # the method, not np.repeat: on a batch of 2 rows the function's
+        # dispatch costs about as much as the copy
+        index = self._base.repeat(step, axis=0)
+        low = index.view(np.uint8)[:, _LOW_BYTE::index.itemsize]
+        for i in range(0, m, step):
+            block = rows[i: i + step]
+            k = len(block)
+            low[:k] = block
+            np.matmul(self._flat.take(index[:k]), self._ones,
+                      out=acc[i: i + step])
         return acc
 
     def _decide(self, acc: np.ndarray, block: np.ndarray, out: np.ndarray):

@@ -10,20 +10,34 @@ the identical stream.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
 
+# distinct label texts whose words are kept; a trial names a few dozen
+LABEL_CACHE = 1024
+
+
 def _label_words(label) -> tuple[int, ...]:
-    """Map an arbitrary label to two stable uint32 words."""
+    """Map an arbitrary label to one or two stable uint32 words."""
     if isinstance(label, (int, np.integer)):
         val = int(label)
         if 0 <= val < 2**32:
             return (val,)
         val &= (1 << 64) - 1
         return (val & 0xFFFFFFFF, val >> 32)
-    digest = hashlib.sha256(repr(label).encode()).digest()
+    return _text_words(repr(label))
+
+
+@functools.lru_cache(maxsize=LABEL_CACHE)
+def _text_words(text: str) -> tuple[int, int]:
+    """The first two little-endian uint32 words of sha256(text), cached on
+    the text: labels that compare equal, such as 0.0 and -0.0 or 1.0 and
+    np.float64(1.0), can have different reprs, so the cache is keyed on
+    the repr, not on the label."""
+    digest = hashlib.sha256(text.encode()).digest()
     return (
         int.from_bytes(digest[0:4], "little"),
         int.from_bytes(digest[4:8], "little"),

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from monotest.cli import main
+from monotest.oracle import LTFEvaluator
 
 
 def test_gen_and_test_roundtrip(tmp_path, capsys):
@@ -30,12 +31,40 @@ def test_gen_and_test_roundtrip(tmp_path, capsys):
         assert result["certificate"]["coordinate"] >= 0
 
 
-def test_test_command_budget_error(tmp_path):
+def _gen_instance(tmp_path, family, n):
     out_dir = tmp_path / "inst"
-    main(["gen", "--family", "monotone-random", "--n", "24", "--count", "1",
+    main(["gen", "--family", family, "--n", str(n), "--count", "1",
           "--seed", "1", "--out-dir", str(out_dir)])
-    instance = next(p for p in out_dir.glob("*.json")
-                    if not p.name.endswith(".meta.json"))
+    return next(p for p in out_dir.glob("*.json")
+                if not p.name.endswith(".meta.json"))
+
+
+def test_test_command_rechecks_its_certificate(tmp_path, monkeypatch):
+    # an evaluator fault that negates f wherever x_0 = +1 turns monotone
+    # edges anti-monotone: the tester's witness holds for the faulty
+    # evaluator, not for the halfspace, so the run is a hard-invariant
+    # violation (exit 2)
+    instance = _gen_instance(tmp_path, "monotone-random", 16)
+    out = tmp_path / "run.json"
+    args = ["test", "--instance", str(instance), "--epsilon", "0.1",
+            "--seed", "1", "--out", str(out)]
+    assert main(args) == 0
+    assert json.loads(out.read_text())["certificate_ok"] is None
+    evaluate = LTFEvaluator.__call__
+
+    def faulty(self, packed):
+        got = evaluate(self, packed).copy()
+        got[(packed[:, 0] & 1) == 1] *= -1
+        return got
+    monkeypatch.setattr(LTFEvaluator, "__call__", faulty)
+    assert main(args) == 2
+    result = json.loads(out.read_text())
+    assert result["verdict"] == "non-monotone"
+    assert result["certificate_ok"] is False
+
+
+def test_test_command_budget_error(tmp_path):
+    instance = _gen_instance(tmp_path, "monotone-random", 24)
     rc = main(["test", "--instance", str(instance), "--epsilon", "0.1",
                "--max-queries", "50"])
     assert rc == 1
@@ -71,11 +100,7 @@ def test_validate_command(tmp_path):
 
 def test_usage_error_exits_1(tmp_path):
     # 2 is reserved for hard-invariant violations
-    out_dir = tmp_path / "inst"
-    main(["gen", "--family", "monotone-random", "--n", "16", "--count", "1",
-          "--seed", "1", "--out-dir", str(out_dir)])
-    instance = next(p for p in out_dir.glob("*.json")
-                    if not p.name.endswith(".meta.json"))
+    instance = _gen_instance(tmp_path, "monotone-random", 16)
     with pytest.raises(SystemExit) as exc:
         main(["test", "--instance", str(instance), "--epsilon", "0.1",
               "--profile", "theoretical"])

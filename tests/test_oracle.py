@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -477,6 +478,62 @@ def test_flat_and_column_gathers_match_exact_reference(n, rows, wide,
             _, ev, batch, _ = _edge_batch_case(n, wide, restricted, k)
             assert _edge_positions(batch) is not None
             assert ev(batch)[k + 1] == 1
+
+
+def _int_evaluator(nb, label):
+    rng = generator_for(nb, label)
+    n = 8 * nb
+    w = rng.integers(-4095, 4096, size=n).astype(np.float64)
+    return rng, n, LTFEvaluator(LTFSpec(w, 0.5))
+
+
+@pytest.mark.parametrize("nb", [1, 2, 63, 257, 512])
+def test_preset_index_sums_match_widened_index(nb):
+    # the gather writes each block's bytes into the low byte of a preset
+    # 256 p index; on integer weights its sums must be those of the widened
+    # index rows + 256 p, bit for bit, on batches of 0 and 1 rows, one row
+    # either side of a take, and two takes and 3 rows
+    rng, n, ev = _int_evaluator(nb, "preset-index")
+    block = ev._flat_block
+    assert block == max(1, oracle.FLAT_BLOCK_BYTES // nb)
+    base = 256 * np.arange(nb)
+    for m in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+        rows = bits.random_packed(rng, m, n)
+        expect = ev._flat.take(rows + base).sum(axis=1)
+        assert np.array_equal(ev._sums(rows), expect), m
+
+
+def test_concurrent_calls_share_no_index():
+    # four threads, more than most test hosts' cores, call one evaluator at
+    # once, each on its own batch of three takes and 5 rows, with a short
+    # switch interval, and each must get its batch's signs: an index kept on
+    # the evaluator between calls would mix their bytes
+    _, n, ev = _int_evaluator(64, "concurrent")
+    batches = [bits.random_packed(generator_for(n, "concurrent", t),
+                                  3 * ev._flat_block + 5, n) for t in range(4)]
+    expect = [_column_signs(ev, b) for b in batches]
+    start = threading.Barrier(len(batches), timeout=10)
+    wrong = []
+
+    def call(t):
+        start.wait()
+        for _ in range(100):
+            if not np.array_equal(ev(batches[t]), expect[t]):
+                wrong.append(t)
+
+    threads = [threading.Thread(target=call, args=(t,))
+               for t in range(len(batches))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def _int_weights_case(n, lo, hi, at_x0):
