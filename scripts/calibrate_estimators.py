@@ -2,11 +2,12 @@
 """Calibration sweep for the bounded mean check against exact means.
 
 For a few (eps, delta, bound) settings, measures on random integer-grid
-halfspaces at n=12 the rate at which estimate_mean with a bound lands on
-the wrong side of the bound, over the instances whose exact |mean| is at
-most bound - eps or above bound + eps, and its mean queries per call next
-to the fixed Hoeffding count.  Rates should sit well below the nominal
-delta.
+halfspaces at n=12 the rate at which estimate_mean lands on the wrong side
+of the bound, over the instances whose exact |mean| is at most bound - eps
+or above bound + eps, and its mean queries per call (from the handle's
+query count) next to the Hoeffding count ceil(2 ln(2/delta) / eps^2) of a
+fixed-size estimate to within eps.  Rates should sit well below the
+nominal delta.
 
 Example:
     python scripts/calibrate_estimators.py --trials 100
@@ -47,11 +48,11 @@ def main(argv=None):
             f = OracleHandle.for_spec(spec)
             for trial in range(args.trials):
                 rng = SplitRng(args.seed, ("md", eps, inst, trial))
-                est = estimate_mean(f, eps, delta, rng.generator, bound=bound)
-                queries += est.queries_used
+                value = estimate_mean(f, eps, delta, rng.generator, bound)
                 if mean <= bound - eps or mean > bound + eps:
                     decided += 1
-                    wrong += (abs(est.value) <= bound) != (mean <= bound)
+                    wrong += (abs(value) <= bound) != (mean <= bound)
+            queries += f.query_count
         total = args.instances * args.trials
         rows.append({"estimator": "mean-decision", "eps": eps,
                      "delta": delta, "bound": bound,

@@ -2,10 +2,10 @@
 
 Layers, bottom up:
 
-* oracle: points, halfspaces, restrictions, query-counted black-box access,
-  and anti-monotone-edge certificates;
+* oracle: points, halfspaces and their evaluator, restrictions,
+  query-counted black-box access, and anti-monotone-edge certificates;
 * subroutines: bisection between antipodal points, which finds Phase 1's
-  high-influence variables and the signs of their weights, the sampling
+  high-influence variables and the signs of their weights, the bounded
   mean check of Phase 1's balanced assignment, and the edge tester;
 * schedule / tester: the desk-scale constants that replace the paper's
   accuracy and confidence formulas, the eps-dependent round count, the
@@ -40,7 +40,6 @@ from .oracle import (
 from .rng import SplitRng
 from .schedule import ParameterSchedule, build_schedule
 from .subroutines import (
-    SpectralEstimate,
     bisect_edges,
     edge_tester,
     estimate_mean,
@@ -72,7 +71,6 @@ __all__ = [
     "ParameterSchedule",
     "QueryBudgetExceededError",
     "Restriction",
-    "SpectralEstimate",
     "SplitRng",
     "SuiteConfig",
     "Verdict",

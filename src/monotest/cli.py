@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 2 on any hard-invariant violation (a rejection of
 a known-monotone instance, or a certificate that fails re-verification),
-1 on operational errors: an exhausted query budget, a usage error, or a
-family that gen or bench cannot build (one line on stderr).
+1 on operational errors: an exhausted query budget, a usage error (an
+instance file test cannot read, or an eps no schedule takes), or a family
+that gen or bench cannot build (one line on stderr).
 """
 
 from __future__ import annotations
@@ -94,8 +95,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_test(args) -> int:
-    spec = LTFSpec.load(args.instance)
-    sched = build_schedule(spec.n, args.epsilon)
+    try:  # an unreadable instance or a bad eps is a usage error
+        spec = LTFSpec.load(args.instance)
+        sched = build_schedule(spec.n, args.epsilon)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     handle = OracleHandle.for_spec(spec, query_cap=args.max_queries)
     rng = SplitRng(args.seed, ("cli-test",))
     t0 = time.perf_counter()

@@ -78,10 +78,9 @@ class GeneratedInstance:
         return bool(np.all(self.spec.weights >= 0))
 
 
-def _grid_magnitudes(gen: np.random.Generator, n: int,
-                     scale: float = WEIGHT_SCALE) -> np.ndarray:
-    """Positive integer weights, roughly half-normal with the given scale."""
-    w = np.round(np.abs(gen.standard_normal(n)) * scale) + 1.0
+def _grid_magnitudes(gen: np.random.Generator, n: int) -> np.ndarray:
+    """Positive integer weights, roughly half-normal, scale WEIGHT_SCALE."""
+    w = np.round(np.abs(gen.standard_normal(n)) * WEIGHT_SCALE) + 1.0
     return np.minimum(w, MAX_WEIGHT)
 
 
@@ -97,13 +96,13 @@ def _certify(spec: LTFSpec) -> DistanceReport:
     return dist_ltf_to_monotone_dp(spec)
 
 
-def grid_spec(gen: np.random.Generator, n: int, scale: int = 8) -> LTFSpec:
+def grid_spec(gen: np.random.Generator, n: int) -> LTFSpec:
     """A random signed integer-grid halfspace for the exact-oracle checks:
-    weights round(scale * N(0,1)) with zeros raised to 1, and a half-integer
-    threshold drawn from [-scale, scale)."""
-    w = np.round(gen.standard_normal(n) * scale)
+    weights round(8 N(0,1)) with zeros raised to 1, and a half-integer
+    threshold drawn from [-8, 8)."""
+    w = np.round(gen.standard_normal(n) * 8)
     w[w == 0] = 1.0
-    return LTFSpec(w, float(gen.integers(-scale, scale)) + 0.5)
+    return LTFSpec(w, float(gen.integers(-8, 8)) + 0.5)
 
 
 def generate(family: InstanceFamily, rng: SplitRng) -> GeneratedInstance:

@@ -112,7 +112,8 @@ def run_trial(config: SuiteConfig, trial: int) -> ExperimentRecord:
         known_monotone=instance.known_monotone)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96):
+def wilson_interval(successes: int, trials: int):
+    z = 1.96  # a 95% interval
     if trials == 0:
         return (0.0, 1.0)
     p = successes / trials

@@ -4,26 +4,20 @@ Sign convention, used everywhere: sign(t) = +1 iff t >= 0, so a halfspace
 f(x) = sign(w.x - theta) outputs +1 exactly when w.x >= theta.
 
 Every evaluation returns the true sign of w.x - theta, whatever the weights.
-eval_ltf, truth_table (through cube_margins) and LTFEvaluator share one rule:
-plain float arithmetic where exact_in_float holds (integer weights with
-sum |w_i| < 2^53), otherwise an fsum re-decision of near-threshold points,
-whose correctly rounded result has the exact sign.  Instances whose weights
+eval_ltf and certificate_holds sum each point with math.fsum, whose
+correctly rounded result has the exact sign.  truth_table (through
+cube_margins) and LTFEvaluator use plain float arithmetic where
+exact_in_float holds (integer weights with sum |w_i| < 2^53), otherwise
+an fsum re-decision of near-threshold points.  Instances whose weights
 sit on an integer grid (every generator in this package emits such
 instances) have |w.x - theta| >= 1/2 or w.x = theta, the boundary case,
 which maps to +1.
 
-LTFEvaluator, the one path every oracle query takes at every n, keeps one
-256-entry float64 table of set-bit sums per byte of the packed point, and
-gathers every batch the same way: flat takes on the raveled tables,
-FLAT_BLOCK_BYTES of rows at a time, each summed by a product with a vector
-of ones.  The take's index is built once a call, preset to 256 p in column
-p, and each block writes its bytes into the low byte of those entries, so
-it reads entry 256 p + b with no widening add.  An edge batch [lo; hi]
-at least PAIR_MIN_BYTES wide, whose hi rows each differ from their lo rows
-in one byte, gathers only its lo half; each hi row swaps one table entry
-of its lo row's sum.  truth_table and cube_margins enumerate the whole
-cube; they are the exact reference that the ground-truth helpers use and
-tests compare against.
+LTFEvaluator, the one path every oracle query takes at every n, sums each
+packed row from one 256-entry float64 table per byte, as its docstring
+describes, and decides every row of a call in one pass.  truth_table and
+cube_margins enumerate the whole cube; they are the exact reference that
+the ground-truth helpers use and tests compare against.
 """
 
 from __future__ import annotations
@@ -189,15 +183,12 @@ def _exact_signs(w: np.ndarray, theta: float,
 
 
 def _ltf_signs(spec: LTFSpec, points_pm: np.ndarray) -> np.ndarray:
-    """sign(w.x - theta) for each row of a (k, n) +-1 array, exactly: a
-    float dot product where exact_in_float holds, fsum otherwise."""
+    """sign(w.x - theta) for each row of a (k, n) +-1 array, exactly, by
+    fsum whatever the weights."""
     if points_pm.ndim != 2 or points_pm.shape[1] != spec.n:
         raise DimensionMismatchError(
             f"points have shape {points_pm.shape}, expected (k, {spec.n})")
-    if not exact_in_float(spec.weights):
-        return _exact_signs(spec.weights, spec.theta, points_pm)
-    return np.where(points_pm.astype(np.float64) @ spec.weights >= spec.theta,
-                    1, -1)
+    return _exact_signs(spec.weights, spec.theta, points_pm)
 
 
 def eval_ltf(spec: LTFSpec, x) -> int:
@@ -265,8 +256,8 @@ class LTFEvaluator:
     copied into the low byte of its entries, which is zero in 256 p.
     README, Performance notes, has its cost per batch shape.
 
-    With s the set-bit sum of a row, w.x = 2s - sum(w), and a row is decided
-    by one subtraction and one comparison:
+    With s the set-bit sum of a row, w.x = 2s - sum(w), and every row of a
+    call is decided at once, by one subtraction and one comparison:
 
     * exact_in_float(w): 2s - sum(w) >= theta.  Every table entry and
       partial row sum is an integer of magnitude at most sum |w_i| < 2^53,
@@ -316,17 +307,14 @@ class LTFEvaluator:
         pos = (_edge_positions(packed) if packed.shape[1] >= PAIR_MIN_BYTES
                else None)
         half = packed.shape[0] if pos is None else packed.shape[0] // 2
-        out = np.empty(packed.shape[0], dtype=np.int8)
-        lo = packed[:half]
-        acc = self._sums(lo)
-        self._decide(acc, lo, out[:half])
+        acc = self._sums(packed[:half])
         if pos is not None:
-            # the hi ends of the edges: swap one table entry of each sum
-            hi = packed[half:]
-            r = np.arange(half)
-            acc -= self._tables[pos, lo[r, pos]]
-            acc += self._tables[pos, hi[r, pos]]
-            self._decide(acc, hi, out[half:])
+            # the hi ends of the edges: swap one table entry of each lo sum
+            lo, hi, r = packed[:half], packed[half:], np.arange(half)
+            acc = np.concatenate([acc, acc - self._tables[pos, lo[r, pos]]])
+            acc[half:] += self._tables[pos, hi[r, pos]]
+        out = np.empty(packed.shape[0], dtype=np.int8)
+        self._decide(acc, packed, out)
         return out
 
     def _sums(self, rows: np.ndarray) -> np.ndarray:
@@ -357,7 +345,8 @@ class LTFEvaluator:
         """Write the signs of the rows of block, whose set-bit sums are acc,
         into out."""
         margin = 2.0 * acc - self._offset
-        out[:] = np.where(margin >= self._threshold, 1, -1)
+        # 0/1 as int8, then +-1 straight into out: no int64 temporary
+        np.subtract((margin >= self._threshold).view(np.int8) * 2, 1, out=out)
         if self._tie_bound is not None:
             near = _near_threshold(margin, self._tie_bound)
             if near.size:
@@ -671,10 +660,18 @@ class AntiMonotoneEdgeCertificate:
 
 def verify_certificate(f: OracleHandle,
                        cert: AntiMonotoneEdgeCertificate) -> bool:
-    """Re-check a certificate on a black-box handle with exactly 2 queries.
-    For a known halfspace, certificate_holds checks without the evaluator."""
+    """Re-check an ambient-width certificate on a black-box handle with
+    exactly 2 queries.  On a restricted view that would change either
+    endpoint (it fixes the certificate's coordinate, or a base coordinate
+    it fixes to the other value) it fails without a query.  For a known
+    halfspace, certificate_holds checks without the evaluator."""
     lo, hi = cert.endpoints()
-    vals = f.query_pm(np.stack([lo, hi]))
+    if lo.size != f.ambient_n:
+        raise DimensionMismatchError(f"certificate has {lo.size} coordinates")
+    pts = bits.pack(np.stack([lo, hi]))
+    if f.rho is not None and (f.lift(pts) != pts).any():
+        return False
+    vals = f.query_packed(pts)
     return int(vals[0]) == 1 and int(vals[1]) == -1
 
 

@@ -3,9 +3,9 @@ high-influence variables of Phase 1 and the signs of their weights, the
 mean check that Phase 1's balanced assignment must pass, and the uniform
 edge tester.
 
-estimate_mean takes a fixed Hoeffding count, or, given a bound, stops once
-it has decided on which side of the bound |E[f]| lies; a count above
-MAX_FEASIBLE_QUERIES raises InfeasibleBudgetError instead of sampling.
+estimate_mean stops once it has decided on which side of a bound |E[f]|
+lies; a cap above MAX_FEASIBLE_QUERIES raises InfeasibleBudgetError
+instead of sampling.
 
 Everything here returns a certificate whenever it claims non-monotonicity;
 there is no rejection path without a witnessed anti-monotone edge.  All
@@ -41,7 +41,7 @@ BISECT_ROUND_SLACK = 16
 # estimate_mean's rows per drawn batch, within bits.CHUNK_BYTES (see
 # bits.chunk_rows)
 MEAN_CHUNK = 16384
-MEAN_CONST = 2.0           # Hoeffding: m = 2 ln(2/delta) / eps^2 exactly
+MEAN_CONST = 2.0           # Hoeffding: cap m = 2 ln(4/delta) / eps^2
 MEAN_FIRST_LOOK = 64       # the bounded mean check looks at 64 * 2^j samples
 MAX_FEASIBLE_QUERIES = 1 << 40
 
@@ -182,39 +182,27 @@ class InfeasibleBudgetError(RuntimeError):
     """Raised when a parameter choice implies an unrunnable sample size."""
 
 
-@dataclass(frozen=True)
-class SpectralEstimate:
-    value: float
-    target_accuracy: float
-    confidence: float
-    queries_used: int
-
-
 def _check_unit(name: str, value: float):
     if not (0.0 < value < 1.0):
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
 def estimate_mean(f: OracleHandle, eps: float, delta: float,
-                  rng: np.random.Generator,
-                  bound: Optional[float] = None) -> SpectralEstimate:
-    """Estimate E[f] to within +-eps with probability >= 1-delta, or, given
-    a bound, decide on which side of it |E[f]| lies.
+                  rng: np.random.Generator, bound: float) -> float:
+    """Decide on which side of bound |E[f]| lies; returns the running mean
+    at the stop.
 
-    Without a bound: ceil(2 ln(2/delta) / eps^2) uniform queries, the exact
-    Hoeffding count for +-1 outputs.
-
-    With a bound, the caller's test `abs(value) <= bound` is right with
-    probability >= 1-delta whenever |E[f]| <= bound - eps (it passes) or
-    |E[f]| > bound + eps (it fails), as with the fixed-count estimate, but
-    the sample stops as soon as the side is proven.  The cap is
-    m = ceil(2 ln(4/delta) / eps^2).  The running mean is looked at after
-    m_j = MEAN_FIRST_LOOK * 2^j samples, for each of the K values m_j < m,
-    with radius r_j = sqrt(2 ln(4K/delta) / m_j).  It stops "inside" when
+    The caller's test `abs(value) <= bound` is right with probability
+    >= 1-delta whenever |E[f]| <= bound - eps (it passes) or
+    |E[f]| > bound + eps (it fails), and the sample stops as soon as the
+    side is proven.  The cap is m = ceil(2 ln(4/delta) / eps^2).  The
+    running mean is looked at after m_j = MEAN_FIRST_LOOK * 2^j samples,
+    for each of the K values m_j < m, with radius
+    r_j = sqrt(2 ln(4K/delta) / m_j).  It stops "inside" when
     |mean_j| + r_j <= bound + eps and "outside" when
     |mean_j| - r_j > bound - eps; otherwise it goes on to the cap and
-    returns the mean of all m samples.  queries_used counts the samples
-    actually drawn, and target_accuracy is r_j after an early stop.
+    returns the mean of all m samples.  f.query_count grows by the samples
+    actually drawn.
 
     Why this keeps the contract.  By Hoeffding, a look at m_j samples is
     off by more than r_j with probability at most
@@ -235,15 +223,11 @@ def estimate_mean(f: OracleHandle, eps: float, delta: float,
     """
     _check_unit("eps", eps)
     _check_unit("delta", delta)
-    sequential = bound is not None
-    log_term = math.log((4.0 if sequential else 2.0) / delta)
-    m = int(math.ceil(MEAN_CONST * log_term / eps ** 2))
+    m = int(math.ceil(MEAN_CONST * math.log(4.0 / delta) / eps ** 2))
     if m > MAX_FEASIBLE_QUERIES:
         raise InfeasibleBudgetError(f"mean estimate would need {m} queries")
-    looks = []
-    if sequential:
-        while MEAN_FIRST_LOOK << len(looks) < m:
-            looks.append(MEAN_FIRST_LOOK << len(looks))
+    looks = [MEAN_FIRST_LOOK << j for j in range(m.bit_length())
+             if MEAN_FIRST_LOOK << j < m]
     # r_j^2 * m_j, the K early looks sharing delta / 2
     look_log = MEAN_CONST * math.log(4.0 * max(1, len(looks)) / delta)
     total = 0.0
@@ -260,8 +244,8 @@ def estimate_mean(f: OracleHandle, eps: float, delta: float,
             radius = math.sqrt(look_log / done)
             if (abs(value) + radius <= bound + eps
                     or abs(value) - radius > bound - eps):
-                return SpectralEstimate(value, radius, delta, done)
-    return SpectralEstimate(total / m, eps, delta, m)
+                return value
+    return total / m
 
 
 # ---------------------------------------------------------------------------

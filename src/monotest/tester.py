@@ -102,7 +102,7 @@ def regularize_and_balance(f: OracleHandle, eps: float,
                                 rng.child("rho", r).generator)
         mean = estimate_mean(restrict(f, fix), eps / 6.0, DELTA / 2.0,
                              rng.child("mean", r).generator, bound=bound)
-        if abs(mean.value) <= bound:
+        if abs(mean) <= bound:
             return fix
     return Verdict.monotone("rb:round-exhaustion")
 

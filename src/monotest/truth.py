@@ -424,10 +424,6 @@ class StructuralCheck:
     status: str               # pass | fail
     measured: dict
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
 
 def check_restriction_preserves_distance(spec: LTFSpec, s_vars) -> StructuralCheck:
     """Averaging the distance to monotone over all assignments of a set of

@@ -140,3 +140,25 @@ def test_gen_and_bench_report_family_errors_in_one_line(command, tmp_path,
         assert err.splitlines() == [
             "error: heavy-coordinate needs an integer heavy weight, "
             "got 8.5"]
+
+
+VALID = '{"n": 3, "weights": [1, 2, 3], "theta": 0.5}'
+
+
+@pytest.mark.parametrize("eps,text", [
+    ("0", VALID), ("-1", VALID),
+    ("0.1", '{"n": 5, "weights": [1, 2, 3], "theta": 0.5}'),
+    ("0.1", "weights: 1 2 3\n"), ("0.1", None)],
+    ids=["eps-zero", "eps-negative", "n-mismatch", "not-json",
+         "missing-file"])
+def test_test_command_reports_bad_input_in_one_line(eps, text, tmp_path,
+                                                    capsys):
+    # a usage error, like an unknown option: one line and exit 1
+    instance = tmp_path / "instance.json"
+    if text is not None:
+        instance.write_text(text)
+    rc = main(["test", "--instance", str(instance), "--epsilon", eps])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

@@ -32,8 +32,8 @@ from monotest.oracle import (
     _exact_signs,
     verify_certificate,
 )
-from monotest.rng import generator_for
-from monotest.subroutines import EDGE_CHUNK, _query_edges
+from monotest.rng import SplitRng, generator_for
+from monotest.subroutines import EDGE_CHUNK, _query_edges, edge_tester
 
 
 def handle(w, theta, **kw):
@@ -774,6 +774,29 @@ def test_certificate_derived_example():
     f = handle([1.0, -2.0], 0.0)
     cert = AntiMonotoneEdgeCertificate(np.array([1, 1], dtype=np.int8), 1)
     assert verify_certificate(f, cert)
+
+
+def test_certificate_verifies_on_the_view_that_found_it():
+    # fixing x5 = +1 in sign(-3 x0 + x1 + ... + x5 - 0.5) leaves x0 negative
+    spec = LTFSpec(np.array([-3.0, 1, 1, 1, 1, 1]), 0.5)
+    f = OracleHandle.for_spec(spec)
+    view = restrict(f, Restriction.fixing(6, {5: 1}))
+    verdict = edge_tester(view, 0.1, 0.1, SplitRng(1))
+    cert = verdict.certificate
+    assert cert.base_point.size == 6 and cert.base_point[5] == 1
+    used = f.query_count
+    assert verify_certificate(view, cert)
+    assert f.query_count == used + 2
+    # an edge the view cannot see: its coordinate is fixed there, or the
+    # base point disagrees with the fixed x5; no query is charged
+    fixed_coord = AntiMonotoneEdgeCertificate(cert.base_point, 5)
+    off_view = cert.base_point.copy()
+    off_view[5] = -1
+    off_view = AntiMonotoneEdgeCertificate(off_view, cert.coordinate)
+    assert not verify_certificate(view, fixed_coord)
+    assert not verify_certificate(view, off_view)
+    assert f.query_count == used + 2
+    assert verify_certificate(f, off_view)
 
 
 def test_certificate_serialization_roundtrip():

@@ -275,43 +275,51 @@ def test_weight_sign_respects_restriction_and_counts_queries():
 # estimate_mean
 
 
+def mean_cap(eps, delta):
+    return math.ceil(2 * math.log(4 / delta) / eps ** 2)
+
+
 def test_mean_constant_function():
+    # |E f| = 1 is proven outside bound 0.5 at the first look, 64 samples
     f = OracleHandle.for_function(lambda pm: np.ones(pm.shape[0], dtype=np.int8), 6)
-    est = estimate_mean(f, 0.3, 0.1, generator_for(4, "m1"))
-    assert est.value == 1.0
-    assert est.queries_used == f.query_count
+    value = estimate_mean(f, 0.3, 0.1, generator_for(4, "m1"), bound=0.5)
+    assert value == 1.0
+    assert f.query_count == 64
 
 
 def test_mean_dictator_hit_rate():
+    # E f = 0 is within bound - eps = 0, so each call passes with
+    # probability >= 1 - delta
     spec = LTFSpec(np.array([1.0] + [0.0] * 5), 0.0)
     f = OracleHandle.for_spec(spec)
     hits = 0
     for t in range(200):
-        est = estimate_mean(f, 0.1, 0.05, generator_for(t, "mean-dict"))
-        hits += abs(est.value) <= 0.1
+        value = estimate_mean(f, 0.1, 0.05, generator_for(t, "mean-dict"),
+                              bound=0.1)
+        hits += abs(value) <= 0.1
     assert hits >= 190  # nominal rate 1 - delta = 0.95
 
 
 def test_mean_majority3():
     f = OracleHandle.for_spec(majority_spec(3))
-    est = estimate_mean(f, 0.1, 0.05, generator_for(9, "maj3"))
-    assert abs(est.value) <= 0.1
+    value = estimate_mean(f, 0.1, 0.05, generator_for(9, "maj3"), bound=0.1)
+    assert abs(value) <= 0.1
 
 
 def test_mean_query_count_formula():
-    f = OracleHandle.for_spec(majority_spec(3))
+    # a halfspace that is +1 everywhere: its running mean is always 1, on
+    # the bound, and since every early radius exceeds eps no look proves a
+    # side, so the check draws its whole cap
+    f = OracleHandle.for_spec(LTFSpec(np.ones(3), -3.5))
     before = f.query_count
-    est = estimate_mean(f, 0.2, 0.1, generator_for(10, "qc"))
-    assert est.queries_used == f.query_count - before
-    assert est.queries_used == math.ceil(2 * math.log(2 / 0.1) / 0.2 ** 2)
+    value = estimate_mean(f, 0.2, 0.1, generator_for(10, "qc"), bound=1.0)
+    assert value == 1.0
+    assert f.query_count - before == mean_cap(0.2, 0.1)
+    assert mean_cap(0.2, 0.1) == math.ceil(2 * math.log(4 / 0.1) / 0.2 ** 2)
 
 
 # the bounded (sequential) mean check: (bound, eps, delta) settings
 MEAN_DECISIONS = [(0.5, 0.1, 0.1), (0.3, 0.05, 0.05)]
-
-
-def mean_cap(eps, delta):
-    return math.ceil(2 * math.log(4 / delta) / eps ** 2)
 
 
 def near_bound_specs(bound, eps):
@@ -340,11 +348,10 @@ def test_mean_decision_wrong_side_rate(bound, eps, delta):
         wrong = 0
         for t in range(streams):
             before = f.query_count
-            est = estimate_mean(f, eps, delta, generator_for(t, "md", idx),
-                                bound=bound)
-            assert est.queries_used == f.query_count - before
-            assert est.queries_used <= mean_cap(eps, delta)
-            wrong += (abs(est.value) <= bound) != inside
+            value = estimate_mean(f, eps, delta, generator_for(t, "md", idx),
+                                  bound=bound)
+            assert f.query_count - before <= mean_cap(eps, delta)
+            wrong += (abs(value) <= bound) != inside
         assert wrong / streams <= delta, (mean, wrong)
 
 
@@ -353,10 +360,11 @@ def test_mean_decision_balanced_majority_stops_at_first_look():
     # 1 - 7eps/6; a mean-zero input is proven inside after 64 samples
     f = OracleHandle.for_spec(majority_spec(15))
     for t in range(5):
-        est = estimate_mean(f, 0.1 / 6, 5e-4, generator_for(t, "maj-look"),
-                            bound=1 - 0.7 / 6)
-        assert est.queries_used == 64
-        assert abs(est.value) <= 1 - 0.7 / 6
+        before = f.query_count
+        value = estimate_mean(f, 0.1 / 6, 5e-4, generator_for(t, "maj-look"),
+                              bound=1 - 0.7 / 6)
+        assert f.query_count - before == 64
+        assert abs(value) <= 1 - 0.7 / 6
     assert f.query_count == 5 * 64
 
 
@@ -371,47 +379,50 @@ def test_mean_decision_early_stops_pick_the_proven_side(bound, eps, delta):
         spec = LTFSpec(np.arange(1.0, 13.0), float(rng.integers(-40, 40)) + 0.5)
         f = OracleHandle.for_spec(spec)
         for t in range(10):
-            est = estimate_mean(f, eps, delta, generator_for(t, "side", idx),
-                                bound=bound)
-            if est.queries_used == cap:
+            before = f.query_count
+            value = estimate_mean(f, eps, delta, generator_for(t, "side", idx),
+                                  bound=bound)
+            used = f.query_count - before
+            if used == cap:
                 continue
             early += 1
-            assert est.queries_used in looks
-            radius = math.sqrt(log_term / est.queries_used)
-            assert est.target_accuracy == pytest.approx(radius, rel=1e-12)
+            assert used in looks
+            radius = math.sqrt(log_term / used)
             assert radius > eps
-            proved_inside = abs(est.value) + radius <= bound + eps
-            proved_outside = abs(est.value) - radius > bound - eps
+            proved_inside = abs(value) + radius <= bound + eps
+            proved_outside = abs(value) - radius > bound - eps
             assert proved_inside != proved_outside
-            assert (abs(est.value) <= bound) == proved_inside
+            assert (abs(value) <= bound) == proved_inside
     assert early >= 300
 
 
 def test_mean_decision_at_the_cap_is_the_fixed_count_estimate():
     # mean 0.5 sits on the bound, so some streams never resolve early; those
-    # return the mean of the first cap samples, which is the fixed-count
-    # estimate at delta / 2 from the same stream
+    # return the mean of the first cap samples of their stream
     bound, eps, delta = 0.5, 0.1, 0.1
+    cap = mean_cap(eps, delta)
     f = OracleHandle.for_spec(LTFSpec(np.ones(2), -0.5))
     capped = 0
     for t in range(40):
-        est = estimate_mean(f, eps, delta, generator_for(t, "cap"),
-                            bound=bound)
-        if est.queries_used < mean_cap(eps, delta):
+        before = f.query_count
+        value = estimate_mean(f, eps, delta, generator_for(t, "cap"),
+                              bound=bound)
+        if f.query_count - before < cap:
             continue
         capped += 1
-        fixed = estimate_mean(f, eps, delta / 2, generator_for(t, "cap"))
-        assert fixed.queries_used == est.queries_used
-        assert (est.value, est.target_accuracy) == (fixed.value, eps)
+        pts = bits.random_packed(generator_for(t, "cap"), cap, 2)
+        first = f.query_packed(pts).astype(np.float64)
+        assert value == float(first.sum()) / cap
     assert capped >= 5
 
 
 def test_infeasible_budget_raises():
-    # 2 ln(2/delta) / eps^2 is about 2.9e15 queries, above 2^40; raised
+    # 2 ln(4/delta) / eps^2 is about 3e15 queries, above 2^40; raised
     # before a single query is charged
     f = OracleHandle.for_spec(majority_spec(3))
     with pytest.raises(InfeasibleBudgetError):
-        estimate_mean(f, 1e-7, 1e-6, generator_for(11, "infeasible"))
+        estimate_mean(f, 1e-7, 1e-6, generator_for(11, "infeasible"),
+                      bound=0.5)
     assert f.query_count == 0
 
 
