@@ -28,9 +28,18 @@ Times, on one batch of POINTS points at each n in SIZES:
 * one edge-tester batch (`edge`, in ns per edge, not per point): the
   coordinate draw, the sampler and both endpoint evaluations of
   `subroutines.EDGE_CHUNK` edges (fewer where the batch would exceed
-  `bits.CHUNK_BYTES`) on the integer instance.  From n = 2048, whose rows
-  are `oracle.PAIR_MIN_BYTES` wide, the evaluator gathers only the lo ends
-  of that batch, so SIZES has widths on both sides of that choice,
+  `bits.CHUNK_BYTES`) on the integer instance, sent to the evaluator in
+  one call.  The tester itself sends a batch in slices of
+  `subroutines.SLICE_BYTES`, two or more from n = 1024.  From n = 2048,
+  whose rows are `oracle.PAIR_MIN_BYTES` wide, the evaluator gathers only
+  the lo ends of that batch, so SIZES has widths on both sides of that
+  choice,
+* `edge.peak_mib`, in MiB: the tracemalloc peak of one
+  `subroutines.edge_tester` pass on the integer instance, with eps set so
+  that its budget, twice the edge batch above, reaches a batch of that
+  size, the largest the tester draws.  It counts the
+  arrays numpy and Python allocate during the pass, not the evaluator's
+  tables, which exist before it,
 * `certify`, in milliseconds per call and only at n in CERTIFY_SIZES:
   `truth.dist_ltf_to_monotone_dp` on a planted-negative-mass instance,
   which is how `generate` certifies a far instance above n = 20 (best of
@@ -57,11 +66,13 @@ the parent commit in ../parent:
 
 import argparse
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 # before numpy is imported, which reads them once
@@ -149,9 +160,28 @@ def kernel_row(n, rows, repeats, gen):
         coords = gen.integers(0, n, size=edges)
         _query_edges(f, bits.random_packed(gen, edges, n), coords)
     out["edge"] = best_ns_per_point(edge_batch, edges, repeats)
+    out["edge.peak_mib"] = edge_peak_mib(
+        OracleHandle.for_spec(specs["int"]), edges)
     if n in CERTIFY_SIZES:
         out["certify"] = certify_ms(n)
     return {k: round(x, 1) for k, x in out.items()}
+
+
+def edge_peak_mib(f, edges):
+    """tracemalloc peak, in MiB, of one edge_tester pass on f (delta = 0.1)
+    whose budget is 2 * edges edges: from a first batch of 64 the batches
+    double, so that budget reaches a batch of `edges`."""
+    from monotest.rng import SplitRng
+    from monotest.subroutines import edge_tester
+
+    eps = f.ambient_n * math.log(10.0) / (2 * edges)
+    tracemalloc.start()
+    try:
+        edge_tester(f, eps, 0.1, SplitRng(SEED))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / float(1 << 20)
 
 
 def certify_ms(n):
@@ -200,9 +230,9 @@ def main():
             runs[tag].append(measure_in_process(Path(tree).resolve()))
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc["unit"] = ("ns/point on one batch of 16384 points; eval.build and "
-                   "eval.<r>rows in us per call, certify in ms per call; "
-                   "each the best of repeats in a process, then of "
-                   "processes")
+                   "eval.<r>rows in us per call, certify in ms per call, "
+                   "edge.peak_mib in MiB; each the best of repeats in a "
+                   "process, then of processes")
     for tag, results in runs.items():
         kernels = {n: {k: min(r[n][k] for r in results) for k in row}
                    for n, row in results[0].items()}

@@ -437,17 +437,6 @@ class Restriction:
         out |= plus
         return out
 
-    def merge(self, star_values: np.ndarray) -> np.ndarray:
-        """Fill the stars (in ascending index order) with +-1 values."""
-        sv = np.atleast_2d(np.asarray(star_values, dtype=np.int8))
-        st = self.stars()
-        if sv.shape[1] != st.size:
-            raise DimensionMismatchError(
-                f"{sv.shape[1]} star values for {st.size} stars")
-        out = np.repeat(self.assignment[None, :], sv.shape[0], axis=0)
-        out[:, st] = sv
-        return out
-
     def __str__(self):
         return "".join("*" if v == 0 else ("+" if v > 0 else "-")
                        for v in self.assignment)
@@ -533,12 +522,12 @@ class OracleHandle:
         return cls(LTFEvaluator(spec), spec.n, query_cap=query_cap)
 
     @classmethod
-    def for_function(cls, fn_pm: Callable[[np.ndarray], np.ndarray], n: int,
-                     query_cap: Optional[int] = None) -> "OracleHandle":
+    def for_function(cls, fn_pm: Callable[[np.ndarray], np.ndarray],
+                     n: int) -> "OracleHandle":
         """Wrap a function taking (m, n) +-1 int arrays (for tests/tools)."""
         def target(packed):
             return np.asarray(fn_pm(bits.unpack(packed, n)), dtype=np.int8)
-        return cls(target, n, query_cap=query_cap)
+        return cls(target, n)
 
     @property
     def query_count(self) -> int:
@@ -579,19 +568,6 @@ class OracleHandle:
         if self.rho is not None:
             packed = self.rho.overlay_packed(packed)
         return self._target(packed)
-
-    def query_pm(self, points_pm: np.ndarray) -> np.ndarray:
-        """Evaluate +-1 points given over this view's free coordinates."""
-        pm = np.atleast_2d(np.asarray(points_pm, dtype=np.int8))
-        if pm.shape[1] != self.domain_size:
-            raise DimensionMismatchError(
-                f"points have {pm.shape[1]} coordinates, "
-                f"domain has {self.domain_size}")
-        if self.rho is None:
-            full = pm
-        else:
-            full = self.rho.merge(pm)
-        return self.query_packed(bits.pack(full))
 
     def lift(self, packed: np.ndarray) -> np.ndarray:
         """Ambient packed points actually seen by the target for this batch."""

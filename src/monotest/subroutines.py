@@ -31,15 +31,18 @@ estimate_sum_of_squares = None
 find_hi_influence_vars = None
 check_weight_positive = None
 
-# the edge tester's batches: the first has EDGE_FIRST_BATCH edges and each
-# later one twice the one before, up to EDGE_CHUNK edges whose lo and hi
-# endpoints stay within bits.CHUNK_BYTES (see bits.chunk_rows)
+# the edge tester's batches, which fix the order of its stream: the first
+# has EDGE_FIRST_BATCH edges and each later one twice the one before, up to
+# EDGE_CHUNK edges whose lo and hi endpoints would fit in bits.CHUNK_BYTES
+# (see bits.chunk_rows).  A batch reaches the oracle in slices.
 EDGE_FIRST_BATCH = 64
 EDGE_CHUNK = 8192
+# packed bytes per oracle call of the edge tester (lo and hi ends together)
+# and of estimate_mean: bounds the arrays live at once (see _slice_rows)
+SLICE_BYTES = 1 << 20
 # rounds a bisect_edges sample may take beyond 2 ceil(log2 k)
 BISECT_ROUND_SLACK = 16
-# estimate_mean's rows per drawn batch, within bits.CHUNK_BYTES (see
-# bits.chunk_rows)
+# estimate_mean's most rows per drawn batch, which SLICE_BYTES may lower
 MEAN_CHUNK = 16384
 MEAN_CONST = 2.0           # Hoeffding: cap m = 2 ln(4/delta) / eps^2
 MEAN_FIRST_LOOK = 64       # the bounded mean check looks at 64 * 2^j samples
@@ -81,6 +84,28 @@ def _edge_certificate(view: OracleHandle, lo_row: np.ndarray,
     view's fixed coordinates filled in."""
     base = bits.unpack(view.lift(lo_row[None, :]), view.ambient_n)[0]
     return AntiMonotoneEdgeCertificate(base, int(coord))
+
+
+def _slice_rows(nb: int, copies: int) -> int:
+    """Rows per oracle call: `copies` arrays of nb-byte rows within
+    SLICE_BYTES, in a multiple of 4 rows, so consecutive random_packed
+    draws of that many rows give the bytes of one whole draw (see
+    bits.chunk_rows)."""
+    return max(4, (SLICE_BYTES // (copies * nb)) & ~3)
+
+
+def _slice_witness(view: OracleHandle, gen: np.random.Generator,
+                   coords: np.ndarray) -> Optional[AntiMonotoneEdgeCertificate]:
+    """Draw one point per entry of coords, query the edges from them in
+    those directions, and certify the first anti-monotone one, if any.
+    Nothing it allocates outlives the call but the certificate."""
+    pts = bits.random_packed(gen, coords.size, view.ambient_n)
+    lo, v_lo, v_hi = _query_edges(view, pts, coords)
+    anti = np.flatnonzero((v_lo == 1) & (v_hi == -1))
+    if anti.size == 0:
+        return None
+    first = int(anti[0])
+    return _edge_certificate(view, lo[first], coords[first])
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +256,7 @@ def estimate_mean(f: OracleHandle, eps: float, delta: float,
     # r_j^2 * m_j, the K early looks sharing delta / 2
     look_log = MEAN_CONST * math.log(4.0 * max(1, len(looks)) / delta)
     total = 0.0
-    chunk = bits.chunk_rows(MEAN_CHUNK, bits.nbytes(f.ambient_n))
+    chunk = min(MEAN_CHUNK, _slice_rows(bits.nbytes(f.ambient_n), 1))
     done = 0
     for target in looks + [m]:
         while done < target:
@@ -272,15 +297,25 @@ def edge_tester(f: OracleHandle, eps: float, delta: float,
     exp(-k eps/m) <= delta once k >= m ln(1/delta) / eps.
 
     Batches.  The edges are drawn in batches of EDGE_FIRST_BATCH, then
-    twice the batch before, up to a chunk bounded in bytes, and the batches
-    sum to exactly the budget.  Each edge is uniform and independent of the
-    others whatever the batch sizes, so the bound above is unchanged; the
-    batches decide only how far past the first violated edge the tester
-    queries before it looks.  Every batch before the one holding that edge
-    had none, and no batch is longer than EDGE_FIRST_BATCH plus all the
-    batches before it, so if it is the j-th edge drawn (counting from 0) a
-    rejection costs at most 2j + EDGE_FIRST_BATCH edges, two queries each.
-    A pass costs exactly 2 ceil(m ln(1/delta) / eps) queries.
+    twice the batch before, up to EDGE_CHUNK edges or fewer at large n
+    (bits.chunk_rows), and the batches sum to exactly the budget.  Each
+    edge is uniform and independent of the others whatever the batch sizes,
+    so the bound above is unchanged; the batches decide only how far past
+    the first violated edge the tester queries before it looks.  Every
+    batch before the one holding that edge had none, and no batch is longer
+    than EDGE_FIRST_BATCH plus all the batches before it, so if it is the
+    j-th edge drawn (counting from 0) a rejection costs at most
+    2j + EDGE_FIRST_BATCH edges, two queries each.  A pass costs exactly
+    2 ceil(m ln(1/delta) / eps) queries.
+
+    Slices.  The batches fix the stream; slices bound the memory.  A batch
+    draws its coordinates in one call, then reaches the oracle in slices of
+    _slice_rows edges, whose lo and hi ends fit in SLICE_BYTES, each slice
+    drawing its points just before it is queried.  Every slice but a
+    batch's last holds a multiple of 4 rows, so their points are the bytes
+    one draw of the whole batch would give.  Every slice is queried, and the
+    witness is the batch's first anti-monotone edge, so the edges, the
+    certificate and the query count do not depend on SLICE_BYTES.
     """
     m_free = f.domain_size
     if m_free == 0:
@@ -288,18 +323,20 @@ def edge_tester(f: OracleHandle, eps: float, delta: float,
     budget = int(math.ceil(m_free * math.log(1.0 / delta) / eps))
     dom = f.domain
     gen = rng.generator
-    chunk = bits.chunk_rows(EDGE_CHUNK, bits.nbytes(f.ambient_n), copies=2)
+    nb = bits.nbytes(f.ambient_n)
+    chunk = bits.chunk_rows(EDGE_CHUNK, nb, copies=2)
+    step = _slice_rows(nb, 2)
     batch = min(EDGE_FIRST_BATCH, chunk)
     done = 0
     while done < budget:
         k = min(batch, budget - done)
         coords = dom[gen.integers(0, m_free, size=k)]
-        pts = bits.random_packed(gen, k, f.ambient_n)
-        lo, v_lo, v_hi = _query_edges(f, pts, coords)
-        anti = np.flatnonzero((v_lo == 1) & (v_hi == -1))
-        if anti.size:
-            first = int(anti[0])
-            cert = _edge_certificate(f, lo[first], coords[first])
+        cert = None
+        for s in range(0, k, step):
+            found = _slice_witness(f, gen, coords[s:s + step])
+            if cert is None:
+                cert = found
+        if cert is not None:
             return Verdict.non_monotone(cert, "edge:anti-monotone-edge")
         done += k
         batch = min(2 * batch, chunk)

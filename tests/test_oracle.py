@@ -40,6 +40,11 @@ def handle(w, theta, **kw):
     return OracleHandle.for_spec(LTFSpec(np.asarray(w, float), theta), **kw)
 
 
+def ones(m, n):
+    """m packed copies of the all-ones point of {-1,+1}^n."""
+    return bits.pack(np.ones((m, n), dtype=np.int8))
+
+
 # ---------------------------------------------------------------------------
 # packing
 
@@ -164,16 +169,15 @@ def _cancellation_spec(n):
 def test_cancellation_byte_tables():
     spec = _cancellation_spec(21)
     assert not exact_in_float(spec.weights)
-    ones = np.ones((1, 21), dtype=np.int8)
-    assert OracleHandle.for_spec(spec).query_pm(ones)[0] == 1
-    assert eval_ltf(spec, ones[0]) == 1
+    assert OracleHandle.for_spec(spec).query_packed(ones(1, 21))[0] == 1
+    assert eval_ltf(spec, np.ones(21, dtype=np.int8)) == 1
 
 
 def test_cancellation_truth_table():
     spec = _cancellation_spec(4)
     table = truth_table(spec)
     assert table[0b1111] == 1
-    assert OracleHandle.for_spec(spec).query_pm(np.ones((1, 4)))[0] == 1
+    assert OracleHandle.for_spec(spec).query_packed(ones(1, 4))[0] == 1
     assert eval_ltf(spec, np.ones(4, dtype=np.int8)) == 1
     # every entry agrees with exact rational arithmetic
     for idx in range(16):
@@ -243,7 +247,7 @@ def test_float_evaluation_matches_exact_reference(n, seed, wide):
     flips[np.arange(n), np.arange(n)] *= -1
     rand = bits.unpack(bits.random_packed(rng, 32, n), n)
     pts = np.concatenate([x0[None, :], flips, rand])
-    got = OracleHandle.for_spec(spec).query_pm(pts)
+    got = OracleHandle.for_spec(spec).query_packed(bits.pack(pts))
     expect = [1 if sum(wi * int(xi) for wi, xi in zip(fw, x)) >= Fraction(theta)
               else -1 for x in pts]
     assert list(got) == expect
@@ -285,7 +289,7 @@ def test_byte_table_blocks_match_eval_ltf(make, exact):
     spec, x0 = make(generator_for(21, "blocks"), n)
     assert exact_in_float(spec.weights) == exact
     X = _block_batch(generator_for(22, "blocks"), n, x0)
-    got = OracleHandle.for_spec(spec).query_pm(X)
+    got = OracleHandle.for_spec(spec).query_packed(bits.pack(X))
     assert list(got) == [eval_ltf(spec, x) for x in X]
     assert np.all(got[np.all(X == x0, axis=1)] == 1)
 
@@ -400,10 +404,11 @@ def test_edge_batches_match_exact_reference(n, paired, wide, restricted,
 @pytest.mark.parametrize("restricted", [False, True], ids=["root", "view"])
 @pytest.mark.parametrize("wide", [False, True], ids=["int", "float"])
 def test_wide_edge_batch_matches_column_loop(wide, restricted):
-    # a full batch of 4096 edges at n = 16384 (2048 bytes), whose lo half
-    # is gathered 8 rows a take: every row as the column-wise reference
-    # answers, and the ties and the rows next to them exactly (in
-    # _edge_batch_case)
+    # 4096 edges at n = 16384 (2048 bytes), the edge tester's largest
+    # batch, which it sends in slices of 256 edges (subroutines.SLICE_BYTES);
+    # sent whole, the lo half is gathered 8 rows a take: every row as the
+    # column-wise reference answers, and the ties and the rows next to them
+    # exactly (in _edge_batch_case)
     n, k = 16384, 4096
     assert k == bits.chunk_rows(EDGE_CHUNK, bits.nbytes(n), copies=2)
     _, ev, batch, _ = _edge_batch_case(n, wide, restricted, k)
@@ -584,7 +589,7 @@ def test_exact_byte_tables_match_fractions(make, expect_x0):
 def test_nonfast_float_weights_still_work():
     spec = LTFSpec(np.full(30, 0.3), 0.1)
     h = OracleHandle.for_spec(spec)
-    v = h.query_pm(np.ones((1, 30), dtype=np.int8))
+    v = h.query_packed(ones(1, 30))
     assert v[0] == 1
 
 
@@ -598,20 +603,23 @@ def test_restrict_identity_and_substitution():
     rho = Restriction.fixing(2, {1: 1})
     fr = restrict(f, rho)
     assert fr.domain_size == 1
-    vals = fr.query_pm(np.array([[1], [-1]], dtype=np.int8))
+    # the view overrides the fixed coordinate's bit, whatever it holds
+    vals = fr.query_packed(bits.pack(np.array([[1, -1], [-1, -1]])))
     assert np.all(vals == 1)
 
     f2 = handle([1.0], 0.0)
     all_stars = Restriction.all_stars(1)
     fr2 = restrict(f2, all_stars)
-    assert np.array_equal(fr2.query_pm(np.array([[1], [-1]])), [1, -1])
+    assert np.array_equal(fr2.query_packed(bits.pack(np.array([[1], [-1]]))),
+                          [1, -1])
 
 
 def test_restrict_enumerated_example():
     # sign(2 x1 - x2 - 1) with x1 = -1 is identically -1
     f = handle([2.0, -1.0], 1.0)
     fr = restrict(f, Restriction.fixing(2, {0: -1}))
-    assert np.all(fr.query_pm(np.array([[1], [-1]])) == -1)
+    assert np.all(fr.query_packed(bits.pack(np.array([[1, 1], [1, -1]])))
+                  == -1)
 
 
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
@@ -623,12 +631,12 @@ def test_restrict_agrees_with_merge(n, seed):
     mask = rng.integers(0, 3, size=n).astype(np.int8) - 1
     rho = Restriction(mask)
     fr = restrict(f, rho)
-    k = rho.num_stars
-    if k == 0:
+    if rho.num_stars == 0:
         return
-    Y = bits.unpack(bits.random_packed(rng, 16, k), k)
-    got = fr.query_pm(Y)
-    merged = rho.merge(Y)
+    # random ambient points, fixed coordinates merged in by hand
+    Y = bits.unpack(bits.random_packed(rng, 16, n), n)
+    got = fr.query_packed(bits.pack(Y))
+    merged = np.where(mask != 0, mask, Y)
     expect = np.array([eval_ltf(spec, row) for row in merged])
     assert np.array_equal(got, expect)
 
@@ -682,19 +690,19 @@ def test_compose_commutative_associative(n, seed):
 def test_query_counting_and_parent_charging():
     f = handle(np.ones(6), 0.0)
     assert f.query_count == 0
-    f.query_pm(np.ones((5, 6), dtype=np.int8))
+    f.query_packed(ones(5, 6))
     assert f.query_count == 5
     fr = restrict(f, Restriction.fixing(6, {0: 1, 1: -1}))
-    fr.query_pm(np.ones((3, 4), dtype=np.int8))
+    fr.query_packed(ones(3, 6))
     assert f.query_count == 8
     assert fr.query_count == 8  # shared counter
 
 
 def test_query_cap_raises_without_truncation():
     f = handle(np.ones(4), 0.0, query_cap=10)
-    f.query_pm(np.ones((10, 4), dtype=np.int8))
+    f.query_packed(ones(10, 4))
     with pytest.raises(QueryBudgetExceededError):
-        f.query_pm(np.ones((1, 4), dtype=np.int8))
+        f.query_packed(ones(1, 4))
     assert f.query_count == 10
 
 
@@ -741,7 +749,7 @@ def test_query_cap_holds_across_threads():
     def charge():
         start.wait()
         try:
-            f.query_pm(np.ones((2, 4), dtype=np.int8))
+            f.query_packed(ones(2, 4))
             outcomes.append("ok")
         except QueryBudgetExceededError:
             outcomes.append("capped")

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 
+from monotest import bits
+from monotest.oracle import LTFSpec, OracleHandle
 from monotest.rng import SplitRng
 from monotest.schedule import BISECT_SAMPLES
-from monotest.subroutines import bisect_edges
+from monotest.subroutines import EDGE_CHUNK, EDGE_FIRST_BATCH, bisect_edges
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -32,7 +34,7 @@ def test_bench_kernels_rows_run():
     assert list(rows) == ["16", str(n)]
     for row in rows.values():
         assert {"eval.build", "eval.int", "eval.float", "sampler",
-                "bisect", "edge"} <= set(row)
+                "bisect", "edge", "edge.peak_mib"} <= set(row)
         assert all(f"eval.{r}rows" in row for r in bench.CALL_ROWS)
         assert all(np.isfinite(v) and v > 0 for v in row.values())
     assert "certify" in rows[str(n)]
@@ -46,6 +48,20 @@ def test_bench_kernels_bisect_column_runs_bisection_rounds():
     f = bench.bisect_handle(bench.int_weights(1024, gen))
     bisect_edges(f, BISECT_SAMPLES, SplitRng(bench.SEED))
     assert f.query_count > 2 * BISECT_SAMPLES
+
+
+def test_bench_kernels_edge_peak_pass_reaches_the_largest_batch():
+    # the pass must draw a batch of the edge column's size, the largest the
+    # tester draws, or its peak would miss the batch that costs the most
+    bench = load_script("bench_kernels")
+    n = 1024
+    edges = bits.chunk_rows(EDGE_CHUNK, bits.nbytes(n), copies=2)
+    f = OracleHandle.for_spec(LTFSpec(np.ones(n), 0.5))
+    assert bench.edge_peak_mib(f, edges) > 0
+    batches, total = EDGE_FIRST_BATCH, 0
+    while batches < edges:
+        total, batches = total + batches, 2 * batches
+    assert f.query_count >= 2 * (total + edges)
 
 
 def test_calibrate_estimators_runs(capsys):

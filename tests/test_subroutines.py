@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -507,6 +508,89 @@ def test_edge_tester_monotone_pass_charges_its_budget(m, eps, delta):
     v = edge_tester(f, eps, delta, rng_at(m, "budget"))
     assert v.is_monotone and v.diagnostic == "edge:pass"
     assert f.query_count == 2 * edge_budget(m, eps, delta)
+
+
+def whole_batch_edge_tester(f, eps, delta, rng):
+    """The edge tester with every batch sent to the oracle whole, as before
+    batches were sliced: (certificate or None, the witness's row in its
+    batch or None)."""
+    m_free = f.domain_size
+    budget = edge_budget(m_free, eps, delta)
+    dom, gen = f.domain, rng.generator
+    chunk = bits.chunk_rows(subroutines.EDGE_CHUNK, bits.nbytes(f.ambient_n),
+                            copies=2)
+    batch, done = min(subroutines.EDGE_FIRST_BATCH, chunk), 0
+    while done < budget:
+        k = min(batch, budget - done)
+        coords = dom[gen.integers(0, m_free, size=k)]
+        pts = bits.random_packed(gen, k, f.ambient_n)
+        lo, v_lo, v_hi = subroutines._query_edges(f, pts, coords)
+        anti = np.flatnonzero((v_lo == 1) & (v_hi == -1))
+        if anti.size:
+            j = int(anti[0])
+            base = bits.unpack(f.lift(lo[j]), f.ambient_n)[0]
+            return (base, int(coords[j])), j
+        done += k
+        batch = min(2 * batch, chunk)
+    return None, None
+
+
+@pytest.mark.parametrize("n", [40, 64])
+def test_edge_tester_slices_keep_the_stream(n, monkeypatch):
+    # slices of 14 edges' bytes, rounded down to 12 edges: batches of 64,
+    # 128, 256, ... edges split into 5, 10, 21, ... whole slices and a
+    # remainder of 4 or 8.  At 5 bytes a row (n = 40) a 12-row slice is an
+    # odd number of 32-bit words, which the sampler draws through its
+    # buffered-word path, and 14 rows would end mid-word.  On every run the
+    # sliced tester must draw the same edges as the whole-batch reference,
+    # certify the same first witness and charge the same queries, also
+    # when the witness lies past the first slice of its batch
+    nb = bits.nbytes(n)
+    monkeypatch.setattr(subroutines, "SLICE_BYTES", 2 * nb * 14 + 7)
+    assert subroutines._slice_rows(nb, 2) == 12
+    gen = generator_for(n, "slices")
+    rows = []
+    for t in range(24):
+        w = np.round(np.abs(gen.standard_normal(n)) * 20.0) + 1.0
+        w[gen.choice(n, size=t % 4, replace=False)] *= -1   # 0: monotone
+        spec = LTFSpec(w, float(np.floor(0.1 * w.sum())) + 0.5)
+        rho = Restriction.fixing(n, {1: 1}) if t % 3 == 0 else None
+        views = []
+        for _ in range(2):
+            root = OracleHandle.for_spec(spec)
+            views.append((root, root if rho is None else restrict(root, rho)))
+        (ref_root, ref), (root, view) = views
+        expect, row = whole_batch_edge_tester(ref, 0.1, 0.1,
+                                              rng_at(t, "slices"))
+        v = edge_tester(view, 0.1, 0.1, rng_at(t, "slices"))
+        assert root.query_count == ref_root.query_count
+        if expect is None:
+            assert v.is_monotone and v.diagnostic == "edge:pass"
+            continue
+        assert v.diagnostic == "edge:anti-monotone-edge"
+        assert np.array_equal(v.certificate.base_point, expect[0])
+        assert v.certificate.coordinate == expect[1]
+        assert verify_certificate(root, v.certificate)
+        rows.append(row)
+    assert min(rows) < 12 <= max(rows)
+    assert len(rows) >= 12
+
+
+def test_edge_tester_pass_peak_memory():
+    # a pass at n = 4096 draws batches of up to 8192 edges, whose lo and hi
+    # ends take 8 MiB, but holds one slice of SLICE_BYTES at a time
+    n = 4096
+    gen = generator_for(n, "peak")
+    w = np.round(np.abs(gen.standard_normal(n)) * 20.0) + 1.0
+    f = OracleHandle.for_spec(LTFSpec(w, float(np.floor(0.1 * w.sum())) + 0.5))
+    tracemalloc.start()
+    try:
+        v = edge_tester(f, 0.1, 0.1, rng_at(n, "peak"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.is_monotone and f.query_count == 2 * edge_budget(n, 0.1, 0.1)
+    assert peak < 4 << 20
 
 
 # eps -> queries on f itself and on the view with coordinate 0 fixed
