@@ -25,21 +25,22 @@ Times, on one batch of POINTS points at each n in SIZES:
   where f(x) = f(-x) on every sample and a call would be its first batch
   alone; at BISECT_THETA, f(x) = f(-x) only where w.x = 0, so nearly every
   sample bisects down to an edge,
-* one edge-tester batch (`edge`, in ns per edge, not per point): the
-  coordinate draw, the sampler and both endpoint evaluations of
-  `subroutines.EDGE_CHUNK` edges (fewer where the batch would exceed
-  `bits.CHUNK_BYTES`) on the integer instance, sent to the evaluator in
-  one call.  The tester itself sends a batch in slices of
-  `subroutines.SLICE_BYTES`, two or more from n = 1024.  From n = 2048,
+* one edge-tester slice (`edge`, in ns per edge, not per point): the
+  coordinate draw and the `subroutines._slice_witness` call that the
+  tester makes for each slice of a batch (the sampler and both endpoint
+  evaluations), on the integer instance, over as many edges as the
+  tester's largest slice holds: `_slice_rows(nb, 2)` edges, whose lo and
+  hi ends fit in `subroutines.SLICE_BYTES` (1024 edges at n = 4096), or
+  the largest batch, `subroutines.EDGE_CHUNK` edges within
+  `bits.CHUNK_BYTES`, where that is smaller (n <= 512).  From n = 2048,
   whose rows are `oracle.PAIR_MIN_BYTES` wide, the evaluator gathers only
-  the lo ends of that batch, so SIZES has widths on both sides of that
+  the lo ends of a slice, so SIZES has widths on both sides of that
   choice,
 * `edge.peak_mib`, in MiB: the tracemalloc peak of one
   `subroutines.edge_tester` pass on the integer instance, with eps set so
-  that its budget, twice the edge batch above, reaches a batch of that
-  size, the largest the tester draws.  It counts the
-  arrays numpy and Python allocate during the pass, not the evaluator's
-  tables, which exist before it,
+  that its budget, twice the largest batch, reaches a batch of that
+  size.  It counts the arrays numpy and Python allocate during the pass,
+  not the evaluator's tables, which exist before it,
 * `certify`, in milliseconds per call and only at n in CERTIFY_SIZES:
   `truth.dist_ltf_to_monotone_dp` on a planted-negative-mass instance,
   which is how `generate` certifies a far instance above n = 20 (best of
@@ -125,7 +126,8 @@ def kernel_row(n, rows, repeats, gen):
     from monotest.oracle import LTFEvaluator, LTFSpec, OracleHandle
     from monotest.rng import SplitRng
     from monotest.schedule import BISECT_SAMPLES
-    from monotest.subroutines import EDGE_CHUNK, _query_edges, bisect_edges
+    from monotest.subroutines import (
+        EDGE_CHUNK, _slice_rows, _slice_witness, bisect_edges)
 
     w = int_weights(n, gen)
     theta = float(np.floor(0.1 * w.sum())) + 0.5
@@ -154,14 +156,15 @@ def kernel_row(n, rows, repeats, gen):
     out["bisect"] = 1e-3 * best_ns_per_point(
         lambda: bisect_edges(g, BISECT_SAMPLES, SplitRng(SEED)), 1, repeats)
     f = OracleHandle.for_spec(specs["int"])
-    edges = bits.chunk_rows(EDGE_CHUNK, bits.nbytes(n), copies=2)
+    nb = bits.nbytes(n)
+    batch = bits.chunk_rows(EDGE_CHUNK, nb, copies=2)
+    edges = min(batch, _slice_rows(nb, 2))
 
-    def edge_batch():
-        coords = gen.integers(0, n, size=edges)
-        _query_edges(f, bits.random_packed(gen, edges, n), coords)
-    out["edge"] = best_ns_per_point(edge_batch, edges, repeats)
+    def edge_slice():
+        _slice_witness(f, gen, gen.integers(0, n, size=edges))
+    out["edge"] = best_ns_per_point(edge_slice, edges, repeats)
     out["edge.peak_mib"] = edge_peak_mib(
-        OracleHandle.for_spec(specs["int"]), edges)
+        OracleHandle.for_spec(specs["int"]), batch)
     if n in CERTIFY_SIZES:
         out["certify"] = certify_ms(n)
     return {k: round(x, 1) for k, x in out.items()}
@@ -169,12 +172,14 @@ def kernel_row(n, rows, repeats, gen):
 
 def edge_peak_mib(f, edges):
     """tracemalloc peak, in MiB, of one edge_tester pass on f (delta = 0.1)
-    whose budget is 2 * edges edges: from a first batch of 64 the batches
-    double, so that budget reaches a batch of `edges`."""
+    whose budget, ceil(n ln(10) / (2 eps)) edges, is 2 * edges: from a
+    first batch of 64 the batches double, so that budget reaches a batch of
+    `edges`.  A tree whose tester takes ceil(n ln(10) / eps) edges draws
+    twice that budget, in batches no larger."""
     from monotest.rng import SplitRng
     from monotest.subroutines import edge_tester
 
-    eps = f.ambient_n * math.log(10.0) / (2 * edges)
+    eps = f.ambient_n * math.log(10.0) / (4 * edges)
     tracemalloc.start()
     try:
         edge_tester(f, eps, 0.1, SplitRng(SEED))
@@ -229,7 +234,8 @@ def main():
         for tag, tree in (trees if i % 2 == 0 else trees[::-1]):
             runs[tag].append(measure_in_process(Path(tree).resolve()))
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
-    doc["unit"] = ("ns/point on one batch of 16384 points; eval.build and "
+    doc["unit"] = ("ns/point on one batch of 16384 points; edge in ns per "
+                   "edge on one edge-tester slice; eval.build and "
                    "eval.<r>rows in us per call, certify in ms per call, "
                    "edge.peak_mib in MiB; each the best of repeats in a "
                    "process, then of processes")

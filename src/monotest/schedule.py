@@ -24,8 +24,10 @@ eps <= 1/2.
   edge test only when Phase 1 leaves fixed coordinates: the test then runs
   on a restriction of f, whose distance to monotone is not proven to be at
   least eps, and gets distance min(eps, EDGE_EPS / 4), that is
-  ceil(m ln(1/EDGE_DELTA) / min(eps, EDGE_EPS / 4)) edges for m free
-  variables, never fewer than the bound asks at distance eps.  The factor
+  ceil(m ln(1/EDGE_DELTA) / (2 min(eps, EDGE_EPS / 4))) edges for m free
+  variables, never fewer than the bound asks at distance eps; a
+  restriction of a halfspace is again a halfspace, so the unate bound of
+  subroutines.edge_tester applies to it.  The factor
   4 is a stated margin without proof, kept until the distance of the
   restricted functions is measured.  When no coordinate is fixed the edge
   test runs on f itself and is sized from the run's eps (see

@@ -279,22 +279,35 @@ def estimate_mean(f: OracleHandle, eps: float, delta: float,
 
 def edge_tester(f: OracleHandle, eps: float, delta: float,
                 rng: SplitRng) -> Verdict:
-    """Sample ceil(m ln(1/delta) / eps) uniform edges of the free m-cube and
-    reject on the first anti-monotone one.  Never rejects a monotone
+    """Sample ceil(m ln(1/delta) / (2 eps)) uniform edges of the free m-cube
+    and reject on the first anti-monotone one.  Never rejects a monotone
     function; finds a witness with probability >= 1-delta when the function
-    is eps-far from monotone.
+    is unate, as every halfspace and every restriction of one is, and
+    eps-far from monotone.
 
-    Why that many edges.  Goldreich, Goldwasser, Lehman, Ron and
-    Samorodnitsky ("Testing monotonicity", Combinatorica 2000) show that a
-    function on the m-cube that is eps-far from monotone violates at least
-    an eps/m fraction of its m 2^(m-1) edges: swapping the values at the
-    two ends of every violated edge in direction i, one direction after
-    another, gives a monotone function (a swap in direction i adds no
-    violated edge in any other direction) and changes at most 2 points per
-    violated edge, so eps 2^m <= 2 |violated|.  A uniform coordinate and a uniform point give
-    a uniform edge, so each sample misses with probability at most
-    1 - eps/m, and k samples all miss with probability at most
-    exp(-k eps/m) <= delta once k >= m ln(1/delta) / eps.
+    Why that many edges.  Let V be the set of violated edges and V_i those
+    in direction i.  A unate f is non-decreasing or non-increasing in each
+    coordinate, so only the negative directions, the non-increasing ones,
+    have violated edges, and there every bichromatic edge is violated.  Take
+    a negative direction i, and let A and B count the violated edges in the
+    other directions of f|_{x_i=-1} and f|_{x_i=+1}, f with x_i fixed and
+    every other coordinate left as it is.  Replace f by the restriction
+    with fewer, read at both values of x_i.  That changes exactly one end of
+    each bichromatic direction-i edge, |V_i| points, and leaves
+    2 min(A, B) <= A + B violated edges in the other directions, so |V|
+    falls by at least the points changed; what is left is again unate,
+    with the same orientations.  After every negative
+    direction, f depends on no negative coordinate, so it is monotone, and
+    at most |V| points have changed: dist(f, monotone) 2^m <= |V|.  So an
+    eps-far f violates at least a 2 eps/m fraction of its m 2^(m-1) edges.
+    The bound is tight: sign(-x_1) on m variables is 1/2-far and violates
+    1/m of its edges.  (For any f, Goldreich, Goldwasser, Lehman, Ron and
+    Samorodnitsky, "Testing monotonicity", Combinatorica 2000, prove half
+    that fraction, eps 2^m <= 2 |V|, so on a function that is not unate the
+    guarantee holds at distance 2 eps.)  A uniform coordinate and a uniform
+    point give a uniform edge, so each sample misses with probability at
+    most 1 - 2 eps/m, and k samples all miss with probability at most
+    exp(-2 k eps/m) <= delta once k >= m ln(1/delta) / (2 eps).
 
     Batches.  The edges are drawn in batches of EDGE_FIRST_BATCH, then
     twice the batch before, up to EDGE_CHUNK edges or fewer at large n
@@ -306,7 +319,7 @@ def edge_tester(f: OracleHandle, eps: float, delta: float,
     than EDGE_FIRST_BATCH plus all the batches before it, so if it is the
     j-th edge drawn (counting from 0) a rejection costs at most
     2j + EDGE_FIRST_BATCH edges, two queries each.  A pass costs exactly
-    2 ceil(m ln(1/delta) / eps) queries.
+    2 ceil(m ln(1/delta) / (2 eps)) queries.
 
     Slices.  The batches fix the stream; slices bound the memory.  A batch
     draws its coordinates in one call, then reaches the oracle in slices of
@@ -320,7 +333,7 @@ def edge_tester(f: OracleHandle, eps: float, delta: float,
     m_free = f.domain_size
     if m_free == 0:
         return Verdict.monotone("edge:empty-domain")
-    budget = int(math.ceil(m_free * math.log(1.0 / delta) / eps))
+    budget = int(math.ceil(m_free * math.log(1.0 / delta) / (2.0 * eps)))
     dom = f.domain
     gen = rng.generator
     nb = bits.nbytes(f.ambient_n)

@@ -2,10 +2,12 @@
 
 The default, mono_test_ltf, is the uniform edge tester of Goldreich,
 Goldwasser, Lehman, Ron and Samorodnitsky run on f itself: ceil(n ln(1/delta)
-/ eps) uniform edges with delta = EDGE_DELTA, which finds a violated edge with
-probability at least 1 - delta when f is eps-far from monotone (see
-subroutines.edge_tester, which also gives its batches and their costs).
-A pass costs exactly 2 ceil(n ln(1/delta) / eps) queries.
+/ (2 eps)) uniform edges with delta = EDGE_DELTA, which finds a violated edge
+with probability at least 1 - delta when f is eps-far from monotone, since a
+halfspace is unate and an eps-far unate function violates at least a 2 eps/n
+fraction of its edges (see subroutines.edge_tester, which proves that bound
+and gives the batches and their costs).  A pass costs exactly
+2 ceil(n ln(1/delta) / (2 eps)) queries.
 
 staged_test_ltf is Phase 1 of the paper's adaptive search followed by the
 same edge test.  Phase 1 (initialization) finds the high-influence

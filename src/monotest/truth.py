@@ -19,7 +19,9 @@ leave-one-out means (exact_degree1) and the influences from the truth table
 integer weights get the weight-based distance and the mean from a float64
 DP over the pmfs of subset sums (dist_ltf_to_monotone_dp, ltf_mean_dp),
 with a proven rounding radius, and the degree-1 coefficients from
-leave-one-out means of that DP (degree1_dp).  The Monte-Carlo distance
+leave-one-out means of that DP (degree1_dp).  The same DP gives, at any
+n, the probability that a uniform edge is anti-monotone, the edge tester's
+per-edge chance of a witness (edge_witness_rate).  The Monte-Carlo distance
 (dist_ltf_to_monotone_mc) certifies nothing; it is the sampling cross-check
 that the tests hold the DP to.
 """
@@ -47,9 +49,10 @@ from .oracle import (
 MATCHING_MAX_N = 12
 # rows per Monte-Carlo batch, within bits.CHUNK_BYTES (see bits.chunk_rows)
 MC_CHUNK = 65536
-# largest sum of |w_i| (and largest n) for the subset-sum DP: the float64 pmf
-# of the sum of all |w_i|, DP_MAX_SUM + 1 entries, fits in bits.CHUNK_BYTES
-DP_MAX_SUM = bits.CHUNK_BYTES // 8 - 1
+# largest sum of |w_i| (and largest n) for the subset-sum DP: its float64 pmf
+# of the sum of all |w_i|, DP_MAX_SUM + 1 entries, stays within 16 MiB, and
+# n, W < 2^21 is what dist_ltf_to_monotone_dp's error radius assumes
+DP_MAX_SUM = (1 << 21) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +236,39 @@ def subset_sum_pmf(weights: np.ndarray) -> np.ndarray:
     return p
 
 
-def _subset_sum_tails(spec: LTFSpec):
-    """(p, ge, lt, k_p) of the form in dist_ltf_to_monotone_dp: p[s] =
-    Pr[S_P = s], ge[s] = Pr[S_N >= K - s], lt[s] = Pr[S_N < K - s]."""
-    w = spec.weights
+def _check_dp_weights(w: np.ndarray):
+    """Raise ValueError unless the subset-sum DP applies to weights w."""
     if not (w.size <= DP_MAX_SUM and exact_in_float(w)
             and float(np.abs(w).sum()) <= DP_MAX_SUM):
         raise ValueError("subset-sum DP needs integer weights with sum |w_i| "
                          f"and n at most DP_MAX_SUM = {DP_MAX_SUM}")
+
+
+def _cut(theta: float, total: int) -> int:
+    """ceil((theta + total) / 2) in integers, theta = num / den exactly,
+    clamped to [0, total + 1]: a cut K <= 0 puts every K - s at or below 0,
+    and K > total every K - s above the largest subset sum."""
+    num, den = theta.as_integer_ratio()
+    return min(max(-(-(num + total * den) // (2 * den)), 0), total + 1)
+
+
+def _below(q: np.ndarray) -> np.ndarray:
+    """lt[j] = Pr[S < j], j = 0 .. q.size, for the pmf q of S."""
+    lt = np.zeros(q.size + 1)
+    lt[1:] = np.cumsum(q)
+    return lt
+
+
+def _subset_sum_tails(spec: LTFSpec):
+    """(p, ge, lt, k_p) of the form in dist_ltf_to_monotone_dp: p[s] =
+    Pr[S_P = s], ge[s] = Pr[S_N >= K - s], lt[s] = Pr[S_N < K - s]."""
+    w = spec.weights
+    _check_dp_weights(w)
     p = subset_sum_pmf(w[w >= 0])
     q = subset_sum_pmf(-w[w < 0])
     w_p, w_all = p.size - 1, p.size + q.size - 2
-    # ceil((theta + total) / 2) in integers, theta = num / den exactly;
-    # clamped: K <= 0 puts every K - s at or below 0, K > W every K - s above
-    # the largest value of S_N; likewise K_P against S_P
-    num, den = spec.theta.as_integer_ratio()
-    k = min(max(-(-(num + w_all * den) // (2 * den)), 0), w_all + 1)
-    k_p = min(max(-(-(num + w_p * den) // (2 * den)), 0), w_p + 1)
-    lt = np.zeros(q.size + 1)  # lt[j] = Pr[S_N < j], j = 0 .. q.size
-    lt[1:] = np.cumsum(q)
+    k, k_p = _cut(spec.theta, w_all), _cut(spec.theta, w_p)
+    lt = _below(q)
     ge = np.zeros(q.size + 1)  # ge[j] = Pr[S_N >= j]
     ge[:-1] = np.cumsum(q[::-1])[::-1]
     j = np.clip(k - np.arange(p.size), 0, q.size)
@@ -272,7 +289,7 @@ def dist_ltf_to_monotone_dp(spec: LTFSpec) -> DistanceReport:
     dist_ltf_to_monotone_exact counts and dist_ltf_to_monotone_mc samples.
     It runs on integer weights (oracle.exact_in_float) with n and
     W = sum |w_i| at most DP_MAX_SUM, so that the pmf of a subset sum of all
-    |w_i| (W + 1 float64) fits in bits.CHUNK_BYTES, and raises ValueError
+    |w_i| (W + 1 float64) stays within 16 MiB, and raises ValueError
     otherwise; no array it makes holds more than W + 2 entries.  It takes
     at most n (W + 1) additions and as many halvings: 5 ms at n = 1,024 and
     61 ms at n = 4,096 on planted-negative-mass instances, whose W is about
@@ -403,6 +420,46 @@ def degree1_dp(spec: LTFSpec) -> np.ndarray:
         coef[j] = (ltf_mean_dp(LTFSpec(rest, theta - w[i]))
                    - ltf_mean_dp(LTFSpec(rest, theta + w[i]))) / 2
     return coef[inverse]
+
+
+def edge_witness_rate(spec: LTFSpec) -> float:
+    """The probability that a uniform edge of the cube is anti-monotone,
+    sum over w_i < 0 of |fhat(i)|, over n, for integer weights under
+    ltf_mean_dp's conditions: the edge tester's chance of a witness per
+    edge on f itself.
+
+    A halfspace is unate, so only directions with w_i < 0 have violated
+    edges, and there every bichromatic edge is violated: a fraction
+    Inf_i = |fhat(i)| of them.  In the form of dist_ltf_to_monotone_dp,
+    with a = |w_i| and S' the subset sum of the other negative weights'
+    |w_j|, the edge is violated iff K - a <= S_P + S' < K.  So Inf_i is
+    sum_s Pr[S_P = s] Pr[K - a - s <= S' < K - s], one DP for S_P and one
+    for S' per distinct negative weight value.
+
+    Error radius.  As in dist_ltf_to_monotone_dp, with one more cumulative
+    sum for the lower end of each window: each Inf_i is within
+    2 dp_radius(n, W) of its true value, and the count-weighted sum and the
+    division by n add at most 3 u of the rate, so the value is within
+    3 dp_radius(n, W).  For n <= 48 every Inf_i, product with its count and
+    sum is a multiple of 2^-(n-1) below 2^6, exact in float64, so the value
+    is the exact rate rounded once.
+    """
+    w = spec.weights
+    _check_dp_weights(w)
+    p = subset_sum_pmf(w[w >= 0])
+    mags = -w[w < 0]
+    k = _cut(spec.theta, int(np.abs(w).sum()))
+    s = np.arange(p.size)
+    values, first, counts = np.unique(mags, return_index=True,
+                                      return_counts=True)
+    terms = []
+    for a, i, c in zip(values.tolist(), first.tolist(), counts.tolist()):
+        q = subset_sum_pmf(np.delete(mags, i))
+        lt = _below(q)
+        window = (lt[np.clip(k - s, 0, q.size)]
+                  - lt[np.clip(k - int(a) - s, 0, q.size)])
+        terms.append(c * float(np.dot(p, window)))
+    return math.fsum(terms) / spec.n
 
 
 def min_boundary_gap(spec: LTFSpec) -> float:

@@ -9,9 +9,9 @@ from pathlib import Path
 DIGEST = Path(__file__).resolve().parents[1] / "scripts" / "digest.py"
 
 MONO_TEST_TOTAL = (
-    "8285f64c0188d08b1e172dcd1544eb58f241551cad1d80c2a264cf42e000adb1")
+    "c96c31ead06e172902e6e58e8ac6dbd14ee54ad55401413a39b14f4ddb9383d4")
 STAGED_TEST_TOTAL = (
-    "c84496a0bd555536386b608aed1a1b7eb1df1430a8da871eab9c15082c0dd134")
+    "3031cbb9754db15b267348c4537729a5af950b6bc5e3eb05e138c4c38f0cf8d1")
 
 
 def test_digest_totals_pinned():

@@ -132,8 +132,8 @@ def test_instance_file_roundtrip(tmp_path):
 # suites
 
 
-# the edge test's full budget at n=25, eps=0.05: 2 ceil(n ln10 / eps)
-EDGE_PASS_QUERIES = 2 * math.ceil(25 * math.log(10) / 0.05)
+# the edge test's full budget at n=25, eps=0.05: 2 ceil(n ln10 / (2 eps))
+EDGE_PASS_QUERIES = 2 * math.ceil(25 * math.log(10) / 0.1)
 
 
 def small_suite(seed=11, count=6):
@@ -156,7 +156,7 @@ def test_suite_detects_and_verifies():
 
 
 def test_suite_records_query_cap_errors():
-    # monotone, so no trial can reject before the edge test's 2,304 queries
+    # monotone, so no trial can reject before the edge test's 1,152 queries
     # run into the cap
     config = SuiteConfig(family=InstanceFamily(MONOTONE_RANDOM, 25),
                          count=3, eps=0.05, master_seed=11, query_cap=1000)

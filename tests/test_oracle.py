@@ -796,11 +796,12 @@ def test_certificate_verifies_on_the_view_that_found_it():
     assert verify_certificate(view, cert)
     assert f.query_count == used + 2
     # an edge the view cannot see: its coordinate is fixed there, or the
-    # base point disagrees with the fixed x5; no query is charged
+    # base point disagrees with the fixed x5; no query is charged.  With
+    # x1..x4 = +1 and x5 = -1 the direction-0 edge is anti-monotone in f,
+    # since 3 + 4 - 1 - 0.5 >= 0 > -3 + 4 - 1 - 0.5
     fixed_coord = AntiMonotoneEdgeCertificate(cert.base_point, 5)
-    off_view = cert.base_point.copy()
-    off_view[5] = -1
-    off_view = AntiMonotoneEdgeCertificate(off_view, cert.coordinate)
+    off_view = AntiMonotoneEdgeCertificate(
+        np.array([-1, 1, 1, 1, 1, -1], dtype=np.int8), 0)
     assert not verify_certificate(view, fixed_coord)
     assert not verify_certificate(view, off_view)
     assert f.query_count == used + 2

@@ -51,8 +51,8 @@ def test_bench_kernels_bisect_column_runs_bisection_rounds():
 
 
 def test_bench_kernels_edge_peak_pass_reaches_the_largest_batch():
-    # the pass must draw a batch of the edge column's size, the largest the
-    # tester draws, or its peak would miss the batch that costs the most
+    # the pass must draw a batch of the largest size the tester draws, or
+    # its peak would miss the batch that costs the most
     bench = load_script("bench_kernels")
     n = 1024
     edges = bits.chunk_rows(EDGE_CHUNK, bits.nbytes(n), copies=2)

@@ -471,10 +471,10 @@ def test_edge_tester_on_restricted_view():
 def test_edge_tester_rejection_costs_one_first_batch(eps):
     # every edge of sign(-x_0) on one variable is violated, so the first
     # batch of EDGE_FIRST_BATCH edges holds the witness and the budget
-    # (116 or 461 edges) is never reached
+    # (ceil(ln(100) / (2 eps)) = 116 or 461 edges) is never reached
     for t in range(5):
         f = OracleHandle.for_spec(LTFSpec(np.array([-1.0]), 0.0))
-        v = edge_tester(f, eps, 0.1, rng_at(t, "first-batch"))
+        v = edge_tester(f, eps, 0.01, rng_at(t, "first-batch"))
         assert v.diagnostic == "edge:anti-monotone-edge"
         assert f.query_count == 2 * subroutines.EDGE_FIRST_BATCH == 128
         assert verify_certificate(f, v.certificate)
@@ -498,7 +498,7 @@ def test_edge_tester_rejects_at_a_doubling_batch_end():
 
 def edge_budget(m, eps, delta):
     """Edges the edge tester samples on m free variables."""
-    return math.ceil(m * math.log(1.0 / delta) / eps)
+    return math.ceil(m * math.log(1.0 / delta) / (2 * eps))
 
 
 @pytest.mark.parametrize("m, eps, delta", [
@@ -544,7 +544,9 @@ def test_edge_tester_slices_keep_the_stream(n, monkeypatch):
     # buffered-word path, and 14 rows would end mid-word.  On every run the
     # sliced tester must draw the same edges as the whole-batch reference,
     # certify the same first witness and charge the same queries, also
-    # when the witness lies past the first slice of its batch
+    # when the witness lies past the first slice of its batch.  At
+    # eps = 0.05 a run draws ceil(n ln10 / 0.1) edges, enough for 12 or
+    # more of the 24 runs to find a witness
     nb = bits.nbytes(n)
     monkeypatch.setattr(subroutines, "SLICE_BYTES", 2 * nb * 14 + 7)
     assert subroutines._slice_rows(nb, 2) == 12
@@ -560,9 +562,9 @@ def test_edge_tester_slices_keep_the_stream(n, monkeypatch):
             root = OracleHandle.for_spec(spec)
             views.append((root, root if rho is None else restrict(root, rho)))
         (ref_root, ref), (root, view) = views
-        expect, row = whole_batch_edge_tester(ref, 0.1, 0.1,
+        expect, row = whole_batch_edge_tester(ref, 0.05, 0.1,
                                               rng_at(t, "slices"))
-        v = edge_tester(view, 0.1, 0.1, rng_at(t, "slices"))
+        v = edge_tester(view, 0.05, 0.1, rng_at(t, "slices"))
         assert root.query_count == ref_root.query_count
         if expect is None:
             assert v.is_monotone and v.diagnostic == "edge:pass"
@@ -594,14 +596,14 @@ def test_edge_tester_pass_peak_memory():
 
 
 # eps -> queries on f itself and on the view with coordinate 0 fixed
-MAIN_EDGE_QUERIES = {0.1: (1474, 2856), 0.02: (7370, 7140)}
+MAIN_EDGE_QUERIES = {0.1: (738, 1428), 0.02: (3686, 3570)}
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.02])
 def test_main_procedure_sizes_the_edge_test_from_eps_or_the_margin(eps):
     # the edge test gets the run's eps on f itself and min(eps, EDGE_EPS/4)
     # on a view with a fixed coordinate, so never fewer edges than the
-    # eps/m bound asks
+    # 2 eps/m bound asks
     n = 32
     spec = LTFSpec(np.ones(n), 0.5)
     cases = ((Restriction.all_stars(n), n, eps),

@@ -123,7 +123,7 @@ def test_main_skips_to_edge_when_already_small():
     verdict = main_procedure(f, Restriction.all_stars(32), 0.1,
                              rng_at(5, "skip"))
     assert verdict.is_monotone and verdict.diagnostic == "edge:pass"
-    assert f.query_count == 2 * math.ceil(32 * math.log(10) / 0.1)
+    assert f.query_count == 2 * math.ceil(32 * math.log(10) / 0.2)
 
 
 def test_main_detects_negated_function_via_edge_phase():
@@ -184,7 +184,7 @@ def test_full_tester_query_accounting():
     f = OracleHandle.for_spec(spec)
     v = mono_test_ltf(f, eps, sched, rng_at(9, "accounting"))
     assert v.diagnostic == "edge:pass"
-    assert f.query_count == 2 * math.ceil(n * math.log(10) / eps)
+    assert f.query_count == 2 * math.ceil(n * math.log(10) / (2 * eps))
 
 
 def test_full_tester_deterministic_given_seed():
@@ -286,16 +286,16 @@ def test_staged_tester_outcomes_pinned():
     # staged_test_ltf end to end at the shipped schedule: Phase 1 fixes the
     # heavy positive coordinate and one more that ends two samples, so the
     # edge test runs on the 31 free variables at distance
-    # min(0.1, EDGE_EPS/4) = 0.05 (2 ceil(31 ln10 / 0.05) = 2,856 queries);
+    # min(0.1, EDGE_EPS/4) = 0.05 (2 ceil(31 ln10 / 0.1) = 1,428 queries);
     # with the heavy weight negated a bisection sample ends on an
     # anti-monotone edge in Phase 1 and no edge test runs
     n, eps = 33, 0.1
     sched = build_schedule(n, eps)
     f = OracleHandle.for_spec(heavy_second(n, 8.0))
     out = staged_test_ltf(f, eps, sched, rng_at(0, "stf"))
-    assert outcome(out, f) == ("monotone", "edge:pass", 19457, None)
+    assert outcome(out, f) == ("monotone", "edge:pass", 18029, None)
     rb = phase1_queries(heavy_second(n, 8.0), sched, rng_at(0, "stf"))
-    assert (rb, f.query_count - rb) == (16601, 2856)
+    assert (rb, f.query_count - rb) == (16601, 1428)
 
     f = OracleHandle.for_spec(heavy_second(n, -8.0))
     out = staged_test_ltf(f, eps, sched, rng_at(0, "stf"))

@@ -5,9 +5,18 @@ from itertools import product
 import numpy as np
 import pytest
 
-from monotest.generators import _certify, grid_spec
+from monotest.generators import (
+    ADVERSARIAL,
+    HEAVY_COORDINATE,
+    PLANTED_NEGATIVE_MASS,
+    SIGNED_MAJORITY,
+    InstanceFamily,
+    _certify,
+    generate,
+    grid_spec,
+)
 from monotest.oracle import LTFSpec, truth_table
-from monotest.rng import generator_for
+from monotest.rng import SplitRng, generator_for
 from monotest.truth import (
     DP_MAX_SUM,
     WeightProfile,
@@ -19,6 +28,7 @@ from monotest.truth import (
     dist_to_monotone_matching,
     dp_radius,
     drop_negative_weights,
+    edge_witness_rate,
     exact_degree1,
     exact_influences,
     exact_mean,
@@ -248,6 +258,76 @@ def test_degree1_dp_equals_enumeration_on_grid_specs():
     big = LTFSpec(np.r_[[-8.0, 3.0], np.ones(30)], 0.5)
     assert np.array_equal(exact_degree1(big), degree1_dp(big))
     assert exact_degree1(big)[0] < 0 < exact_degree1(big)[1]
+
+
+def violated_edges(table, n):
+    """Anti-monotone edges of a truth table indexed by point mask: lo end
+    +1, hi end (bit i set) -1."""
+    idx = np.arange(table.size)
+    return sum(int(np.count_nonzero((table[lo] > 0) & (table[lo | bit] < 0)))
+               for bit in (1 << np.arange(n))
+               for lo in [idx[(idx & bit) == 0]])
+
+
+def test_edge_witness_rate_equals_whole_cube_edge_count():
+    # below n = 49 the rate is the exact count over n 2^(n-1), rounded once
+    for spec in _dp_specs():
+        if spec.n > 16:
+            continue
+        count = violated_edges(truth_table(spec), spec.n)
+        assert edge_witness_rate(spec) == count / (spec.n << (spec.n - 1))
+
+
+def threshold_tables(n, max_weight=3):
+    """Every threshold function on n variables, as the set of its truth
+    tables packed into ints: each integer weight vector with |w_i| <=
+    max_weight, cut at each of its values and above all of them."""
+    grid = np.arange(-max_weight, max_weight + 1, dtype=np.int64)
+    w = np.array(list(product(grid, repeat=n)))
+    pts = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) * 2 - 1
+    margins = w @ pts.T                              # (weights, 2^n)
+    plus = margins[:, None, :] >= margins[:, :, None]  # cut at each value
+    packed = (plus.astype(np.int64) << np.arange(1 << n)).sum(axis=2)
+    return set(packed.ravel().tolist()) | {0}
+
+
+def test_unate_bound_on_every_threshold_function_up_to_n4():
+    # dist(f, monotone) 2^n <= |V| for unate f, by fixing each negative
+    # coordinate in turn (subroutines.edge_tester); the counts are OEIS
+    # A000609's, so the enumeration misses no threshold function, and the
+    # anti-dictator sign(-x_1) attains the bound (2^(n-1) on both sides)
+    for n, total in ((2, 14), (3, 104), (4, 1882)):
+        tight = 0
+        packed = threshold_tables(n)
+        assert len(packed) == total
+        for word in packed:
+            table = np.where((word >> np.arange(1 << n)) & 1, 1, -1)
+            dist = dist_to_monotone_matching(table).numerator
+            edges = violated_edges(table, n)
+            assert edges >= dist
+            tight += edges == dist > 0
+        anti = np.where(np.arange(1 << n) & 1, -1, 1)
+        assert violated_edges(anti, n) == \
+            dist_to_monotone_matching(anti).numerator == 1 << (n - 1)
+        assert tight > 0
+
+
+@pytest.mark.parametrize("kind, params", [
+    (SIGNED_MAJORITY, {"k": 64}),
+    (PLANTED_NEGATIVE_MASS, {}),
+    (HEAVY_COORDINATE, {"heavy": 8.0, "sign": -1.0}),
+    (ADVERSARIAL, {}),
+])
+def test_edge_witness_rate_meets_the_unate_bound_at_n4096(kind, params):
+    # a uniform edge is a witness with probability at least 2 dist / n,
+    # within the two DPs' proven radii
+    n = 4096
+    inst = generate(InstanceFamily(kind, n, params),
+                    SplitRng(4242, ("witness-rate", kind)))
+    dist = inst.distance
+    assert dist.method == "drop-negative-dp" and dist.value > 0.01
+    rate = edge_witness_rate(inst.spec)
+    assert rate + 3 * dist.radius >= 2 * (dist.value - dist.radius) / n
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
